@@ -25,7 +25,17 @@ from .errors import (
     FieldMismatchError,
     InvalidMetricError,
 )
-from .intlinalg import ok_saturation_rows, rat_det, rat_inverse, saturation_rows
+from .intlinalg import (
+    QSurd,
+    det,
+    inverse,
+    is_positive_definite,
+    ok_saturation_rows,
+    rat_det,
+    rat_inverse,
+    rat_rank,
+    saturation_rows,
+)
 from .numberfield import NumberField, QuadElement
 
 __all__ = [
@@ -105,44 +115,19 @@ def _kron(A, B):
     return out
 
 
-def _realification(g: ComplexGram):
-    """Symmetric real form [[Re, -Im], [Im, Re]] of a Hermitian matrix."""
-    re, im = g
-    r = len(re)
-    top = [list(re[i]) + [-im[i][j] for j in range(r)] for i in range(r)]
-    bot = [list(im[i]) + list(re[i]) for i in range(r)]
-    return top + bot
+def _surds(A, B, delta: int) -> list[list[QSurd]]:
+    """The matrix A + B sqrt(delta) as QSurd entries; delta = -1 reads a
+    Hermitian (real part, imaginary part) pair."""
+    return [[QSurd(a, b, delta) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
 
 
 def _hermitian_det(g: ComplexGram) -> Fraction:
     """Determinant of a Hermitian matrix with rational entries (a rational)."""
-    re, im = g
-    n = len(re)
-    # Gaussian elimination over Q(i) on (re, im) pairs.
-    a = [[(re[i][j], im[i][j]) for j in range(n)] for i in range(n)]
-    det_re, det_im = Fraction(1), Fraction(0)
-    for c in range(n):
-        piv = next((i for i in range(c, n)
-                    if a[i][c][0] != 0 or a[i][c][1] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det_re, det_im = -det_re, -det_im
-        pr, pi = a[c][c]
-        det_re, det_im = det_re * pr - det_im * pi, det_re * pi + det_im * pr
-        nrm = pr * pr + pi * pi
-        ir, ii = pr / nrm, -pi / nrm
-        for i in range(c + 1, n):
-            fr_, fi_ = a[i][c]
-            if fr_ == 0 and fi_ == 0:
-                continue
-            fr, fi = fr_ * ir - fi_ * ii, fr_ * ii + fi_ * ir
-            a[i] = [(xr - (fr * yr - fi * yi), xi - (fr * yi + fi * yr))
-                    for (xr, xi), (yr, yi) in zip(a[i], a[c])]
-    if det_im != 0:
+    d = det(_surds(*g, -1))
+    if d.b != 0:
         raise InvalidMetricError("Hermitian determinant came out non-real")
-    return det_re
+    return d.a
 
 
 def _complex_kron(a: ComplexGram, b: ComplexGram) -> ComplexGram:
@@ -154,11 +139,9 @@ def _complex_kron(a: ComplexGram, b: ComplexGram) -> ComplexGram:
 
 
 def _complex_inverse(g: ComplexGram) -> ComplexGram:
-    r = len(g[0])
-    inv = rat_inverse(_realification(g))
-    re = tuple(tuple(inv[i][j] for j in range(r)) for i in range(r))
-    im = tuple(tuple(inv[r + i][j] for j in range(r)) for i in range(r))
-    return re, im
+    inv = inverse(_surds(*g, -1))
+    return (_freeze([[x.a for x in row] for row in inv]),
+            _freeze([[x.b for x in row] for row in inv]))
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +162,6 @@ class ArakelovBundle:
 
     def slope(self) -> float:
         return slope(self)
-
-    def gram_real_floats(self, k: int) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.gram_real[k]]
-
-    def gram_complex_values(self, k: int) -> list[list[complex]]:
-        re, im = self.gram_complex[k]
-        return [[complex(float(a), float(b)) for a, b in zip(ra, ri)]
-                for ra, ri in zip(re, im)]
 
 
 def trivial_bundle(field: NumberField, n: int) -> ArakelovBundle:
@@ -210,10 +185,8 @@ def _validate_real(g: RealGram, rank: int):
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise InvalidMetricError("Gram matrix is not symmetric")
-    for k in range(1, rank + 1):
-        minor = [row[:k] for row in g[:k]]
-        if rat_det(minor) <= 0:
-            raise InvalidMetricError("Gram matrix is not positive definite")
+    if not is_positive_definite([list(row) for row in g]):
+        raise InvalidMetricError("Gram matrix is not positive definite")
 
 
 def _validate_complex(g: ComplexGram, rank: int):
@@ -226,11 +199,8 @@ def _validate_complex(g: ComplexGram, rank: int):
         for j in range(i):
             if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
                 raise InvalidMetricError("Gram matrix is not Hermitian")
-    real_form = _realification(g)
-    for k in range(1, 2 * rank + 1):
-        minor = [row[:k] for row in real_form[:k]]
-        if rat_det(minor) <= 0:
-            raise InvalidMetricError("Gram matrix is not positive definite")
+    if not is_positive_definite(_surds(re, im, -1)):
+        raise InvalidMetricError("Gram matrix is not positive definite")
 
 
 def make_bundle(field: NumberField, grams) -> ArakelovBundle:
@@ -386,7 +356,7 @@ def saturate_subbundle(E: ArakelovBundle, generators) -> SaturatedSubbundle:
     n = E.rank
     if field.is_rational():
         rows = _module_to_zrows(field, gens)
-        if len(rows) != _rat_rank(rows, n):
+        if len(rows) != rat_rank(rows, n):
             raise DependentGeneratorsError("generators are K-linearly dependent")
         sat = saturation_rows(rows, n)
         basis = tuple(tuple(Fraction(x) for x in row) for row in sat)
@@ -400,26 +370,10 @@ def saturate_subbundle(E: ArakelovBundle, generators) -> SaturatedSubbundle:
     return SaturatedSubbundle(bundle=sub, basis=basis)
 
 
-def _rat_rank(rows, ncols: int) -> int:
-    M = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(M)) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for i in range(rank + 1, len(M)):
-            if M[i][c] != 0:
-                f = M[i][c] / M[rank][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-    return rank
-
-
 def _ok_rank(field: NumberField, rows, ncols: int) -> int:
     # rank over K: clear to the rational 2x rows and halve
     zrows = _module_to_zrows(field, rows)
-    return _rat_rank(zrows, 2 * ncols) // 2
+    return rat_rank(zrows, 2 * ncols) // 2
 
 
 def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
@@ -530,8 +484,6 @@ class ZLatticeView:
     delta: int  # square under the root in the exact form pairs; 0 over Q
     place_forms: tuple[PlaceForm, ...]
     trace_gram: tuple[tuple[float, ...], ...]
-    embed_A: RealGram
-    embed_B: RealGram
 
     def place_values(self, z: Sequence[int]) -> tuple[QPair, ...]:
         return tuple(f.value_pair(z) for f in self.place_forms)
@@ -548,18 +500,19 @@ class ZLatticeView:
                 return False
         return True
 
-    def trace_value(self, z: Sequence[int]) -> float:
-        n = self.zrank
-        return sum(z[i] * self.trace_gram[i][j] * z[j]
-                   for i in range(n) for j in range(n) if z[i] and z[j])
-
     def covolume(self) -> float:
         """Covolume under the canonical measure (doubled Lebesgue at complex
-        places), computed from an exact determinant over Q(sqrt(delta))."""
-        a, b = _qfield_det(self.embed_A, self.embed_B, self.delta)
-        det = qpair_float((a, b), self.delta)
+        places), computed from an exact determinant over Q(sqrt(delta)) of
+        the sum of the place forms."""
+        n = self.zrank
+        A = [[sum(f.A[i][j] for f in self.place_forms) for j in range(n)]
+             for i in range(n)]
+        B = [[sum(f.B[i][j] for f in self.place_forms) for j in range(n)]
+             for i in range(n)]
+        d = det(_surds(A, B, self.delta))
+        det_value = qpair_float((d.a, d.b), self.delta)
         r2 = self.bundle.field.complex_places
-        return 2.0 ** (self.bundle.rank * r2) * math.sqrt(det)
+        return 2.0 ** (self.bundle.rank * r2) * math.sqrt(det_value)
 
     def coords_to_module(self, z: Sequence[int]) -> tuple:
         field = self.bundle.field
@@ -567,40 +520,6 @@ class ZLatticeView:
             return tuple(Fraction(x) for x in z)
         return tuple(field.element(z[2 * i], z[2 * i + 1])
                      for i in range(self.bundle.rank))
-
-
-def _qfield_det(A: RealGram, B: RealGram, delta: int) -> QPair:
-    """Exact determinant of A + B sqrt(delta) over the field Q(sqrt(delta))."""
-    n = len(A)
-    m = [[(A[i][j], B[i][j]) for j in range(n)] for i in range(n)]
-    det = (Fraction(1), Fraction(0))
-
-    def mul(x: QPair, y: QPair) -> QPair:
-        return (x[0] * y[0] + delta * x[1] * y[1],
-                x[0] * y[1] + x[1] * y[0])
-
-    def inv(x: QPair) -> QPair:
-        nrm = x[0] * x[0] - delta * x[1] * x[1]
-        return (x[0] / nrm, -x[1] / nrm)
-
-    for c in range(n):
-        piv = next((i for i in range(c, n)
-                    if m[i][c][0] != 0 or m[i][c][1] != 0), None)
-        if piv is None:
-            return (Fraction(0), Fraction(0))
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = (-det[0], -det[1])
-        det = mul(det, m[c][c])
-        pinv = inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c][0] == 0 and m[i][c][1] == 0:
-                continue
-            f = mul(m[i][c], pinv)
-            m[i] = [(x[0] - (f[0] * y[0] + delta * f[1] * y[1]),
-                     x[1] - (f[0] * y[1] + f[1] * y[0]))
-                    for x, y in zip(m[i], m[c])]
-    return det
 
 
 def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
@@ -612,8 +531,7 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
         form = PlaceForm(kind="real", A=A, B=zero)
         trace = tuple(tuple(float(x) for x in row) for row in A)
         return ZLatticeView(bundle=E, zrank=n, delta=0,
-                            place_forms=(form,), trace_gram=trace,
-                            embed_A=A, embed_B=zero)
+                            place_forms=(form,), trace_gram=trace)
 
     D = field.D
     delta = abs(D)
@@ -659,17 +577,12 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
 
     root = math.sqrt(delta)
     trace_rows = [[0.0] * N for _ in range(N)]
-    embed_A = [[Fraction(0)] * N for _ in range(N)]
-    embed_B = [[Fraction(0)] * N for _ in range(N)]
     for f in forms:
         weight = 2.0 if f.kind == "complex" else 1.0
         for i in range(N):
             for j in range(N):
                 val = float(f.A[i][j]) + float(f.B[i][j]) * root
                 trace_rows[i][j] += weight * val
-                embed_A[i][j] += f.A[i][j]
-                embed_B[i][j] += f.B[i][j]
     trace = tuple(tuple(row) for row in trace_rows)
     return ZLatticeView(bundle=E, zrank=N, delta=delta,
-                        place_forms=tuple(forms), trace_gram=trace,
-                        embed_A=_freeze(embed_A), embed_B=_freeze(embed_B))
+                        place_forms=tuple(forms), trace_gram=trace)

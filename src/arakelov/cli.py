@@ -24,12 +24,12 @@ from .bounds import (main_inequality, mh_bound, packing_density,
 from .errors import (ArakelovError, EnumerationCapError, GramFileError,
                      MonteCarloDiscardError, ZetaDivergenceError)
 from .gramfile import format_gram_file, load_gram_file
-from .lattice import DEFAULT_NODE_CAP as ENUM_NODE_CAP
+from .lattice import DEFAULT_NODE_CAP
 from .mvt import mvt_compare
 from .numberfield import NumberField, make_field
 from .sampler import DEFAULT_PRIME, RandomLatticeSpec
-from .sections import (DEFAULT_NODE_CAP as SECTION_NODE_CAP, SectionReport,
-                       count_in_region, global_sections, minkowski_guarantee)
+from .sections import (SectionReport, count_in_region, global_sections,
+                       minkowski_guarantee)
 from .search import find_section_free, success_rate_experiment
 from .zeta import (degree_shells, enumerate_subbundles, semistability_verdict,
                    zeta_partial)
@@ -172,17 +172,15 @@ def _cmd_bundle_info(args) -> int:
 
 def _cmd_sections(args) -> int:
     E = _load_bundle(args)
-    node_cap = args.node_cap if args.node_cap else SECTION_NODE_CAP
-    config = _run_config(args, gram=args.gram, radius=args.radius,
-                         node_cap=node_cap)
+    config = _run_config(args, gram=args.gram, radius=args.radius)
     if args.radius is not None:
         radii = _parse_radii(args.radius)
         count = count_in_region(E, radii if len(radii) > 1 else radii[0],
-                                node_cap=node_cap)
+                                node_cap=args.node_cap)
         _emit({"run_config": config, "report": {"count": count,
                "radius": [float(t) for t in radii]}}, args.format)
         return EXIT_OK
-    report = global_sections(E, node_cap=node_cap)
+    report = global_sections(E, node_cap=args.node_cap)
     _emit({"run_config": config,
            "report": _section_report_payload(report)}, args.format)
     return EXIT_INDETERMINATE if report.truncated else EXIT_OK
@@ -190,11 +188,10 @@ def _cmd_sections(args) -> int:
 
 def _cmd_zeta(args) -> int:
     E = _load_bundle(args)
-    node_cap = args.node_cap if args.node_cap else ENUM_NODE_CAP
     config = _run_config(args, gram=args.gram, mode=args.mode, l=args.l,
-                         s=args.s, cutoff=args.cutoff, node_cap=node_cap)
+                         s=args.s, cutoff=args.cutoff)
     if args.mode == "semistable":
-        verdict = semistability_verdict(E, node_cap)
+        verdict = semistability_verdict(E, args.node_cap)
         payload = {"status": verdict.status}
         if verdict.witness is not None:
             payload["witness"] = {
@@ -207,7 +204,8 @@ def _cmd_zeta(args) -> int:
         return (EXIT_INDETERMINATE if verdict.status == "inconclusive"
                 else EXIT_OK)
     if args.mode == "shells":
-        records = enumerate_subbundles(E, args.l, -args.cutoff, node_cap)
+        records = enumerate_subbundles(E, args.l, -args.cutoff,
+                                       args.node_cap)
         shells = degree_shells(records)
         if args.format == "csv":
             print("degree,multiplicity")
@@ -218,7 +216,7 @@ def _cmd_zeta(args) -> int:
                    "report": {"shells": [[deg, mult] for deg, mult in shells]}},
                   args.format)
         return EXIT_OK
-    zp = zeta_partial(E, args.l, args.s, args.cutoff, node_cap)
+    zp = zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap)
     payload = {"s": zp.s, "l": zp.l, "cutoff": zp.cutoff,
                "partial_sum": zp.partial_sum, "terms": zp.terms,
                "tail_bound_estimate": zp.tail_bound_estimate}
@@ -232,10 +230,8 @@ def _cmd_mvt_verify(args) -> int:
         radii = radii * args.l
     field = make_field(args.field)
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed, field=field)
-    node_cap = args.node_cap if args.node_cap else ENUM_NODE_CAP
-    args.node_cap = node_cap
     comparison = mvt_compare(args.n, args.l, radii, args.trials, spec,
-                             threads=args.threads, node_cap=node_cap)
+                             threads=args.threads, node_cap=args.node_cap)
     payload = {
         "lhs": {"mean": comparison.lhs.mean,
                 "std_error": comparison.lhs.std_error,
@@ -269,10 +265,9 @@ def _cmd_bounds(args) -> int:
         else:
             from .bundle import trivial_bundle
             E = trivial_bundle(field, args.rank)
-        params = {"cutoff": args.cutoff}
-        if args.node_cap:
-            params["node_cap"] = args.node_cap
-        report = main_inequality(E, args.n, args.det_degree, params)
+        report = main_inequality(E, args.n, args.det_degree,
+                                 {"cutoff": args.cutoff,
+                                  "node_cap": args.node_cap})
         _emit({"run_config": config,
                "report": _bound_report_payload(report)}, args.format)
         if report.values["tail_uncertain"]:
@@ -284,9 +279,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_density(args) -> int:
     E = _load_bundle(args)
-    node_cap = args.node_cap if args.node_cap else ENUM_NODE_CAP
-    args.node_cap = node_cap
-    density = packing_density(E, node_cap=node_cap)
+    density = packing_density(E, node_cap=args.node_cap)
     bound = mh_bound(E.rank) if E.rank >= 2 else 1.0
     verdict = ("meets the guaranteed existence bound" if density >= bound
                else "below the guaranteed existence bound")
@@ -308,12 +301,10 @@ def _cmd_search(args) -> int:
         from .bundle import trivial_bundle
         E = trivial_bundle(field, args.rank)
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed, field=field)
-    node_cap = args.node_cap if args.node_cap else SECTION_NODE_CAP
-    args.node_cap = node_cap
     if args.rate_trials:
         estimate = success_rate_experiment(E, args.n, args.slope,
                                            args.rate_trials, spec,
-                                           node_cap=node_cap,
+                                           node_cap=args.node_cap,
                                            allow_large=args.allow_large)
         _emit({"run_config": _run_config(args, n=args.n, slope=args.slope,
                                          p=args.p),
@@ -323,7 +314,7 @@ def _cmd_search(args) -> int:
                           "config": dict(estimate.config)}}, args.format)
         return EXIT_OK
     outcome = find_section_free(E, args.n, args.slope, args.max_trials, spec,
-                                eps=args.eps, node_cap=node_cap,
+                                eps=args.eps, node_cap=args.node_cap,
                                 allow_large=args.allow_large)
     payload = {
         "status": outcome.status,
@@ -445,7 +436,7 @@ def _load_config_file(path: str) -> dict:
 
 
 _FALLBACKS = {
-    "seed": 0, "threads": 1, "format": "json", "node_cap": 0,
+    "seed": 0, "threads": 1, "format": "json", "node_cap": DEFAULT_NODE_CAP,
     "field": "Q", "trials": 2000, "p": DEFAULT_PRIME, "z_max": 3.0,
     "max_trials": 100, "eps": 0.05,
 }
@@ -461,6 +452,8 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
     for dest, value in _FALLBACKS.items():
         if getattr(args, dest, None) is None and hasattr(args, dest):
             setattr(args, dest, value)
+    if args.node_cap <= 0:
+        raise ValueError(f"--node-cap must be positive, got {args.node_cap}")
 
 
 def main(argv=None) -> int:

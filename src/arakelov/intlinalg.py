@@ -1,13 +1,19 @@
-"""Exact linear algebra over Z, Q and quadratic rings of integers.
+"""Exact linear algebra over Z, Q, quadratic fields and their integer rings.
 
 Everything here is exact: integer matrices use Python ints, rational ones
 use fractions.Fraction, and quadratic integers use QuadElement coordinates.
-The workhorse is row Hermite reduction with a tracked unimodular transform;
-kernels and saturations fall out of it (a transform-tracked echelon yields a
-saturated kernel basis, and saturation is the kernel of the kernel).
 
-Over quadratic rings the same echelon runs with Euclidean division steps,
-which restricts those entry points to norm-Euclidean fields.
+Over fields there is one Gaussian elimination, ``_eliminate``.  It touches
+entries only through - * / and a zero test, so Fraction matrices and
+matrices of QSurd elements a + b sqrt(delta) (delta = -1 gives Q(i), hence
+Hermitian forms) share it.  Determinant, rank, inverse and the Sylvester
+positive-definiteness test are thin readings of its result.
+
+Over rings the workhorse is row Hermite reduction with a tracked unimodular
+transform; kernels and saturations fall out of it (a transform-tracked
+echelon yields a saturated kernel basis, and saturation is the kernel of the
+kernel).  Over quadratic rings the same echelon runs with Euclidean division
+steps, which restricts those entry points to norm-Euclidean fields.
 """
 
 from __future__ import annotations
@@ -15,27 +21,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DependentGeneratorsError, UnsupportedFieldError
+from .errors import UnsupportedFieldError
 from .numberfield import NumberField, QuadElement
 
 __all__ = [
     "NORM_EUCLIDEAN_D",
-    "complete_to_unimodular",
+    "QSurd",
+    "det",
     "hnf",
     "hnf_with_transform",
+    "inverse",
+    "is_positive_definite",
     "is_primitive_vector",
     "kernel_rows",
     "ok_divmod",
     "ok_gcd",
-    "ok_is_primitive_vector",
     "ok_kernel_rows",
     "ok_saturation_rows",
     "rat_det",
     "rat_inverse",
+    "rat_rank",
     "right_kernel_rows",
     "saturation_rows",
     "transpose",
-    "unimodular_inverse",
 ]
 
 # Quadratic fields whose ring of integers is norm-Euclidean; Euclidean-division
@@ -140,80 +148,151 @@ def is_primitive_vector(v) -> bool:
     return g == 1
 
 
-def unimodular_inverse(U: list[list[int]]) -> Matrix:
-    """Exact inverse of an integer matrix with det +-1."""
-    inv = rat_inverse([[Fraction(x) for x in row] for row in U])
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+# ----------------------------------------------------------------------
+# matrices over fields: one elimination
+# ----------------------------------------------------------------------
 
+class QSurd:
+    """Element a + b sqrt(delta) of Q(sqrt(delta)), delta not a nonzero square.
 
-def complete_to_unimodular(rows, ncols: int) -> Matrix:
-    """Extend a basis of a saturated subgroup to a basis of Z^n.
-
-    Returns an n x n unimodular matrix whose first k rows are the input.
-    Raises DependentGeneratorsError when the rows are dependent or span a
-    non-saturated subgroup.
+    Only what elimination needs: - * /, a zero test, and an order on the
+    rational elements.  Plain ints and Fractions mix in with b = 0.
     """
-    k = len(rows)
-    B = _as_int_matrix(rows)
-    H, U = hnf_with_transform(transpose(B, ncols), k)
-    ok = all(H[i][j] == (1 if i == j else 0)
-             for i in range(len(H)) for j in range(k))
-    if not ok:
-        raise DependentGeneratorsError(
-            "rows do not form a basis of a saturated subgroup")
-    V = transpose(unimodular_inverse(U), ncols)
-    if V[:k] != B:
-        raise DependentGeneratorsError(
-            "rows do not form a basis of a saturated subgroup")
-    return V
+
+    __slots__ = ("a", "b", "delta")
+
+    def __init__(self, a, b, delta: int):
+        self.a, self.b, self.delta = a, b, delta
+
+    def _lift(self, y) -> QSurd:
+        return y if isinstance(y, QSurd) else QSurd(y, 0, self.delta)
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def __gt__(self, y) -> bool:
+        # The pivots of a Hermitian matrix are real; nothing else is ordered.
+        y = self._lift(y)
+        if self.b or y.b:
+            raise TypeError("only rational QSurd values are ordered")
+        return self.a > y.a
+
+    def __sub__(self, y) -> QSurd:
+        y = self._lift(y)
+        return QSurd(self.a - y.a, self.b - y.b, self.delta)
+
+    def __rsub__(self, y) -> QSurd:
+        return self._lift(y) - self
+
+    def __mul__(self, y) -> QSurd:
+        y = self._lift(y)
+        return QSurd(self.a * y.a + self.delta * self.b * y.b,
+                     self.a * y.b + self.b * y.a, self.delta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, y) -> QSurd:
+        # (a + b r) / (c + d r) = (a + b r)(c - d r) / (c^2 - delta d^2)
+        y = self._lift(y)
+        norm = Fraction(y.a * y.a - self.delta * y.b * y.b)
+        return QSurd((self.a * y.a - self.delta * self.b * y.b) / norm,
+                     (self.b * y.a - self.a * y.b) / norm, self.delta)
+
+    def __rtruediv__(self, y) -> QSurd:
+        return self._lift(y) / self
 
 
-# ----------------------------------------------------------------------
-# exact rational matrices
-# ----------------------------------------------------------------------
+def _eliminate(M: list[list], ncols: int, swap: bool = True,
+               reduce_above: bool = False) -> tuple[list[int], int]:
+    """Gaussian elimination in place on the rows of M over a field.
+
+    Entries are used only through - * / and a zero test.  Returns the
+    pivot columns in order and the parity (+1 or -1) of the row swaps; the
+    k-th pivot is then M[k][cols[k]] and len(cols) is the rank of the
+    first ncols columns.  With reduce_above the entries above each pivot are
+    cleared too (Gauss-Jordan).  With swap=False rows never move, pivot k
+    sits on the diagonal, and elimination stops after listing the first zero
+    one: the pivots are then the ratios of consecutive leading minors.
+    """
+    m = len(M)
+    cols: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        if swap:
+            piv = next((i for i in range(r, m) if M[i][c]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                M[r], M[piv] = M[piv], M[r]
+                sign = -sign
+        cols.append(c)
+        p = M[r][c]
+        if not p:
+            break
+        # Row r is zero left of column c, so only the tail changes.
+        tail = M[r][c:]
+        for i in (range(m) if reduce_above else range(r + 1, m)):
+            if i != r and M[i][c]:
+                f = M[i][c] / p
+                M[i][c:] = [a - f * b for a, b in zip(M[i][c:], tail)]
+        r += 1
+    return cols, sign
+
+
+def det(M: list[list]):
+    """Determinant of a square matrix of field elements (M is consumed).
+
+    The echelon form of a square matrix is upper triangular, with a zero
+    last row when the matrix is singular.
+    """
+    _, d = _eliminate(M, len(M))
+    for k in range(len(M)):
+        d = d * M[k][k]
+    return d
+
+
+def rank(M: list[list], ncols: int) -> int:
+    """Rank of a matrix of field elements (M is consumed)."""
+    return len(_eliminate(M, ncols)[0])
+
+
+def inverse(M: list[list]) -> list[list]:
+    """Inverse of a square matrix of field elements (M is consumed); raises
+    ZeroDivisionError when it is singular."""
+    n = len(M)
+    for i in range(n):
+        M[i] = M[i] + [1 if i == j else 0 for j in range(n)]
+    if len(_eliminate(M, n, reduce_above=True)[0]) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [[x / M[i][i] for x in M[i][n:]] for i in range(n)]
+
+
+def is_positive_definite(M: list[list]) -> bool:
+    """Sylvester's criterion for a symmetric or Hermitian matrix of field
+    elements (M is consumed): all leading minors are positive exactly when
+    elimination without row swaps meets only positive pivots."""
+    n = len(M)
+    cols, _ = _eliminate(M, n, swap=False)
+    return len(cols) == n and all(M[k][k] > 0 for k in range(n))
+
+
+def _fractions(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
 
 def rat_det(rows) -> Fraction:
-    M = [[Fraction(x) for x in row] for row in rows]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
+    return Fraction(det(_fractions(rows)))
 
 
 def rat_inverse(rows) -> list[list[Fraction]]:
-    M = [[Fraction(x) for x in row] for row in rows]
-    n = len(M)
-    aug = [M[i] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    return inverse(_fractions(rows))
+
+
+def rat_rank(rows, ncols: int) -> int:
+    return rank(_fractions(rows), ncols)
 
 
 # ----------------------------------------------------------------------
@@ -256,16 +335,6 @@ def ok_gcd(field: NumberField, x: QuadElement, y: QuadElement) -> QuadElement:
         _, r = ok_divmod(field, x, y)
         x, y = y, r
     return x
-
-
-def ok_is_primitive_vector(field: NumberField, v) -> bool:
-    """True when the coordinates generate the unit ideal."""
-    g = field.element(0)
-    for x in v:
-        g = ok_gcd(field, g, field.coerce(x))
-        if abs(field.norm(g)) == 1:
-            return True
-    return abs(field.norm(g)) == 1
 
 
 def _ok_echelon_with_transform(field: NumberField, rows, ncols: int):

@@ -5,30 +5,33 @@ code serves Euclidean lattices of any provenance.  Arithmetic is generic:
 feed Fractions for exact reduction (termination is then guaranteed), floats
 for speed.  Enumeration returns integer coefficient vectors in the basis the
 Gram matrix was given in, one representative per +-x pair.
+
+Every search for short vectors in the library goes through one path,
+ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
+at whatever radius the caller asks for, with each vector mapped back to the
+caller's coordinates.  DEFAULT_NODE_CAP is the one enumeration budget every
+module defaults to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, sqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidMetricError
 
 __all__ = [
+    "DEFAULT_NODE_CAP",
+    "ReducedLattice",
     "apply_transform",
     "enumerate_short_vectors",
-    "gram_matrix",
     "lll_transform",
     "shortest_vector",
 ]
 
-DEFAULT_NODE_CAP = 20_000_000
-
-
-def gram_matrix(basis: Sequence[Sequence]) -> list[list]:
-    """Gram matrix of row vectors under the standard inner product."""
-    return [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+DEFAULT_NODE_CAP = 100_000_000
 
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
@@ -176,18 +179,51 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     yield from walk(n - 1, 0.0, True)
 
 
+class ReducedLattice:
+    """A Gram matrix reduced once, enumerated in the caller's coordinates.
+
+    The constructor runs lll_transform; short_vectors(radius_sq) runs
+    enumerate_short_vectors on the reduced Gram, as often as needed, and
+    yields (x, Q(x)) with x mapped back to the basis the Gram was given in.
+    The radius is passed through untouched, so each caller keeps its own
+    padding.  Each enumeration is capped at node_cap nodes on its own.
+    """
+
+    def __init__(self, gram: Sequence[Sequence],
+                 node_cap: int = DEFAULT_NODE_CAP):
+        self.U = lll_transform(gram)
+        self.gram = apply_transform(self.U, gram)
+        self.node_cap = node_cap
+        self._columns = tuple(zip(*self.U))
+        # One counter per enumeration: they may run nested, and each
+        # counts only its own nodes.
+        self._counters: list[list[int]] = []
+
+    @property
+    def nodes(self) -> int:
+        """Nodes visited so far by every enumeration, cap hit or not."""
+        return sum(c[0] for c in self._counters)
+
+    def short_vectors(self, radius_sq,
+                      ) -> Iterator[tuple[tuple[int, ...], float]]:
+        counter = [0]
+        self._counters.append(counter)
+        columns = self._columns
+        for coeffs, q in enumerate_short_vectors(
+                self.gram, radius_sq, self.node_cap, counter):
+            yield tuple([sum(map(mul, coeffs, col)) for col in columns]), q
+
+
 def shortest_vector(gram: Sequence[Sequence],
                     node_cap: int = DEFAULT_NODE_CAP) -> tuple[tuple[int, ...], float]:
     """A shortest nonzero vector (coefficients in the given basis) and its
     squared length, found by reduction followed by enumeration."""
-    n = len(gram)
-    U = lll_transform(gram)
-    g_red = apply_transform(U, gram)
-    i0 = min(range(n), key=lambda t: float(g_red[t][t]))
-    best_x = tuple(1 if t == i0 else 0 for t in range(n))
+    lattice = ReducedLattice(gram, node_cap)
+    g_red = lattice.gram
+    i0 = min(range(len(g_red)), key=lambda t: float(g_red[t][t]))
+    best_x = tuple(lattice.U[i0])
     best_q = float(g_red[i0][i0])
-    for coeffs, q in enumerate_short_vectors(g_red, best_q, node_cap):
+    for x, q in lattice.short_vectors(best_q):
         if q < best_q:
-            best_q, best_x = q, coeffs
-    vec = tuple(sum(best_x[i] * U[i][j] for i in range(n)) for j in range(n))
-    return vec, best_q
+            best_q, best_x = q, x
+    return best_x, best_q

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import EnumerationCapError, MonteCarloDiscardError, UnsupportedFieldError
+from .intlinalg import rat_rank
 from .lattice import DEFAULT_NODE_CAP, enumerate_short_vectors
 from .numberfield import NumberField, adelic_ball_volume, make_field
 from .sampler import RandomLatticeSpec, _draw_coset, hecke_integer_gram, trial_rng
@@ -28,6 +29,7 @@ __all__ = [
     "mvt_compare",
     "mvt_lhs_estimate",
     "mvt_rhs",
+    "summarize_trials",
 ]
 
 MIN_TRIALS = 30
@@ -50,6 +52,27 @@ class MvtComparison:
     lhs: MonteCarloEstimate
     rhs: float
     z_score: float
+
+
+def summarize_trials(results: list, config: dict) -> MonteCarloEstimate:
+    """Sample mean and standard error of per-trial results, None marking a
+    trial discarded for blowing the enumeration budget.
+
+    More than 1% discards raises MonteCarloDiscardError; the estimate's
+    config is the given one plus the discard count.
+    """
+    values = [x for x in results if x is not None]
+    discarded = len(results) - len(values)
+    if discarded > MAX_DISCARD_FRACTION * len(results):
+        raise MonteCarloDiscardError(
+            f"{discarded} of {len(results)} trials exceeded the enumeration "
+            f"budget (more than 1%)")
+    m = len(values)
+    mean = math.fsum(values) / m
+    variance = math.fsum((x - mean) ** 2 for x in values) / (m - 1)
+    return MonteCarloEstimate(mean=mean, std_error=math.sqrt(variance / m),
+                              trials=m,
+                              config={**config, "discarded": discarded})
 
 
 def _check_shape(n: int, l: int, radii) -> tuple[Fraction, ...]:
@@ -114,27 +137,9 @@ def _count_tuples(gram: list[list[int]], p: int, n: int, l: int,
               for j in range(l)]
     count = 0
     for tup in product(*signed):
-        if _rank_of(tup, n) == l:
+        if rat_rank(tup, n) == l:
             count += 1
     return count
-
-
-def _rank_of(vectors, n: int) -> int:
-    rows = [[Fraction(v) for v in x] for x in vectors]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / lead
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[rank][c]
-        rank += 1
-    return rank
 
 
 def _one_trial(args) -> int | None:
@@ -189,21 +194,9 @@ def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
         else:
             results = [_one_trial(job) for job in jobs]
 
-    counts = [c for c in results if c is not None]
-    discarded = trials - len(counts)
-    if discarded > MAX_DISCARD_FRACTION * trials:
-        raise MonteCarloDiscardError(
-            f"{discarded} of {trials} trials exceeded the enumeration "
-            f"budget (more than 1%)")
-    m = len(counts)
-    mean = math.fsum(counts) / m
-    variance = math.fsum((c - mean) ** 2 for c in counts) / (m - 1)
-    std_error = math.sqrt(variance / m)
-    config = {"n": n, "l": l, "radii": tuple(float(t) for t in radii),
-              "p": spec.p, "seed": spec.seed, "requested_trials": trials,
-              "discarded": discarded}
-    return MonteCarloEstimate(mean=mean, std_error=std_error, trials=m,
-                              config=config)
+    return summarize_trials(results, {
+        "n": n, "l": l, "radii": tuple(float(t) for t in radii),
+        "p": spec.p, "seed": spec.seed, "requested_trials": trials})
 
 
 def mvt_compare(n: int, l: int, radii, trials: int, spec: RandomLatticeSpec,

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from .bundle import ArakelovBundle, slope, tensor
 from .bounds import main_inequality, thresholds
 from .errors import (BudgetExceededError, EnumerationCapError,
-                     MonteCarloDiscardError, UnsupportedFieldError)
-from .mvt import MAX_DISCARD_FRACTION, MIN_TRIALS, MonteCarloEstimate
+                     UnsupportedFieldError)
+from .lattice import DEFAULT_NODE_CAP
+from .mvt import MIN_TRIALS, MonteCarloEstimate, summarize_trials
 from .sampler import RandomLatticeSpec, random_bundle, trial_rng
-from .sections import DEFAULT_NODE_CAP, SectionReport, global_sections, has_nonzero_section
+from .sections import SectionReport, global_sections, has_nonzero_section
 from .zeta import mu_max
 
 __all__ = [
@@ -156,26 +157,16 @@ def success_rate_experiment(E: ArakelovBundle, n: int, mu: float,
     _check_search_shape(E, n, mu, allow_large)
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    outcomes: list[int] = []
-    discarded = 0
+    outcomes: list[int | None] = []
     for trial in range(trials):
         stream = rng if rng is not None else trial_rng(spec.seed, trial)
         F = random_bundle(E.field, n, mu, spec, stream)
         try:
             hit = has_nonzero_section(tensor(E, F), node_cap=node_cap)
         except EnumerationCapError:
-            discarded += 1
+            outcomes.append(None)
             continue
         outcomes.append(0 if hit else 1)
-    if discarded > MAX_DISCARD_FRACTION * trials:
-        raise MonteCarloDiscardError(
-            f"{discarded} of {trials} trials exceeded the enumeration "
-            f"budget (more than 1%)")
-    m = len(outcomes)
-    mean = math.fsum(outcomes) / m
-    variance = math.fsum((x - mean) ** 2 for x in outcomes) / (m - 1)
-    std_error = math.sqrt(variance / m)
-    config = {"n": n, "mu": mu, "p": spec.p, "seed": spec.seed,
-              "requested_trials": trials, "discarded": discarded}
-    return MonteCarloEstimate(mean=mean, std_error=std_error, trials=m,
-                              config=config)
+    return summarize_trials(outcomes, {
+        "n": n, "mu": mu, "p": spec.p, "seed": spec.seed,
+        "requested_trials": trials})

@@ -19,19 +19,19 @@ from typing import Sequence
 
 from .bundle import ArakelovBundle, ZLatticeView, restrict_scalars
 from .errors import EnumerationCapError
-from .lattice import apply_transform, enumerate_short_vectors, lll_transform
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice
+# Bound here only for tools that patch the enumeration under every name it
+# is imported by (perfbench/tracer.py); the scan reaches it via ReducedLattice.
+from .lattice import enumerate_short_vectors  # noqa: F401
 from .numberfield import adelic_ball_volume
 
 __all__ = [
-    "DEFAULT_NODE_CAP",
     "SectionReport",
     "count_in_region",
     "global_sections",
     "has_nonzero_section",
     "minkowski_guarantee",
 ]
-
-DEFAULT_NODE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,19 @@ def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int):
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
-    U = lll_transform(view.trace_gram)
-    reduced = apply_transform(U, view.trace_gram)
-    counter = [0]
+    lattice = ReducedLattice(view.trace_gram, node_cap)
     state = {"truncated": False, "nodes": 0, "envelope": envelope,
              "view": view}
 
     def gen():
-        n = view.zrank
         try:
-            for coeffs, _ in enumerate_short_vectors(
-                    reduced, envelope, node_cap, counter):
-                z = tuple(sum(coeffs[i] * U[i][j] for i in range(n))
-                          for j in range(n))
+            for z, _ in lattice.short_vectors(envelope):
                 if view.values_leq(z, caps):
                     yield z
         except EnumerationCapError:
             state["truncated"] = True
         finally:
-            state["nodes"] = counter[0]
+            state["nodes"] = lattice.nodes
 
     return gen(), state
 

@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 from .bundle import (
     ArakelovBundle,
+    ZLatticeView,
     degree as bundle_degree,
     log_fraction,
     qpair_float,
@@ -45,10 +46,9 @@ from .intlinalg import (
     right_kernel_rows,
     saturation_rows,
 )
-from .lattice import apply_transform, enumerate_short_vectors, lll_transform
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice
 
 __all__ = [
-    "DEFAULT_NODE_CAP",
     "SemistabilityVerdict",
     "SubbundleRecord",
     "ZetaPartial",
@@ -58,8 +58,6 @@ __all__ = [
     "semistability_verdict",
     "zeta_partial",
 ]
-
-DEFAULT_NODE_CAP = 100_000_000
 
 HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
 
@@ -98,18 +96,13 @@ class SemistabilityVerdict:
     witness: SubbundleRecord | None
 
 
-def _trace_region(E: ArakelovBundle, radius: float,
+def _trace_region(view: ZLatticeView, radius: float,
                   node_cap: int) -> Iterator[tuple[int, ...]]:
     """Integer coordinate vectors (one per +-pair) with trace value inside
     the inflated radius; exactness is restored by the callers' filters."""
-    view = restrict_scalars(E)
-    U = lll_transform(view.trace_gram)
-    reduced = apply_transform(U, view.trace_gram)
-    n = view.zrank
-    for coeffs, _ in enumerate_short_vectors(
-            reduced, radius * (1.0 + 1e-9) + 1e-12, node_cap):
-        yield tuple(sum(coeffs[i] * U[i][j] for i in range(n))
-                    for j in range(n))
+    lattice = ReducedLattice(view.trace_gram, node_cap)
+    for z, _ in lattice.short_vectors(radius * (1.0 + 1e-9) + 1e-12):
+        yield z
 
 
 def _qpair_mul(x, y, delta: int):
@@ -124,7 +117,7 @@ def _line_records(E: ArakelovBundle, min_degree: float,
     if field.is_rational():
         cap = Fraction(math.exp(-2.0 * min_degree))
         records = []
-        for z in _trace_region(E, float(cap), node_cap):
+        for z in _trace_region(view, float(cap), node_cap):
             if not is_primitive_vector(z):
                 continue
             value = view.place_forms[0].value_pair(z)[0]
@@ -147,7 +140,7 @@ def _line_records(E: ArakelovBundle, min_degree: float,
 
     w = field.element(0, 1)
     seen = {}
-    for z in _trace_region(E, trace_radius, node_cap):
+    for z in _trace_region(view, trace_radius, node_cap):
         v = view.coords_to_module(z)
         wv = tuple(field.mul(w, x) for x in v)
         rows = [z, [c for x in wv for c in (int(x.a), int(x.b))]]
@@ -192,13 +185,9 @@ def _hyperplane_records(E: ArakelovBundle, min_degree: float,
     deg_e = bundle_degree(E)
     cap = Fraction(math.exp(2.0 * (deg_e - min_degree)))
     ginv = rat_inverse(G)
-    U = lll_transform(ginv)
-    reduced = apply_transform(U, ginv)
+    lattice = ReducedLattice(ginv, node_cap)
     records = []
-    for coeffs, _ in enumerate_short_vectors(
-            reduced, float(cap) * (1.0 + 1e-9) + 1e-12, node_cap):
-        wv = tuple(sum(coeffs[i] * U[i][j] for i in range(n))
-                   for j in range(n))
+    for wv, _ in lattice.short_vectors(float(cap) * (1.0 + 1e-9) + 1e-12):
         if not is_primitive_vector(wv):
             continue
         dual_q = sum(wv[i] * ginv[i][j] * wv[j]
@@ -220,25 +209,16 @@ def _pair_records(E: ArakelovBundle, min_degree: float,
     n = E.rank
     det_cap = Fraction(math.exp(-2.0 * min_degree))
     product = HERMITE_RANK2 * math.exp(-min_degree)
-    U = lll_transform(G)
-    reduced = apply_transform(U, G)
+    lattice = ReducedLattice(G, node_cap)
     seen = {}
-
-    def unpack(coeffs):
-        return tuple(sum(coeffs[i] * U[i][j] for i in range(n))
-                     for j in range(n))
-
     slack = 1.0 + 1e-9
-    for c1, q1 in enumerate_short_vectors(reduced, product * slack, node_cap):
-        b1 = unpack(c1)
+    for b1, q1 in lattice.short_vectors(product * slack):
         if not is_primitive_vector(b1) or q1 <= 0:
             continue
         inner = (product / math.sqrt(q1)) ** 2
-        for c2, q2 in enumerate_short_vectors(reduced, inner * slack,
-                                              node_cap):
+        for b2, q2 in lattice.short_vectors(inner * slack):
             if q2 + 1e-12 < q1:
                 continue  # enforce |b1| <= |b2| up to float noise
-            b2 = unpack(c2)
             rows = [list(b1), list(b2)]
             sat = saturation_rows(rows, n)
             if len(sat) != 2:

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from arakelov.intlinalg import ok_gcd
+
 # ---------------------------------------------------------------- constants
 
 ZETA_TABLE = {
@@ -66,6 +68,17 @@ def gaussian_gcd(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         r = mul(q, y)
         x, y = y, (x[0] - r[0], x[1] - r[1])
     return x
+
+
+def ok_is_primitive_vector(field, v) -> bool:
+    """True when the coordinates generate the unit ideal of the ring of
+    integers, by Euclid over the (norm-Euclidean) ring."""
+    g = field.element(0)
+    for x in v:
+        g = ok_gcd(field, g, field.coerce(x))
+        if abs(field.norm(g)) == 1:
+            return True
+    return abs(field.norm(g)) == 1
 
 
 # ------------------------------------------------------- box brute forcing

@@ -24,6 +24,7 @@ from arakelov.errors import (
     FieldMismatchError,
     InvalidMetricError,
 )
+from arakelov.intlinalg import rat_det
 from arakelov.numberfield import make_field
 from tests.oracles import random_pd_fraction_gram
 
@@ -41,6 +42,13 @@ def random_hermitian_gram(rng, n):
             break
     H = B @ B.conj().T
     return [[complex(H[i][j]) for j in range(n)] for i in range(n)]
+
+
+def trace_value(view, z):
+    """Value of the view's float trace form at the coordinate vector z."""
+    n = view.zrank
+    return sum(z[i] * view.trace_gram[i][j] * z[j]
+               for i in range(n) for j in range(n))
 
 
 def random_bundle(rng, field, n):
@@ -81,6 +89,29 @@ def test_make_bundle_accepts_bare_matrix_for_single_place():
     assert make_bundle(Qi, [[2, 1j], [-1j, 2]]).rank == 2
 
 
+def leading_minors_positive(real_sym) -> bool:
+    """Sylvester's criterion by one rat_det per leading minor."""
+    return all(rat_det([row[:k] for row in real_sym[:k]]) > 0
+               for k in range(1, len(real_sym) + 1))
+
+
+def realified(H):
+    """Real symmetric form [[Re, -Im], [Im, Re]] of a Hermitian matrix."""
+    n = len(H)
+    re = [[Fraction(H[i][j].real) for j in range(n)] for i in range(n)]
+    im = [[Fraction(H[i][j].imag) for j in range(n)] for i in range(n)]
+    return ([re[i] + [-x for x in im[i]] for i in range(n)]
+            + [im[i] + re[i] for i in range(n)])
+
+
+def accepts(field, gram) -> bool:
+    try:
+        make_bundle(field, gram)
+    except InvalidMetricError:
+        return False
+    return True
+
+
 def test_make_bundle_validation():
     Q = make_field("Q")
     K2 = make_field("Q(sqrt{2})")
@@ -95,6 +126,49 @@ def test_make_bundle_validation():
         make_bundle(Qi, [[1, 1j], [1j, 1]])  # not hermitian
     with pytest.raises(InvalidMetricError):
         make_bundle(Qi, [[1j]])  # diagonal must be real
+    # positive definiteness agrees with Sylvester's criterion on minors
+    rng = random.Random(59)
+    symmetric = [
+        [[1, 0], [0, 0]],  # singular, last minor zero
+        [[2, 1, 1], [1, 2, 1], [1, 1, 1]],  # last leading minor zero
+        [[1, 1, 0], [1, 1, 0], [0, 0, 5]],  # middle minor zero
+        [[0, 1], [1, 3]],  # first minor zero
+        [[1, 2], [2, 1]],  # indefinite
+        [[-1, 0], [0, -1]],  # negative definite
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:  # B^T D B with a random signature
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            D = [rng.choice((-1, 0, 1, 1, 2)) for _ in range(n)]
+            symmetric.append(
+                [[sum(B[k][i] * D[k] * B[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)])
+        else:
+            M = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(n)]
+            symmetric.append([[M[i][j] + M[j][i] + (2 if i == j else 0)
+                               for j in range(n)] for i in range(n)])
+    for G in symmetric:
+        assert accepts(Q, G) == leading_minors_positive(
+            [[Fraction(x) for x in row] for row in G]), G
+    hermitian = [
+        [[1, 1j], [-1j, 1]],  # singular, last minor zero
+        [[1, 2j], [-2j, 1]],  # indefinite
+        [[0, 1j], [-1j, 2]],  # first minor zero
+        [[2, 1 + 1j, 0], [1 - 1j, 1, 0], [0, 0, 3]],  # middle minor zero
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        B = [[complex(rng.randint(-2, 2), rng.randint(-2, 2))
+              for _ in range(n)] for _ in range(n)]
+        D = [rng.choice((-1, 0, 1, 1, 2)) for _ in range(n)]
+        hermitian.append(
+            [[sum(B[k][i].conjugate() * D[k] * B[k][j] for k in range(n))
+              for j in range(n)] for i in range(n)])
+    for H in hermitian:
+        H = [[complex(x) for x in row] for row in H]
+        assert accepts(Qi, H) == leading_minors_positive(realified(H)), H
 
 
 def test_slope_additive_under_tensor():
@@ -165,7 +239,7 @@ def test_restrict_scalars_rational_is_identity_view():
     assert view.zrank == 2
     assert view.delta == 0
     assert view.place_values((1, 1)) == ((Fraction(7), Fraction(0)),)
-    assert view.trace_value((1, 1)) == pytest.approx(7.0)
+    assert trace_value(view, (1, 1)) == pytest.approx(7.0)
     assert view.coords_to_module((1, -2)) == (Fraction(1), Fraction(-2))
 
 
@@ -178,7 +252,7 @@ def test_place_values_real_quadratic():
     pair_plus, pair_minus = view.place_values((1, 1))
     assert pair_plus == (Fraction(3), Fraction(2))
     assert pair_minus == (Fraction(3), Fraction(-2))
-    assert view.trace_value((1, 1)) == pytest.approx(6.0)
+    assert trace_value(view, (1, 1)) == pytest.approx(6.0)
     assert view.coords_to_module((1, 1)) == (K.element(1, 1),)
     assert view.values_leq((1, 1), [Fraction(6), Fraction(6)])
     assert not view.values_leq((1, 1), [Fraction(5), Fraction(6)])
@@ -193,7 +267,7 @@ def test_place_values_imaginary_quadratic():
     assert view.values_leq((3, 4), [Fraction(25)])
     assert not view.values_leq((3, 4), [Fraction(24)])
     # complex place counts twice in the trace form
-    assert view.trace_value((3, 4)) == pytest.approx(50.0)
+    assert trace_value(view, (3, 4)) == pytest.approx(50.0)
 
 
 def test_qpair_comparisons():

@@ -9,6 +9,7 @@ import pytest
 
 from arakelov.cli import main
 from arakelov.gramfile import parse_gram_text
+from arakelov.lattice import DEFAULT_NODE_CAP
 from tests.oracles import E8_DENSITY, e8_gram
 
 
@@ -108,6 +109,12 @@ def test_zeta_partial(capsys, identity2):
     assert code == 0
     assert doc["report"]["partial_sum"] == pytest.approx(2.25, abs=1e-9)
     assert doc["report"]["terms"] == 4
+    assert doc["run_config"]["node_cap"] == DEFAULT_NODE_CAP
+    code, doc = run_json(capsys, "--node-cap", "1000", "zeta", "--gram",
+                         identity2, "--l", "1", "--s", "6",
+                         "--cutoff", str(math.log(2.0)))
+    assert code == 0
+    assert doc["run_config"]["node_cap"] == 1000
 
 
 def test_zeta_shells_csv(capsys, identity2):
@@ -181,10 +188,13 @@ def test_bounds_theorem_exits(capsys):
     code, doc = run_json(capsys, *base, "--det-degree", "-2")
     assert code == 0
     assert doc["report"]["verdict"] == "existence guaranteed"
+    assert doc["run_config"]["node_cap"] == DEFAULT_NODE_CAP
     validate(doc, "bound_report.schema.json")
-    code, doc = run_json(capsys, *base, "--det-degree", "5")
+    code, doc = run_json(capsys, "--node-cap", "5000", *base,
+                         "--det-degree", "5")
     assert code == 1
     assert doc["report"]["verdict"] == "not guaranteed"
+    assert doc["run_config"]["node_cap"] == 5000
 
 
 def test_density(capsys, e8):
@@ -234,6 +244,10 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sections", "--gram", str(bad))
     assert code == 2
     assert "line 4" in err
+    for cap in ("0", "-5"):
+        code, out, err = run_cli(capsys, "--node-cap", cap, "field-info")
+        assert code == 2 and out == ""
+        assert "--node-cap must be positive" in err
 
 
 def test_config_file_fills_defaults(capsys, tmp_path):

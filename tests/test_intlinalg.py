@@ -5,27 +5,30 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from arakelov.errors import DependentGeneratorsError, UnsupportedFieldError
+from arakelov.errors import UnsupportedFieldError
 from arakelov.intlinalg import (
     NORM_EUCLIDEAN_D,
-    complete_to_unimodular,
+    QSurd,
+    det,
     hnf,
     hnf_with_transform,
+    inverse,
     is_primitive_vector,
     kernel_rows,
     ok_gcd,
-    ok_is_primitive_vector,
     ok_kernel_rows,
     ok_saturation_rows,
+    rank,
     rat_det,
     rat_inverse,
+    rat_rank,
     right_kernel_rows,
     saturation_rows,
-    transpose,
-    unimodular_inverse,
 )
 from arakelov.numberfield import make_field
+from tests.oracles import ok_is_primitive_vector
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -128,36 +131,6 @@ def test_primitivity():
     assert not is_primitive_vector([0, 0])
 
 
-def test_unimodular_inverse():
-    rng = random.Random(16)
-    for _ in range(30):
-        m = rng.randint(2, 5)
-        U = random_unimodular(rng, m)
-        V = unimodular_inverse(U)
-        I = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        assert matmul(U, V) == I
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
-
-
-def test_complete_to_unimodular():
-    rng = random.Random(17)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, n - 1)
-        A = random_matrix(rng, k, n, bound=5)
-        S = saturation_rows(A, n)[:k]
-        if len(S) < k:
-            continue
-        V = complete_to_unimodular(S, n)
-        assert V[:k] == S
-        assert abs(rat_det(V)) == 1
-    with pytest.raises(DependentGeneratorsError):
-        complete_to_unimodular([[2, 0]], 2)
-    with pytest.raises(DependentGeneratorsError):
-        complete_to_unimodular([[1, 0], [2, 0]], 2)
-
-
 def test_rational_det_and_inverse():
     rng = random.Random(18)
     assert rat_det([[Fraction(1, 2), 0], [7, Fraction(3)]]) == Fraction(3, 2)
@@ -175,6 +148,44 @@ def test_rational_det_and_inverse():
         I = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         assert matmul(M, Minv) == I
         assert rat_det(Minv) == 1 / d
+    # the same elimination over Q, Q(i) and Q(sqrt 5) agrees with sympy
+    for delta in (None, -1, 5):
+        root = sympy.sqrt(delta) if delta else 0
+
+        def to_sympy(x):
+            if isinstance(x, QSurd):
+                return to_sympy(x.a) + to_sympy(x.b) * root
+            x = Fraction(x)
+            return sympy.Rational(x.numerator, x.denominator)
+
+        def same(x, y):
+            return sympy.simplify(to_sympy(x) - y) == 0
+
+        for _ in range(12):
+            m = rng.randint(1, 4)
+            n = m if rng.random() < 0.5 else rng.randint(1, 4)
+            M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(m)]
+            if delta:
+                M = [[QSurd(x, Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            delta) for x in row] for row in M]
+            if m > 1 and rng.random() < 0.3:
+                M[-1] = [2 * x for x in M[0]]  # force a dependent row
+            S = sympy.Matrix([[to_sympy(x) for x in row] for row in M])
+            r = S.rank(simplify=True)
+            assert rank([row[:] for row in M], n) == r
+            if delta is None:
+                assert rat_rank(M, n) == r
+            if m != n:
+                continue
+            assert same(det([row[:] for row in M]), S.det())
+            if r < n:
+                with pytest.raises(ZeroDivisionError):
+                    inverse([row[:] for row in M])
+                continue
+            Minv, Sinv = inverse([row[:] for row in M]), S.inv()
+            assert all(same(Minv[i][j], Sinv[i, j])
+                       for i in range(n) for j in range(n))
 
 
 EUCLIDEAN_FIELDS = [f"Q(sqrt{{{D}}})" for D in (-11, -7, -3, -2, -1, 2, 3, 5, 13)]

@@ -8,13 +8,18 @@ import pytest
 
 from arakelov.errors import EnumerationCapError, InvalidMetricError
 from arakelov.lattice import (
+    ReducedLattice,
     apply_transform,
     enumerate_short_vectors,
-    gram_matrix,
     lll_transform,
     shortest_vector,
 )
 from tests.oracles import box_bound, e8_gram, random_pd_fraction_gram
+
+
+def gram_matrix(basis):
+    """Gram matrix of row vectors under the standard inner product."""
+    return [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
 
 
 def quadratic_value(gram, x):
@@ -90,13 +95,24 @@ def test_enumeration_matches_brute_force():
             work *= 2 * b + 1
         if work > 300_000:  # keep the oracle affordable
             continue
-        found = {}
-        for x, q in enumerate_short_vectors(G, radius_sq):
-            exact = quadratic_value(G, x)
-            if exact <= radius_sq:  # float envelope may over-include
-                assert x not in found
-                found[x] = exact
-        assert found == brute_short_vectors(G, radius_sq)
+        brute = brute_short_vectors(G, radius_sq)
+        floats = [[float(x) for x in row] for row in G]
+        # the bare enumeration, then the reduce-once path on exact and on
+        # float Grams, read in the original coordinates; only the mapped-back
+        # vectors may break the sign convention, so only they are flipped
+        for vectors, flip in (
+                (enumerate_short_vectors(G, radius_sq), False),
+                (ReducedLattice(G).short_vectors(radius_sq), True),
+                (ReducedLattice(floats).short_vectors(radius_sq), True)):
+            found = {}
+            for x, _ in vectors:
+                if flip and next(v for v in reversed(x) if v) < 0:
+                    x = tuple(-v for v in x)  # the oracle's sign convention
+                exact = quadratic_value(G, x)
+                if exact <= radius_sq:  # float envelope may over-include
+                    assert x not in found
+                    found[x] = exact
+            assert found == brute
         checked += 1
 
 

@@ -126,7 +126,7 @@ def test_real_quadratic_line_records_match_oracle():
     E = trivial_bundle(K, 2)
     T = 1.0
     cap = Fraction(math.exp(2.0 * T))  # cap on the product of the two places
-    from arakelov.intlinalg import ok_is_primitive_vector
+    from tests.oracles import ok_is_primitive_vector
 
     reps = []  # one exact product value per proportionality class
     box = range(-2, 3)
