@@ -19,7 +19,7 @@ from .errors import EnumerationCapError, UnsupportedFieldError
 from .intlinalg import rat_det
 from .lattice import DEFAULT_NODE_CAP, shortest_vector
 from .numberfield import NumberField, ball_volume
-from .zeta import ZetaPartial, zeta_partial
+from .zeta import ZetaPartial, check_subbundle_scope, zeta_partial
 
 __all__ = [
     "BoundReport",
@@ -132,6 +132,8 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     node_cap = params.pop("node_cap", DEFAULT_NODE_CAP)
     if params:
         raise ValueError(f"unknown zeta parameters {sorted(params)}")
+    for l in range(1, E.rank + 1):
+        check_subbundle_scope(E, l)  # fail before any enumeration
     field = E.field
     exact_q = field.is_rational()
     log_disc = math.log(abs(field.discriminant))

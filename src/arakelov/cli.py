@@ -7,6 +7,15 @@ existence not guaranteed), 2 usage errors including malformed Gram files,
 many discarded trials).  Every report echoes its run configuration, all
 floats are serialized to 12 significant digits, and identical
 configurations produce identical bytes.
+
+The argument parser is the one table of options and defaults.  A
+``--config`` file of ``key = value`` lines supplies defaults: any long
+option that takes a value is a key, named by its destination and written
+with dashes or underscores (``node-cap``, ``z_max``; search's ``--trials``
+is ``max-trials``), and the value is converted by the option's own type.
+Flags beat the file, and the file beats the built-in defaults.  An unknown
+key, the key of a flag that takes no value (``allow-large``) and a value
+outside the option's choices exit 2.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bundle import (ArakelovBundle, degree, determinant, slope)
+from .bundle import (ArakelovBundle, degree, determinant, slope,
+                     trivial_bundle)
 from .bounds import (main_inequality, mh_bound, packing_density,
                      riemann_zeta_int, thresholds)
 from .errors import (ArakelovError, EnumerationCapError, GramFileError,
@@ -30,7 +40,7 @@ from .numberfield import NumberField, make_field
 from .sampler import DEFAULT_PRIME, RandomLatticeSpec
 from .sections import (SectionReport, count_in_region, global_sections,
                        minkowski_guarantee)
-from .search import find_section_free, success_rate_experiment
+from .search import CONVERSE_EPS, find_section_free, success_rate_experiment
 from .zeta import (degree_shells, enumerate_subbundles, semistability_verdict,
                    zeta_partial)
 
@@ -38,16 +48,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
-
-# dest name -> coercion for config-file values
-_CONFIG_TYPES = {
-    "seed": int, "node_cap": int, "threads": int, "trials": int,
-    "n": int, "l": int, "p": int, "rank": int, "max_trials": int,
-    "s": float, "cutoff": float, "slope": float, "det_degree": float,
-    "eps": float, "z_max": float, "min_degree": float,
-    "field": str, "gram": str, "format": str, "kind": str, "mode": str,
-    "t": str, "radius": str,
-}
 
 
 def _format_element(x) -> str:
@@ -81,15 +81,17 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(document: dict, fmt: str) -> None:
-    document = _jsonable(document)
-    if fmt == "json":
+def _emit(args, report: dict) -> None:
+    """Print the report together with the run's configuration."""
+    document = _jsonable({"run_config": _run_config(args), "report": report})
+    if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
-    elif fmt == "text":
+    elif args.format == "text":
         for line in _text_lines(document, ""):
             print(line)
     else:
-        raise ValueError(f"format {fmt!r} not available for this report")
+        raise ValueError(
+            f"format {args.format!r} not available for this report")
 
 
 def _text_lines(obj, prefix: str):
@@ -102,11 +104,10 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix[:-1]} = {json.dumps(obj)}"
 
 
-def _run_config(args, **extra) -> dict:
-    cfg = {"subcommand": args.command, "format": args.format,
-           "seed": args.seed, "node_cap": args.node_cap,
-           "threads": args.threads}
-    cfg.update(extra)
+def _run_config(args) -> dict:
+    """Every parsed option of the run; the subcommand under "subcommand"."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    cfg["subcommand"] = args.command
     return cfg
 
 
@@ -146,8 +147,7 @@ def _cmd_field_info(args) -> int:
     }
     if field.real_places == 2:
         payload["fundamental_unit"] = _format_element(field.fundamental_unit())
-    _emit({"run_config": _run_config(args, field=args.field),
-           "report": payload}, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -165,31 +165,25 @@ def _cmd_bundle_info(args) -> int:
         "determinant_degree": degree(determinant(E)),
         "minkowski_guarantee": minkowski_guarantee(E),
     }
-    _emit({"run_config": _run_config(args, gram=args.gram),
-           "report": payload}, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_sections(args) -> int:
     E = _load_bundle(args)
-    config = _run_config(args, gram=args.gram, radius=args.radius)
     if args.radius is not None:
         radii = _parse_radii(args.radius)
         count = count_in_region(E, radii if len(radii) > 1 else radii[0],
                                 node_cap=args.node_cap)
-        _emit({"run_config": config, "report": {"count": count,
-               "radius": [float(t) for t in radii]}}, args.format)
+        _emit(args, {"count": count, "radius": [float(t) for t in radii]})
         return EXIT_OK
     report = global_sections(E, node_cap=args.node_cap)
-    _emit({"run_config": config,
-           "report": _section_report_payload(report)}, args.format)
+    _emit(args, _section_report_payload(report))
     return EXIT_INDETERMINATE if report.truncated else EXIT_OK
 
 
 def _cmd_zeta(args) -> int:
     E = _load_bundle(args)
-    config = _run_config(args, gram=args.gram, mode=args.mode, l=args.l,
-                         s=args.s, cutoff=args.cutoff)
     if args.mode == "semistable":
         verdict = semistability_verdict(E, args.node_cap)
         payload = {"status": verdict.status}
@@ -200,7 +194,7 @@ def _cmd_zeta(args) -> int:
                 "basis": [[_format_element(x) for x in vec]
                           for vec in verdict.witness.basis],
             }
-        _emit({"run_config": config, "report": payload}, args.format)
+        _emit(args, payload)
         return (EXIT_INDETERMINATE if verdict.status == "inconclusive"
                 else EXIT_OK)
     if args.mode == "shells":
@@ -212,15 +206,13 @@ def _cmd_zeta(args) -> int:
             for deg, mult in shells:
                 print(f"{deg:.12g},{mult}")
         else:
-            _emit({"run_config": config,
-                   "report": {"shells": [[deg, mult] for deg, mult in shells]}},
-                  args.format)
+            _emit(args, {"shells": [[deg, mult] for deg, mult in shells]})
         return EXIT_OK
     zp = zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap)
     payload = {"s": zp.s, "l": zp.l, "cutoff": zp.cutoff,
                "partial_sum": zp.partial_sum, "terms": zp.terms,
                "tail_bound_estimate": zp.tail_bound_estimate}
-    _emit({"run_config": config, "report": payload}, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -240,10 +232,7 @@ def _cmd_mvt_verify(args) -> int:
         "rhs": comparison.rhs,
         "z_score": comparison.z_score,
     }
-    _emit({"run_config": _run_config(args, n=args.n, l=args.l, t=args.t,
-                                     trials=args.trials, p=args.p,
-                                     z_max=args.z_max),
-           "report": payload}, args.format)
+    _emit(args, payload)
     z = comparison.z_score
     ok = math.isfinite(z) and abs(z) <= args.z_max
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -251,30 +240,21 @@ def _cmd_mvt_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     field = make_field(args.field)
-    config = _run_config(args, field=args.field, kind=args.kind)
     if args.kind == "thresholds":
         report = thresholds(field, args.n, args.l, args.eps)
-        _emit({"run_config": config,
-               "report": _bound_report_payload(report)}, args.format)
+        _emit(args, _bound_report_payload(report))
         return EXIT_OK
-    if args.kind == "theorem":
-        if args.det_degree is None:
-            raise ValueError("--det-degree is required for --kind theorem")
-        if args.gram:
-            E = _load_bundle(args)
-        else:
-            from .bundle import trivial_bundle
-            E = trivial_bundle(field, args.rank)
-        report = main_inequality(E, args.n, args.det_degree,
-                                 {"cutoff": args.cutoff,
-                                  "node_cap": args.node_cap})
-        _emit({"run_config": config,
-               "report": _bound_report_payload(report)}, args.format)
-        if report.values["tail_uncertain"]:
-            return EXIT_INDETERMINATE
-        return (EXIT_OK if report.verdict.startswith("existence guaranteed")
-                else EXIT_NEGATIVE)
-    raise ValueError(f"unknown bounds kind {args.kind!r}")
+    if args.det_degree is None:
+        raise ValueError("--det-degree is required for --kind theorem")
+    E = (_load_bundle(args) if args.gram
+         else trivial_bundle(field, args.rank))
+    report = main_inequality(E, args.n, args.det_degree,
+                             {"cutoff": args.cutoff, "node_cap": args.node_cap})
+    _emit(args, _bound_report_payload(report))
+    if report.values["tail_uncertain"]:
+        return EXIT_INDETERMINATE
+    return (EXIT_OK if report.verdict.startswith("existence guaranteed")
+            else EXIT_NEGATIVE)
 
 
 def _cmd_density(args) -> int:
@@ -287,31 +267,24 @@ def _cmd_density(args) -> int:
                "inputs": {"gram": args.gram, "rank": E.rank},
                "values": {"density": density, "mh_bound": bound},
                "verdict": verdict}
-    _emit({"run_config": _run_config(args, gram=args.gram),
-           "report": payload}, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
     field = make_field(args.field)
-    if args.gram:
-        E = _load_bundle(args)
-        field = E.field
-    else:
-        from .bundle import trivial_bundle
-        E = trivial_bundle(field, args.rank)
-    spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed, field=field)
+    E = (_load_bundle(args) if args.gram
+         else trivial_bundle(field, args.rank))
+    spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed,
+                             field=E.field)
     if args.rate_trials:
         estimate = success_rate_experiment(E, args.n, args.slope,
                                            args.rate_trials, spec,
                                            node_cap=args.node_cap,
                                            allow_large=args.allow_large)
-        _emit({"run_config": _run_config(args, n=args.n, slope=args.slope,
-                                         p=args.p),
-               "report": {"mean": estimate.mean,
-                          "std_error": estimate.std_error,
-                          "trials": estimate.trials,
-                          "config": dict(estimate.config)}}, args.format)
+        _emit(args, {"mean": estimate.mean, "std_error": estimate.std_error,
+                     "trials": estimate.trials,
+                     "config": dict(estimate.config)})
         return EXIT_OK
     outcome = find_section_free(E, args.n, args.slope, args.max_trials, spec,
                                 eps=args.eps, node_cap=args.node_cap,
@@ -325,13 +298,19 @@ def _cmd_search(args) -> int:
         "certificate": (_section_report_payload(outcome.certificate)
                         if outcome.certificate is not None else None),
     }
-    _emit({"run_config": _run_config(args, n=args.n, slope=args.slope,
-                                     max_trials=args.max_trials, p=args.p),
-           "report": payload}, args.format)
+    _emit(args, payload)
     return EXIT_OK if outcome.status == "found" else EXIT_NEGATIVE
 
 
 # ------------------------------------------------------------- arg parsing
+
+def _node_cap(text: str) -> int:
+    cap = int(text)
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(
+            f"--node-cap must be positive, got {cap}")
+    return cap
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -339,19 +318,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bundles over number rings: sections, zeta sums, "
                     "mean-value checks, existence bounds, searches.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument(
+        "--config",
+        help="file of key = value defaults; a key is any long option that "
+             "takes a value, with dashes or underscores (search's --trials "
+             "is max-trials); flags beat the file and the file beats the "
+             "defaults; an unknown key, a flag key or a value outside the "
+             "option's choices exits 2")
+    parser.add_argument("--seed", type=int, default=0,
                         help="base seed for stochastic runs")
-    parser.add_argument("--node-cap", type=int, default=None,
+    parser.add_argument("--node-cap", type=_node_cap,
+                        default=DEFAULT_NODE_CAP,
                         help="enumeration node budget")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for trial loops")
     parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default=None, help="output format (default json)")
+                        default="json", help="output format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-info", help="invariants of a base field")
-    p.add_argument("--field", default=None)
+    p.add_argument("--field", default="Q")
     p.set_defaults(func=_cmd_field_info)
 
     p = sub.add_parser("bundle-info", help="degree and slope of a Gram file")
@@ -376,17 +362,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mvt-verify",
                        help="compare mean tuple counts with ball volumes")
-    p.add_argument("--field", default=None)
+    p.add_argument("--field", default="Q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--t", default="1", help="radii, comma-separated")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--z-max", type=float, default=None)
+    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--p", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--z-max", type=float, default=3.0)
     p.set_defaults(func=_cmd_mvt_verify)
 
     p = sub.add_parser("bounds", help="thresholds and the averaged count")
-    p.add_argument("--field", default=None)
+    p.add_argument("--field", default="Q")
     p.add_argument("--kind", choices=("thresholds", "theorem"),
                    default="thresholds")
     p.add_argument("--n", type=int, required=True)
@@ -404,15 +390,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("search", help="find a section-free twist")
-    p.add_argument("--field", default=None)
+    p.add_argument("--field", default="Q")
     p.add_argument("--gram", default=None,
                    help="Gram file for the fixed factor (default trivial)")
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--slope", type=float, required=True)
-    p.add_argument("--trials", dest="max_trials", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--trials", dest="max_trials", type=int, default=100)
+    p.add_argument("--p", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--eps", type=float, default=CONVERSE_EPS)
     p.add_argument("--rate-trials", type=int, default=None,
                    help="run a success-rate experiment instead")
     p.add_argument("--allow-large", action="store_true")
@@ -431,41 +417,45 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip()] = value.strip()
     return values
 
 
-_FALLBACKS = {
-    "seed": 0, "threads": 1, "format": "json", "node_cap": DEFAULT_NODE_CAP,
-    "field": "Q", "trials": 2000, "p": DEFAULT_PRIME, "z_max": 3.0,
-    "max_trials": 100, "eps": 0.05,
-}
-
-
-def _apply_config(args: argparse.Namespace, config: dict) -> None:
-    """Fill unset options from the config file, then from hard defaults."""
-    for dest, value in config.items():
-        if dest not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {dest.replace('_', '-')!r}")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, _CONFIG_TYPES[dest](value))
-    for dest, value in _FALLBACKS.items():
-        if getattr(args, dest, None) is None and hasattr(args, dest):
-            setattr(args, dest, value)
-    if args.node_cap <= 0:
-        raise ValueError(f"--node-cap must be positive, got {args.node_cap}")
+def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
+    """Make each config value the default of every long option, in the
+    parser or a subparser, whose dest is the key.  argparse converts a
+    string default with the option's type, but does not check choices."""
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        targets = [(p, a) for p in parsers for a in p._actions
+                   if a.dest == dest and a.option_strings
+                   and dest != "config"]
+        if not targets:
+            raise ValueError(f"unknown config key {key!r}")
+        for p, action in targets:
+            if action.nargs == 0:
+                raise ValueError(f"config key {key!r} names a flag, "
+                                 f"which takes no value")
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one "
+                                 f"of {', '.join(action.choices)}")
+            p.set_defaults(**{dest: value})
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        config = _load_config_file(args.config) if args.config else {}
-        _apply_config(args, config)
+        if args.config:
+            _apply_config(parser, _load_config_file(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, --version, usage errors
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except GramFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,6 +33,11 @@ __all__ = [
 
 DEFAULT_NODE_CAP = 100_000_000
 
+# Lovasz constant of lll_transform, and the round limit factor for float
+# input: at most LLL_FLOAT_ROUNDS_PER_N2 * n^2 rounds.
+LLL_DELTA = Fraction(99, 100)
+LLL_FLOAT_ROUNDS_PER_N2 = 1000
+
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
     """Gram of the transformed basis, U G U^T."""
@@ -67,8 +72,7 @@ def _gram_schmidt(U, gram):
     return B, mu
 
 
-def lll_transform(gram: Sequence[Sequence], delta=Fraction(99, 100),
-                  max_rounds: int | None = None) -> list[list[int]]:
+def lll_transform(gram: Sequence[Sequence]) -> list[list[int]]:
     """Unimodular U whose rows give an LLL-reduced basis for the Gram matrix.
 
     With Fraction (or int) Gram entries the computation is exact.  For float
@@ -79,11 +83,11 @@ def lll_transform(gram: Sequence[Sequence], delta=Fraction(99, 100),
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
         return U
+    delta, max_rounds = LLL_DELTA, None
     exact = all(isinstance(x, (Fraction, int)) for row in gram for x in row)
     if not exact:
         delta = float(delta)
-        if max_rounds is None:
-            max_rounds = 1000 * n * n
+        max_rounds = LLL_FLOAT_ROUNDS_PER_N2 * n * n
     B, mu = _gram_schmidt(U, gram)
     k = 1
     rounds = 0

@@ -156,14 +156,14 @@ def _one_trial(args) -> int | None:
 
 
 def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
-                     spec: RandomLatticeSpec, rng=None, threads: int = 1,
+                     spec: RandomLatticeSpec, threads: int = 1,
                      node_cap: int = DEFAULT_NODE_CAP) -> MonteCarloEstimate:
     """Sample mean of the exact tuple count over random Hecke points.
 
     Only rational bundles are sampled here.  Trials whose enumeration blows
     the node budget are discarded; more than 1% discards aborts the run.
-    With the default per-trial streams the result does not depend on
-    threads; passing an explicit rng forces a single serial stream.
+    Each trial draws from its own stream, so the result does not depend on
+    threads.
     """
     radii = _check_shape(n, l, radii)
     if not spec.field.is_rational():
@@ -174,25 +174,13 @@ def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
 
-    results: list[int | None]
-    if rng is not None:
-        results = []
-        for _ in range(trials):
-            a = _draw_coset(rng, n, spec.p)
-            gram = hecke_integer_gram(spec, a)
-            try:
-                results.append(_count_tuples(gram, spec.p, n, l, radii,
-                                             node_cap))
-            except EnumerationCapError:
-                results.append(None)
+    jobs = [(n, l, radii, spec.p, spec.seed, t, node_cap)
+            for t in range(trials)]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_one_trial, jobs, chunksize=16))
     else:
-        jobs = [(n, l, radii, spec.p, spec.seed, t, node_cap)
-                for t in range(trials)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_one_trial, jobs, chunksize=16))
-        else:
-            results = [_one_trial(job) for job in jobs]
+        results = [_one_trial(job) for job in jobs]
 
     return summarize_trials(results, {
         "n": n, "l": l, "radii": tuple(float(t) for t in radii),
@@ -200,11 +188,11 @@ def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
 
 
 def mvt_compare(n: int, l: int, radii, trials: int, spec: RandomLatticeSpec,
-                rng=None, threads: int = 1,
+                threads: int = 1,
                 node_cap: int = DEFAULT_NODE_CAP) -> MvtComparison:
     """Estimate the mean tuple count and compare it with the volume product."""
-    lhs = mvt_lhs_estimate(n, l, radii, trials, spec, rng=rng,
-                           threads=threads, node_cap=node_cap)
+    lhs = mvt_lhs_estimate(n, l, radii, trials, spec, threads=threads,
+                           node_cap=node_cap)
     rhs = mvt_rhs(spec.field, n, l, radii)
     diff = lhs.mean - rhs
     if lhs.std_error > 0:

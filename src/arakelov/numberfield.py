@@ -118,14 +118,6 @@ class NumberField:
         cplx = tuple(Place("complex", 0, i) for i in range(self.complex_places))
         return real + cplx
 
-    def finite_place(self, p: int, tag: int = 0) -> Place:
-        if not sympy.isprime(p):
-            raise ValueError(f"{p} is not prime")
-        nprimes = 1 if self.is_rational() else len(self.primes_above(p))
-        if not 0 <= tag < nprimes:
-            raise ValueError(f"no prime with tag {tag} above {p}")
-        return Place("finite", p, tag)
-
     def splitting(self, p: int) -> str:
         """Return "split", "inert" or "ramified" for the rational prime p."""
         if self.is_rational():

@@ -49,11 +49,21 @@ class SearchOutcome:
 
 
 def expected_section_count(E: ArakelovBundle, n: int, mu: float,
-                           zeta_params: dict | None = None) -> float:
+                           node_cap: int = DEFAULT_NODE_CAP) -> float:
     """Mean number of section classes of a random rank-n twist of E at
     slope mu; a value below one lower-bounds the per-draw success chance
     by one minus the value."""
-    return main_inequality(E, n, n * mu, zeta_params).values["value"]
+    return main_inequality(E, n, n * mu,
+                           {"node_cap": node_cap}).values["value"]
+
+
+def _draw_twist(E: ArakelovBundle, n: int, mu: float,
+                spec: RandomLatticeSpec,
+                trial: int) -> tuple[ArakelovBundle, ArakelovBundle]:
+    """The trial-th random slope-mu twist F, drawn from its own stream,
+    and the product E (x) F."""
+    F = random_bundle(E.field, n, mu, spec, trial_rng(spec.seed, trial))
+    return F, tensor(E, F)
 
 
 def _check_search_shape(E: ArakelovBundle, n: int, mu: float,
@@ -99,7 +109,7 @@ def _converse_blocked(E: ArakelovBundle, n: int, mu: float, eps: float,
 
 
 def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
-                      spec: RandomLatticeSpec, rng=None,
+                      spec: RandomLatticeSpec,
                       eps: float = CONVERSE_EPS,
                       node_cap: int = DEFAULT_NODE_CAP,
                       allow_large: bool = False) -> SearchOutcome:
@@ -112,12 +122,10 @@ def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
     sample itself turns out section-free it is returned as a find.
     """
     _check_search_shape(E, n, mu, allow_large)
-    expected = expected_section_count(E, n, mu)
+    expected = expected_section_count(E, n, mu, node_cap)
 
     def attempt(trial: int) -> SearchOutcome | None:
-        stream = rng if rng is not None else trial_rng(spec.seed, trial)
-        F = random_bundle(E.field, n, mu, spec, stream)
-        product = tensor(E, F)
+        F, product = _draw_twist(E, n, mu, spec, trial)
         if has_nonzero_section(product, node_cap=node_cap):
             return None
         certificate = global_sections(product, node_cap=node_cap)
@@ -146,7 +154,7 @@ def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
 
 
 def success_rate_experiment(E: ArakelovBundle, n: int, mu: float,
-                            trials: int, spec: RandomLatticeSpec, rng=None,
+                            trials: int, spec: RandomLatticeSpec,
                             node_cap: int = DEFAULT_NODE_CAP,
                             allow_large: bool = False) -> MonteCarloEstimate:
     """Observed fraction of random slope-mu twists with zero sections.
@@ -159,10 +167,9 @@ def success_rate_experiment(E: ArakelovBundle, n: int, mu: float,
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     outcomes: list[int | None] = []
     for trial in range(trials):
-        stream = rng if rng is not None else trial_rng(spec.seed, trial)
-        F = random_bundle(E.field, n, mu, spec, stream)
+        _, product = _draw_twist(E, n, mu, spec, trial)
         try:
-            hit = has_nonzero_section(tensor(E, F), node_cap=node_cap)
+            hit = has_nonzero_section(product, node_cap=node_cap)
         except EnumerationCapError:
             outcomes.append(None)
             continue

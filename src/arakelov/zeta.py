@@ -52,6 +52,7 @@ __all__ = [
     "SemistabilityVerdict",
     "SubbundleRecord",
     "ZetaPartial",
+    "check_subbundle_scope",
     "degree_shells",
     "enumerate_subbundles",
     "mu_max",
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
+
+# degree_shells groups degrees rounded to this many decimals.
+SHELL_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -244,6 +248,21 @@ def _full_rank_record(E: ArakelovBundle) -> SubbundleRecord:
     return SubbundleRecord(rank=E.rank, degree=bundle_degree(E), basis=basis)
 
 
+def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
+    """Raise unless rank-l subbundles of E can be enumerated: l = 1 and
+    l = rank always, 1 < l < rank only over Q and up to rank 4."""
+    if not 1 <= l <= E.rank:
+        raise ValueError(f"l must be between 1 and the rank, got {l}")
+    if l in (1, E.rank):
+        return
+    if not E.field.is_rational():
+        raise UnsupportedFieldError(
+            "intermediate ranks over quadratic fields are out of scope")
+    if E.rank > 4:
+        raise BudgetExceededError(
+            "l >= 2 enumeration is limited to rank <= 4")
+
+
 def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
                          node_cap: int = DEFAULT_NODE_CAP,
                          ) -> list[SubbundleRecord]:
@@ -253,8 +272,7 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
     image of the requested bound, so results are deterministic and match a
     brute-force oracle using the same convention.
     """
-    if not 1 <= l <= E.rank:
-        raise ValueError(f"l must be between 1 and the rank, got {l}")
+    check_subbundle_scope(E, l)
     if not math.isfinite(min_degree):
         raise ValueError("min_degree must be finite")
     if l == E.rank:
@@ -262,12 +280,6 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
         return [rec] if rec.degree >= min_degree else []
     if l == 1:
         return _line_records(E, min_degree, node_cap)
-    if not E.field.is_rational():
-        raise UnsupportedFieldError(
-            "intermediate ranks over quadratic fields are out of scope")
-    if E.rank > 4:
-        raise BudgetExceededError(
-            "l >= 2 enumeration is limited to rank <= 4")
     if l == E.rank - 1:
         return _hyperplane_records(E, min_degree, node_cap)
     return _pair_records(E, min_degree, node_cap)
@@ -288,11 +300,11 @@ def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,
 
 
 def degree_shells(records: Sequence[SubbundleRecord],
-                  decimals: int = 9) -> list[tuple[float, int]]:
-    """Multiset of degrees grouped to the given rounding, sorted downward."""
+                  ) -> list[tuple[float, int]]:
+    """Multiset of degrees rounded to SHELL_DECIMALS, sorted downward."""
     counts: dict[float, int] = {}
     for r in records:
-        key = round(r.degree, decimals) + 0.0  # drop negative zero
+        key = round(r.degree, SHELL_DECIMALS) + 0.0  # drop negative zero
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items(), key=lambda kv: -kv[0])
 

@@ -1,6 +1,7 @@
 """Existence bounds: zeta values, quotient volumes, thresholds, densities."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from arakelov.bounds import (
     thresholds,
 )
 from arakelov.bundle import make_bundle, trivial_bundle
-from arakelov.errors import UnsupportedFieldError
+from arakelov.errors import BudgetExceededError, UnsupportedFieldError
 from arakelov.numberfield import ball_volume, make_field
 from tests.oracles import BALL_VOLUME_TABLE, E8_DENSITY, ZETA_TABLE, e8_gram
 
@@ -86,6 +87,15 @@ def test_main_inequality_terms_per_subbundle_rank():
         main_inequality(E, 2, 0.0)  # twist rank must exceed rank E
     with pytest.raises(ValueError):
         main_inequality(E, 6, 0.0, zeta_params={"mystery": 1})
+    # unsupported subbundle ranks fail before any enumeration
+    for bundle, n, error in (
+            (trivial_bundle(Q, 5), 6, BudgetExceededError),
+            (trivial_bundle(make_field("Q(sqrt{-1})"), 3), 5,
+             UnsupportedFieldError)):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            main_inequality(bundle, n, -1.0)
+        assert time.perf_counter() - start < 5.0
 
 
 def test_threshold_values_and_gap():

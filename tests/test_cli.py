@@ -166,6 +166,8 @@ def test_mvt_verify(capsys):
     assert report["lhs"]["config"]["p"] == 1009
     assert report["rhs"] == pytest.approx(4.18879020479, abs=1e-9)
     assert math.isfinite(report["z_score"])
+    assert doc["run_config"]["field"] == "Q"
+    assert doc["run_config"]["n"] == 3
     validate(doc, "mvt_comparison.schema.json")
     # exit 1 when the same data fails a tight tolerance
     code2, doc2 = run_json(capsys, *args[:-1], "0.000001")
@@ -189,6 +191,8 @@ def test_bounds_theorem_exits(capsys):
     assert code == 0
     assert doc["report"]["verdict"] == "existence guaranteed"
     assert doc["run_config"]["node_cap"] == DEFAULT_NODE_CAP
+    assert doc["run_config"]["n"] == 8
+    assert doc["run_config"]["det_degree"] == -2.0
     validate(doc, "bound_report.schema.json")
     code, doc = run_json(capsys, "--node-cap", "5000", *base,
                          "--det-degree", "5")
@@ -250,7 +254,7 @@ def test_usage_errors(capsys, tmp_path):
         assert "--node-cap must be positive" in err
 
 
-def test_config_file_fills_defaults(capsys, tmp_path):
+def test_config_file_fills_defaults(capsys, tmp_path, identity2):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\np = 101\ntrials = 40\nz-max = 1000000\n")
     code, doc = run_json(capsys, "--config", str(cfg),
@@ -262,14 +266,32 @@ def test_config_file_fills_defaults(capsys, tmp_path):
     code, doc = run_json(capsys, "--config", str(cfg), "--seed", "4",
                          "mvt-verify", "--n", "3")
     assert doc["run_config"]["seed"] == 4
+    # keys that argparse defaults used to shadow take effect
+    cfg.write_text("mode = shells\ncutoff = 0.7\n")
+    code, doc = run_json(capsys, "--config", str(cfg),
+                         "zeta", "--gram", identity2)
+    assert code == 0
+    code, flags = run_json(capsys, "zeta", "--gram", identity2,
+                           "--mode", "shells", "--cutoff", "0.7")
+    assert doc["report"] == flags["report"]
+    assert doc["run_config"]["cutoff"] == 0.7
+    cfg.write_text("l = 2\n")
+    code, doc = run_json(capsys, "--config", str(cfg),
+                         "bounds", "--kind", "thresholds", "--n", "8")
+    assert code == 0
+    assert doc["report"]["inputs"]["l"] == 2
+    assert doc["run_config"]["l"] == 2
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mystery = 1\n")
-    code, out, err = run_cli(capsys, "--config", str(cfg), "field-info")
-    assert code == 2
-    assert "mystery" in err
+    # no option, a flag that takes no value, a value outside the choices
+    for key, value in (("mystery", "1"), ("min_degree", "5"),
+                       ("mode", "sideways"), ("allow-large", "true")):
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "field-info")
+        assert code == 2 and out == ""
+        assert key in err
 
 
 def test_output_is_byte_stable(capsys):

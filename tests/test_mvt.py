@@ -15,7 +15,7 @@ from arakelov.mvt import (
     mvt_rhs,
 )
 from arakelov.numberfield import make_field
-from arakelov.sampler import RandomLatticeSpec, hecke_integer_gram, trial_rng
+from arakelov.sampler import RandomLatticeSpec, hecke_integer_gram
 from tests.oracles import BALL_VOLUME_TABLE
 
 Q = make_field("Q")
@@ -123,13 +123,6 @@ def test_threads_do_not_change_the_stream():
     parallel = mvt_lhs_estimate(3, 1, [1], 40, spec, threads=2)
     assert serial.mean == parallel.mean
     assert serial.std_error == parallel.std_error
-
-
-def test_explicit_rng_runs_serially():
-    spec = RandomLatticeSpec(n=3, p=1009, seed=3, field=Q)
-    a = mvt_lhs_estimate(3, 1, [1], 40, spec, rng=trial_rng(3, 0))
-    b = mvt_lhs_estimate(3, 1, [1], 40, spec, rng=trial_rng(3, 0))
-    assert a.mean == b.mean
 
 
 def test_estimate_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from arakelov.bounds import quotient_volume, thresholds
 from arakelov.bundle import make_bundle, tensor, trivial_bundle
-from arakelov.errors import BudgetExceededError
+from arakelov.errors import BudgetExceededError, EnumerationCapError
 from arakelov.numberfield import make_field
 from arakelov.sampler import DEFAULT_PRIME, RandomLatticeSpec
 from arakelov.search import (
@@ -33,6 +33,9 @@ def test_expected_count_closed_form():
     # the classical five-dimensional instance
     val = expected_section_count(E, 5, -math.log(3.0) / 5.0)
     assert val == pytest.approx(0.8460552479516009, rel=1e-9)
+    # the node cap reaches the zeta enumeration behind the count
+    with pytest.raises(EnumerationCapError):
+        expected_section_count(trivial_bundle(Q, 2), 5, -0.4, node_cap=1)
 
 
 def test_shape_checks():
