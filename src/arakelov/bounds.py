@@ -17,7 +17,7 @@ from functools import lru_cache
 from .bundle import ArakelovBundle
 from .errors import EnumerationCapError, UnsupportedFieldError
 from .intlinalg import rat_det
-from .lattice import DEFAULT_NODE_CAP, shortest_vector
+from .lattice import DEFAULT_NODE_CAP, form_value, shortest_vector
 from .numberfield import NumberField, ball_volume
 from .zeta import ZetaPartial, check_subbundle_scope, zeta_partial
 
@@ -199,8 +199,7 @@ def packing_density(E: ArakelovBundle,
     gram = [list(row) for row in E.gram_real[0]]
     n = E.rank
     vec, _ = shortest_vector(gram, node_cap=node_cap)
-    min_sq = sum(Fraction(vec[i]) * gram[i][j] * vec[j]
-                 for i in range(n) for j in range(n))
+    min_sq = form_value(gram, vec)
     det = rat_det([[Fraction(x) for x in row] for row in gram])
     return (ball_volume(n) * math.sqrt(float(min_sq ** n))
             / (2.0 ** n * math.sqrt(float(det))))

@@ -8,9 +8,11 @@ pairs.  Degrees therefore come from exact determinants, rounded only at the
 final logarithm.
 
 restrict_scalars exposes the module as a Z-lattice of rank d*n.  Its
-per-place norm forms are kept as pairs (A, B) of rational symmetric matrices
-meaning z A z^T + (z B z^T) * sqrt(|D|), which lets downstream enumeration
-filters decide boundary membership exactly even for quadratic fields.
+per-place norm forms are kept as integer symmetric matrices A, B over one
+common denominator den, meaning (z A z^T + (z B z^T) sqrt(|D|)) / den.  A
+form's value at an integer vector is a QSurd, summed on Python ints and
+normalised once, which lets downstream enumeration filters decide boundary
+membership exactly even for quadratic fields.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .intlinalg import (
     rat_rank,
     saturation_rows,
 )
+from .lattice import apply_transform, form_value
 from .numberfield import NumberField, QuadElement
 
 __all__ = [
@@ -381,14 +384,9 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     field = E.field
     k = len(basis)
     if field.is_rational():
-        reals = []
-        for g in E.gram_real:
-            sub = [[sum(basis[i][a] * g[a][b] * basis[j][b]
-                        for a in range(E.rank) for b in range(E.rank))
-                    for j in range(k)] for i in range(k)]
-            reals.append(_freeze(sub))
+        reals = tuple(_freeze(apply_transform(basis, g)) for g in E.gram_real)
         return ArakelovBundle(field=field, rank=k,
-                              gram_real=tuple(reals), gram_complex=())
+                              gram_real=reals, gram_complex=())
     embeds = field.omega_embeddings()
     reals = []
     for idx in range(field.real_places):
@@ -426,52 +424,33 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
 # restriction of scalars
 # ----------------------------------------------------------------------
 
-QPair = tuple[Fraction, Fraction]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _sym(rows) -> RealGram:
-    n = len(rows)
-    return tuple(tuple((rows[i][j] + rows[j][i]) / 2 for j in range(n))
-                 for i in range(n))
+def _to_int_matrices(mats) -> tuple[list[list[list[int]]], int]:
+    """The rational matrices times den, as int matrices, where den is the
+    lcm of all their entries' denominators."""
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return ([[[x.numerator * (den // x.denominator) for x in row]
+              for row in m] for m in mats], den)
 
 
 @dataclass(frozen=True)
 class PlaceForm:
-    """Quadratic form z A z^T + (z B z^T) sqrt(delta) of one infinite place
-    on the restricted-scalars coordinates."""
+    """Quadratic form (z A z^T + (z B z^T) sqrt(delta)) / den of one infinite
+    place on the restricted-scalars coordinates.  A and B are integer
+    matrices; over Q, delta is 0 and B is None."""
 
     kind: str
-    A: RealGram
-    B: RealGram
+    A: IntMatrix
+    B: IntMatrix | None
+    den: int
+    delta: int
 
-    def value_pair(self, z: Sequence[int]) -> QPair:
-        n = len(z)
-        idx = [i for i in range(n) if z[i]]
-        a = Fraction(0)
-        b = Fraction(0)
-        for i in idx:
-            zi = z[i]
-            rowA, rowB = self.A[i], self.B[i]
-            for j in idx:
-                a += zi * z[j] * rowA[j]
-                b += zi * z[j] * rowB[j]
-        return a, b
-
-
-def qpair_leq(pair: QPair, bound: Fraction, delta: int) -> bool:
-    """Exact test a + b sqrt(delta) <= bound for rational a, b, bound."""
-    a, b = pair
-    u = bound - a
-    if b <= 0:
-        return u >= 0 or b * b * delta >= u * u
-    return u >= 0 and u * u >= b * b * delta
-
-
-def qpair_float(pair: QPair, delta: int) -> float:
-    a, b = pair
-    if b == 0:
-        return float(a)
-    return float(a) + float(b) * math.sqrt(delta)
+    def value_pair(self, z: Sequence[int]) -> QSurd:
+        b = 0 if self.B is None else form_value(self.B, z)
+        return QSurd(Fraction(form_value(self.A, z), self.den),
+                     Fraction(b, self.den), self.delta)
 
 
 @dataclass(frozen=True)
@@ -481,11 +460,11 @@ class ZLatticeView:
 
     bundle: ArakelovBundle
     zrank: int
-    delta: int  # square under the root in the exact form pairs; 0 over Q
+    delta: int  # square under the root in the exact form values; 0 over Q
     place_forms: tuple[PlaceForm, ...]
     trace_gram: tuple[tuple[float, ...], ...]
 
-    def place_values(self, z: Sequence[int]) -> tuple[QPair, ...]:
+    def place_values(self, z: Sequence[int]) -> tuple[QSurd, ...]:
         return tuple(f.value_pair(z) for f in self.place_forms)
 
     def values_leq(self, z: Sequence[int], caps: Sequence[Fraction]) -> bool:
@@ -495,24 +474,25 @@ class ZLatticeView:
         modulus at a complex one, so a ball of radius t corresponds to the
         cap t^2 in both cases.
         """
-        for f, cap in zip(self.place_forms, caps):
-            if not qpair_leq(f.value_pair(z), cap, self.delta):
-                return False
-        return True
+        return all(f.value_pair(z) <= cap
+                   for f, cap in zip(self.place_forms, caps))
 
     def covolume(self) -> float:
         """Covolume under the canonical measure (doubled Lebesgue at complex
         places), computed from an exact determinant over Q(sqrt(delta)) of
         the sum of the place forms."""
         n = self.zrank
-        A = [[sum(f.A[i][j] for f in self.place_forms) for j in range(n)]
-             for i in range(n)]
-        B = [[sum(f.B[i][j] for f in self.place_forms) for j in range(n)]
-             for i in range(n)]
-        d = det(_surds(A, B, self.delta))
-        det_value = qpair_float((d.a, d.b), self.delta)
+        forms = self.place_forms
+        zero = [[0] * n for _ in range(n)]
+
+        def total(mats):
+            return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
+
+        A = total([f.A for f in forms])
+        B = total([f.B or zero for f in forms])
+        d = det(_surds(A, B, self.delta)) / forms[0].den ** n
         r2 = self.bundle.field.complex_places
-        return 2.0 ** (self.bundle.rank * r2) * math.sqrt(det_value)
+        return 2.0 ** (self.bundle.rank * r2) * math.sqrt(float(d))
 
     def coords_to_module(self, z: Sequence[int]) -> tuple:
         field = self.bundle.field
@@ -522,67 +502,73 @@ class ZLatticeView:
                      for i in range(self.bundle.rank))
 
 
-def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
-    field = E.field
-    n = E.rank
-    if field.is_rational():
-        A = E.gram_real[0]
-        zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        form = PlaceForm(kind="real", A=A, B=zero)
-        trace = tuple(tuple(float(x) for x in row) for row in A)
-        return ZLatticeView(bundle=E, zrank=n, delta=0,
-                            place_forms=(form,), trace_gram=trace)
-
-    D = field.D
-    delta = abs(D)
-    s, q = field.omega_minpoly()
-    x0 = Fraction(s, 2)
-    y0 = Fraction(1, 2) if field.omega_is_half else Fraction(1)
-    N = 2 * n
-    forms = []
-
-    def zeros():
-        return [[Fraction(0)] * N for _ in range(N)]
-
-    if D > 0:
-        for k in range(2):
-            sign = 1 if k == 0 else -1
-            G = E.gram_real[k]
-            A, B = zeros(), zeros()
-            for i in range(n):
-                for j in range(n):
-                    g = G[i][j]
-                    A[2 * i][2 * j] += g
-                    A[2 * i][2 * j + 1] += x0 * g
-                    A[2 * i + 1][2 * j] += x0 * g
-                    A[2 * i + 1][2 * j + 1] += (s * x0 - q) * g
-                    B[2 * i][2 * j + 1] += sign * y0 * g
-                    B[2 * i + 1][2 * j] += sign * y0 * g
-                    B[2 * i + 1][2 * j + 1] += sign * s * y0 * g
-            forms.append(PlaceForm(kind="real", A=_sym(A), B=_sym(B)))
-    else:
-        R, I = E.gram_complex[0]
-        A, B = zeros(), zeros()
-        for i in range(n):
-            for j in range(n):
-                r, im = R[i][j], I[i][j]
-                A[2 * i][2 * j] += r
-                A[2 * i + 1][2 * j + 1] += q * r
-                # Re(omega * H_ij) and Re(conj(omega) * H_ji) entries
-                A[2 * i][2 * j + 1] += x0 * r
-                B[2 * i][2 * j + 1] += -y0 * im
-                A[2 * i + 1][2 * j] += x0 * r
-                B[2 * i + 1][2 * j] += y0 * im
-        forms.append(PlaceForm(kind="complex", A=_sym(A), B=_sym(B)))
-
-    root = math.sqrt(delta)
-    trace_rows = [[0.0] * N for _ in range(N)]
+def _trace_gram(forms) -> tuple[tuple[float, ...], ...]:
+    """Float trace form: the sum of the place forms, complex ones twice.
+    Each entry a/den is correctly rounded, as float(Fraction(a, den)) is."""
+    N = len(forms[0].A)
+    root = math.sqrt(forms[0].delta)
+    rows = [[0.0] * N for _ in range(N)]
     for f in forms:
         weight = 2.0 if f.kind == "complex" else 1.0
         for i in range(N):
             for j in range(N):
-                val = float(f.A[i][j]) + float(f.B[i][j]) * root
-                trace_rows[i][j] += weight * val
-    trace = tuple(tuple(row) for row in trace_rows)
-    return ZLatticeView(bundle=E, zrank=N, delta=delta,
-                        place_forms=tuple(forms), trace_gram=trace)
+                val = f.A[i][j] / f.den
+                if f.B is not None:
+                    val += (f.B[i][j] / f.den) * root
+                rows[i][j] += weight * val
+    return tuple(tuple(row) for row in rows)
+
+
+def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
+    field = E.field
+    n = E.rank
+    if field.is_rational():
+        (A,), den = _to_int_matrices(E.gram_real)
+        forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
+                           den=den, delta=0),)
+        return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
+                            trace_gram=_trace_gram(forms))
+
+    D = field.D
+    delta = abs(D)
+    # w = s/2 + y0 sqrt(D) with y0 = 1/2 or 1; with every coefficient
+    # doubled (y2 = 2 y0) the forms are integral over den = 2 * den(G).
+    s, q = field.omega_minpoly()
+    y2 = 1 if field.omega_is_half else 2
+    N = 2 * n
+    parts = []  # (kind, A, B) per place
+
+    def zeros():
+        return [[0] * N for _ in range(N)]
+
+    if D > 0:
+        grams, den = _to_int_matrices(E.gram_real)
+        for sign, G in zip((1, -1), grams):
+            A, B = zeros(), zeros()
+            for i in range(n):
+                for j in range(n):
+                    g = G[i][j]
+                    A[2 * i][2 * j] = 2 * g
+                    A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * g
+                    A[2 * i + 1][2 * j + 1] = (s * s - 2 * q) * g
+                    B[2 * i][2 * j + 1] = B[2 * i + 1][2 * j] = sign * y2 * g
+                    B[2 * i + 1][2 * j + 1] = sign * s * y2 * g
+            parts.append(("real", A, B))
+    else:
+        (R, I), den = _to_int_matrices(E.gram_complex[0])
+        A, B = zeros(), zeros()
+        for i in range(n):
+            for j in range(n):
+                r, im = R[i][j], I[i][j]
+                A[2 * i][2 * j] = 2 * r
+                A[2 * i + 1][2 * j + 1] = 2 * q * r
+                # Re(w * H_ij) and Re(conj(w) * H_ji) entries
+                A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * r
+                B[2 * i][2 * j + 1] = -y2 * im
+                B[2 * i + 1][2 * j] = y2 * im
+        parts.append(("complex", A, B))
+    forms = tuple(PlaceForm(kind=kind, A=tuple(map(tuple, A)),
+                            B=tuple(map(tuple, B)), den=2 * den, delta=delta)
+                  for kind, A, B in parts)
+    return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
+                        trace_gram=_trace_gram(forms))

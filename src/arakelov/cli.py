@@ -11,8 +11,8 @@ configurations produce identical bytes.
 The argument parser is the one table of options and defaults.  A
 ``--config`` file of ``key = value`` lines supplies defaults: any long
 option that takes a value is a key, named by its destination and written
-with dashes or underscores (``node-cap``, ``z_max``; search's ``--trials``
-is ``max-trials``), and the value is converted by the option's own type.
+with dashes or underscores (``node-cap``, ``z_max``), and the value is
+converted by the option's own type.
 Flags beat the file, and the file beats the built-in defaults.  An unknown
 key, the key of a flag that takes no value (``allow-large``) and a value
 outside the option's choices exit 2.
@@ -86,20 +86,15 @@ def _emit(args, report: dict) -> None:
     document = _jsonable({"run_config": _run_config(args), "report": report})
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
-    elif args.format == "text":
+    else:
         for line in _text_lines(document, ""):
             print(line)
-    else:
-        raise ValueError(
-            f"format {args.format!r} not available for this report")
 
 
 def _text_lines(obj, prefix: str):
     if isinstance(obj, dict):
         for k in sorted(obj):
             yield from _text_lines(obj[k], f"{prefix}{k}." if prefix else f"{k}.")
-    elif isinstance(obj, list):
-        yield f"{prefix[:-1]} = {json.dumps(obj)}"
     else:
         yield f"{prefix[:-1]} = {json.dumps(obj)}"
 
@@ -286,7 +281,7 @@ def _cmd_search(args) -> int:
                      "trials": estimate.trials,
                      "config": dict(estimate.config)})
         return EXIT_OK
-    outcome = find_section_free(E, args.n, args.slope, args.max_trials, spec,
+    outcome = find_section_free(E, args.n, args.slope, args.trials, spec,
                                 eps=args.eps, node_cap=args.node_cap,
                                 allow_large=args.allow_large)
     payload = {
@@ -321,10 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         help="file of key = value defaults; a key is any long option that "
-             "takes a value, with dashes or underscores (search's --trials "
-             "is max-trials); flags beat the file and the file beats the "
-             "defaults; an unknown key, a flag key or a value outside the "
-             "option's choices exits 2")
+             "takes a value, with dashes or underscores; flags beat the "
+             "file and the file beats the defaults; an unknown key, a flag "
+             "key or a value outside the option's choices exits 2")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for stochastic runs")
     parser.add_argument("--node-cap", type=_node_cap,
@@ -333,7 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for trial loops")
     parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json", help="output format (default json)")
+                        default="json",
+                        help="output format (default json); csv is only "
+                             "for zeta --mode shells")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-info", help="invariants of a base field")
@@ -396,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--slope", type=float, required=True)
-    p.add_argument("--trials", dest="max_trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p", type=int, default=DEFAULT_PRIME)
     p.add_argument("--eps", type=float, default=CONVERSE_EPS)
     p.add_argument("--rate-trials", type=int, default=None,
@@ -453,6 +449,10 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(parser, _load_config_file(args.config))
             args = parser.parse_args(argv)
+        if args.format == "csv" and not (
+                args.command == "zeta" and args.mode == "shells"):
+            raise ValueError("--format csv is only available for "
+                             "zeta --mode shells")
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, --version, usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -155,8 +155,9 @@ def is_primitive_vector(v) -> bool:
 class QSurd:
     """Element a + b sqrt(delta) of Q(sqrt(delta)), delta not a nonzero square.
 
-    Only what elimination needs: - * /, a zero test, and an order on the
-    rational elements.  Plain ints and Fractions mix in with b = 0.
+    - * /, a zero test, float() and an exact order, which for delta < 0
+    covers only the rational elements (the pivots of a Hermitian matrix).
+    Plain ints and Fractions mix in with b = 0.
     """
 
     __slots__ = ("a", "b", "delta")
@@ -170,12 +171,31 @@ class QSurd:
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
-    def __gt__(self, y) -> bool:
-        # The pivots of a Hermitian matrix are real; nothing else is ordered.
-        y = self._lift(y)
-        if self.b or y.b:
+    def __float__(self) -> float:
+        if self.b == 0:
+            return float(self.a)
+        return float(self.a) + float(self.b) * math.sqrt(self.delta)
+
+    def _sign(self) -> int:
+        """Exact sign of a + b sqrt(delta)."""
+        a, b, delta = self.a, self.b, self.delta
+        sa = (a > 0) - (a < 0)
+        if not b or not delta:
+            return sa
+        if delta < 0:
             raise TypeError("only rational QSurd values are ordered")
-        return self.a > y.a
+        sb = 1 if b > 0 else -1
+        if sa != -sb:
+            return sb
+        # a and b sqrt(delta) have opposite signs: the larger square wins.
+        d = a * a - b * b * delta
+        return sa if d > 0 else (sb if d < 0 else 0)
+
+    def __gt__(self, y) -> bool:
+        return (self - y)._sign() > 0
+
+    def __le__(self, y) -> bool:
+        return (self - y)._sign() <= 0
 
     def __sub__(self, y) -> QSurd:
         y = self._lift(y)

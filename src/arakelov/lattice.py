@@ -27,6 +27,7 @@ __all__ = [
     "ReducedLattice",
     "apply_transform",
     "enumerate_short_vectors",
+    "form_value",
     "lll_transform",
     "shortest_vector",
 ]
@@ -46,6 +47,11 @@ def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> lis
           for i in range(len(U))]
     return [[sum(UG[i][k] * U[j][k] for k in range(n)) for j in range(len(U))]
             for i in range(len(U))]
+
+
+def form_value(gram: Sequence[Sequence], x: Sequence[int]):
+    """Value x G x^T of the quadratic form at one coefficient vector."""
+    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram) if xi)
 
 
 def _gram_schmidt(U, gram):
@@ -75,17 +81,19 @@ def _gram_schmidt(U, gram):
 def lll_transform(gram: Sequence[Sequence]) -> list[list[int]]:
     """Unimodular U whose rows give an LLL-reduced basis for the Gram matrix.
 
-    With Fraction (or int) Gram entries the computation is exact.  For float
-    input a round limit guards against rounding-induced livelock; the result
-    is then still a valid unimodular transform, merely of lesser quality.
+    With Fraction (or int) Gram entries the computation is exact: ints are
+    made Fractions on entry.  For float input a round limit guards against
+    rounding-induced livelock; the result is then still a valid unimodular
+    transform, merely of lesser quality.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
         return U
     delta, max_rounds = LLL_DELTA, None
-    exact = all(isinstance(x, (Fraction, int)) for row in gram for x in row)
-    if not exact:
+    if all(isinstance(x, (Fraction, int)) for row in gram for x in row):
+        gram = [[Fraction(x) for x in row] for row in gram]
+    else:
         delta = float(delta)
         max_rounds = LLL_FLOAT_ROUNDS_PER_N2 * n * n
     B, mu = _gram_schmidt(U, gram)

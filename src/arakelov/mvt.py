@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import EnumerationCapError, MonteCarloDiscardError, UnsupportedFieldError
 from .intlinalg import rat_rank
-from .lattice import DEFAULT_NODE_CAP, enumerate_short_vectors
+from .lattice import DEFAULT_NODE_CAP, enumerate_short_vectors, form_value
 from .numberfield import NumberField, adelic_ball_volume, make_field
 from .sampler import RandomLatticeSpec, _draw_coset, hecke_integer_gram, trial_rng
 
@@ -113,8 +113,7 @@ def _count_tuples(gram: list[list[int]], p: int, n: int, l: int,
     envelope = float(tmax * tmax) * p ** (2.0 / n) * (1.0 + 1e-9) + 1e-9
     members: list[list[tuple[int, ...]]] = [[] for _ in range(l)]
     for x, _ in enumerate_short_vectors(gram, envelope, node_cap=node_cap):
-        q = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-        qn = q ** n
+        qn = form_value(gram, x) ** n
         for j in range(l):
             if qn <= caps[j]:
                 members[j].append(x)

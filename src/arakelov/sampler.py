@@ -88,7 +88,7 @@ def hecke_integer_gram(spec: RandomLatticeSpec, a) -> list[list[int]]:
             r[pivot] = -mults[i]
             rows.append(r)
     gram = [[sum(u[k] * v[k] for k in range(n)) for v in rows] for u in rows]
-    U = lll_transform([[Fraction(x) for x in row] for row in gram])
+    U = lll_transform(gram)
     red = apply_transform(U, gram)
     order = sorted(range(n), key=lambda i: (-red[i][i], i))
     return [[int(red[i][j]) for j in order] for i in order]

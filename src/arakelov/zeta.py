@@ -27,8 +27,6 @@ from .bundle import (
     ZLatticeView,
     degree as bundle_degree,
     log_fraction,
-    qpair_float,
-    qpair_leq,
     restrict_scalars,
     slope as bundle_slope,
 )
@@ -46,7 +44,12 @@ from .intlinalg import (
     right_kernel_rows,
     saturation_rows,
 )
-from .lattice import DEFAULT_NODE_CAP, ReducedLattice
+from .lattice import (
+    DEFAULT_NODE_CAP,
+    ReducedLattice,
+    apply_transform,
+    form_value,
+)
 
 __all__ = [
     "SemistabilityVerdict",
@@ -109,10 +112,6 @@ def _trace_region(view: ZLatticeView, radius: float,
         yield z
 
 
-def _qpair_mul(x, y, delta: int):
-    return (x[0] * y[0] + delta * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 def _line_records(E: ArakelovBundle, min_degree: float,
                   node_cap: int) -> list[SubbundleRecord]:
     field = E.field
@@ -124,7 +123,7 @@ def _line_records(E: ArakelovBundle, min_degree: float,
         for z in _trace_region(view, float(cap), node_cap):
             if not is_primitive_vector(z):
                 continue
-            value = view.place_forms[0].value_pair(z)[0]
+            value = view.place_forms[0].value_pair(z).a
             if value > cap:
                 continue
             deg = -0.5 * log_fraction(value)
@@ -133,7 +132,6 @@ def _line_records(E: ArakelovBundle, min_degree: float,
         records.sort(key=lambda r: (-r.degree, r.basis))
         return records
 
-    delta = abs(field.D)
     if field.D < 0:
         value_cap = Fraction(math.exp(-min_degree))
         trace_radius = 2.0 * float(value_cap)
@@ -154,32 +152,18 @@ def _line_records(E: ArakelovBundle, min_degree: float,
         sat = saturation_rows(rows, view.zrank)
         if [list(r) for r in key] != [list(r) for r in sat]:
             continue  # v is not primitive: its line was or will be seen
-        pairs = view.place_values(z)
+        values = view.place_values(z)
         if field.D < 0:
-            if not qpair_leq(pairs[0], value_cap, delta):
-                continue
-            a, b = pairs[0]
-            deg = -log_fraction(a) if b == 0 else -math.log(
-                qpair_float(pairs[0], delta))
+            value, power = values[0], 1.0
         else:
-            prod = _qpair_mul(pairs[0], pairs[1], delta)
-            if not qpair_leq(prod, value_cap, delta):
-                continue
-            a, b = prod
-            deg = -0.5 * (log_fraction(a) if b == 0 else math.log(
-                qpair_float(prod, delta)))
+            value, power = values[0] * values[1], 0.5
+        if not value <= value_cap:
+            continue
+        deg = -power * (log_fraction(value.a) if value.b == 0
+                        else math.log(float(value)))
         seen[key] = SubbundleRecord(rank=1, degree=deg, basis=(v,))
     records = sorted(seen.values(), key=lambda r: (-r.degree, str(r.basis)))
     return records
-
-
-def _restricted_det(G, B) -> Fraction:
-    n = len(G)
-    k = len(B)
-    sub = [[sum(Fraction(B[i][a]) * G[a][b] * B[j][b]
-                for a in range(n) for b in range(n))
-            for j in range(k)] for i in range(k)]
-    return rat_det(sub)
 
 
 def _hyperplane_records(E: ArakelovBundle, min_degree: float,
@@ -194,8 +178,7 @@ def _hyperplane_records(E: ArakelovBundle, min_degree: float,
     for wv, _ in lattice.short_vectors(float(cap) * (1.0 + 1e-9) + 1e-12):
         if not is_primitive_vector(wv):
             continue
-        dual_q = sum(wv[i] * ginv[i][j] * wv[j]
-                     for i in range(n) for j in range(n))
+        dual_q = form_value(ginv, wv)
         if dual_q > cap:
             continue
         basis = [list(r) for r in hnf(right_kernel_rows([list(wv)], n), n)]
@@ -230,7 +213,7 @@ def _pair_records(E: ArakelovBundle, min_degree: float,
             key = tuple(tuple(r) for r in sat)
             if key in seen:
                 continue
-            det2 = _restricted_det(G, sat)
+            det2 = rat_det(apply_transform(sat, G))
             if det2 > det_cap:
                 continue
             seen[key] = SubbundleRecord(

@@ -93,17 +93,23 @@ def box_bound(gram_floats, radius_sq: float) -> list[int]:
 
 def rational_sections_brute(gram, radius_sq=Fraction(1)) -> set[tuple[int, ...]]:
     """All nonzero integer vectors with exact x G x^T <= radius_sq, both
-    signs, via plain box enumeration over exact rationals."""
+    signs, via plain box enumeration over exact rationals (G and the radius
+    scaled once to integers over their common denominator)."""
     n = len(gram)
     G = [[Fraction(x) for x in row] for row in gram]
+    radius_sq = Fraction(radius_sq)
     bounds = box_bound([[float(x) for x in row] for row in G],
                        float(radius_sq))
+    den = math.lcm(radius_sq.denominator,
+                   *(x.denominator for row in G for x in row))
+    Gi = [[int(x * den) for x in row] for row in G]
+    cap = int(radius_sq * den)
     hits = set()
     for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
         if not any(x):
             continue
-        q = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
-        if q <= radius_sq:
+        q = sum(x[i] * Gi[i][j] * x[j] for i in range(n) for j in range(n))
+        if q <= cap:
             hits.add(x)
     return hits
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from arakelov.bundle import (
     determinant,
     dual,
     make_bundle,
-    qpair_leq,
     restrict_scalars,
     saturate_subbundle,
     scale,
@@ -24,8 +24,10 @@ from arakelov.errors import (
     FieldMismatchError,
     InvalidMetricError,
 )
-from arakelov.intlinalg import rat_det
+from arakelov.intlinalg import QSurd, rat_det
 from arakelov.numberfield import make_field
+from arakelov.sampler import RandomLatticeSpec
+from arakelov.sampler import random_bundle as sampled_bundle
 from tests.oracles import random_pd_fraction_gram
 
 FIELDS = ["Q", "Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{2})", "Q(sqrt{5})"]
@@ -238,7 +240,7 @@ def test_restrict_scalars_rational_is_identity_view():
     view = restrict_scalars(make_bundle(Q, G))
     assert view.zrank == 2
     assert view.delta == 0
-    assert view.place_values((1, 1)) == ((Fraction(7), Fraction(0)),)
+    assert [(v.a, v.b) for v in view.place_values((1, 1))] == [(7, 0)]
     assert trace_value(view, (1, 1)) == pytest.approx(7.0)
     assert view.coords_to_module((1, -2)) == (Fraction(1), Fraction(-2))
 
@@ -249,9 +251,9 @@ def test_place_values_real_quadratic():
     assert view.delta == 2
     # 1 + sqrt(2) has |.|^2 = 3 + 2 sqrt(2) at one place, 3 - 2 sqrt(2) at
     # the conjugate place
-    pair_plus, pair_minus = view.place_values((1, 1))
-    assert pair_plus == (Fraction(3), Fraction(2))
-    assert pair_minus == (Fraction(3), Fraction(-2))
+    plus, minus = view.place_values((1, 1))
+    assert (plus.a, plus.b) == (Fraction(3), Fraction(2))
+    assert (minus.a, minus.b) == (Fraction(3), Fraction(-2))
     assert trace_value(view, (1, 1)) == pytest.approx(6.0)
     assert view.coords_to_module((1, 1)) == (K.element(1, 1),)
     assert view.values_leq((1, 1), [Fraction(6), Fraction(6)])
@@ -262,25 +264,104 @@ def test_place_values_imaginary_quadratic():
     K = make_field("Q(sqrt{-1})")
     view = restrict_scalars(trivial_bundle(K, 1))
     # |a + b i|^2 = a^2 + b^2 exactly
-    (pair,) = view.place_values((3, 4))
-    assert pair == (Fraction(25), Fraction(0))
+    (value,) = view.place_values((3, 4))
+    assert (value.a, value.b) == (Fraction(25), Fraction(0))
     assert view.values_leq((3, 4), [Fraction(25)])
     assert not view.values_leq((3, 4), [Fraction(24)])
     # complex place counts twice in the trace form
     assert trace_value(view, (3, 4)) == pytest.approx(50.0)
 
 
-def test_qpair_comparisons():
+def test_qsurd_comparisons():
     # 3 + 2 sqrt(2) = 5.828...
-    assert qpair_leq((Fraction(3), Fraction(2)), Fraction(6), 2)
-    assert not qpair_leq((Fraction(3), Fraction(2)), Fraction(29, 5), 2)
-    assert qpair_leq((Fraction(3), Fraction(2)), Fraction(583, 100), 2)
+    assert QSurd(Fraction(3), Fraction(2), 2) <= Fraction(6)
+    assert not QSurd(Fraction(3), Fraction(2), 2) <= Fraction(29, 5)
+    assert QSurd(Fraction(3), Fraction(2), 2) <= Fraction(583, 100)
     # 3 - 2 sqrt(2) = 0.171...
-    assert qpair_leq((Fraction(3), Fraction(-2)), Fraction(1, 5), 2)
-    assert not qpair_leq((Fraction(3), Fraction(-2)), Fraction(17, 100), 2)
-    # rational pairs reduce to plain comparison
-    assert qpair_leq((Fraction(5), Fraction(0)), Fraction(5), 3)
-    assert not qpair_leq((Fraction(5), Fraction(0)), Fraction(4), 3)
+    assert QSurd(Fraction(3), Fraction(-2), 2) <= Fraction(1, 5)
+    assert not QSurd(Fraction(3), Fraction(-2), 2) <= Fraction(17, 100)
+    # rational values reduce to plain comparison
+    assert QSurd(Fraction(5), Fraction(0), 3) <= Fraction(5)
+    assert not QSurd(Fraction(5), Fraction(0), 3) <= Fraction(4)
+    # a + b i with b != 0 is not ordered
+    with pytest.raises(TypeError):
+        QSurd(Fraction(5), Fraction(1), -1) <= Fraction(9)
+
+
+def fraction_place_values(E, z):
+    """(a, b) with a + b sqrt(|D|) the exact value of each place's norm form
+    at the restricted-scalars coordinates z, from the Grams and the basis
+    (1, w), w = s/2 + y0 sqrt(D), in plain Fraction arithmetic."""
+    K, n = E.field, E.rank
+    if K.is_rational():
+        G = E.gram_real[0]
+        return [(sum(z[i] * G[i][j] * z[j]
+                     for i in range(n) for j in range(n)), 0)]
+    delta = abs(K.D)
+    s, _ = K.omega_minpoly()
+    y0 = Fraction(1, 2) if K.omega_is_half else Fraction(1)
+    # the i-th coordinate x + y w is p_i + q_i sqrt(D)
+    p = [z[2 * i] + Fraction(s, 2) * z[2 * i + 1] for i in range(n)]
+    q = [y0 * z[2 * i + 1] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rational = [p[i] * p[j] + delta * q[i] * q[j] for i, j in pairs]
+    if K.D > 0:
+        mixed = [p[i] * q[j] + q[i] * p[j] for i, j in pairs]
+        return [(sum(G[i][j] * r for (i, j), r in zip(pairs, rational)),
+                 sign * sum(G[i][j] * m for (i, j), m in zip(pairs, mixed)))
+                for sign, G in zip((1, -1), E.gram_real)]
+    # real part of conj(v_i) (R + i I)_ij v_j
+    R, I = E.gram_complex[0]
+    mixed = [p[i] * q[j] - q[i] * p[j] for i, j in pairs]
+    return [(sum(R[i][j] * r for (i, j), r in zip(pairs, rational)),
+             -sum(I[i][j] * m for (i, j), m in zip(pairs, mixed)))]
+
+
+def test_place_values_match_fraction_oracle():
+    # Grams drawn from floats: their denominators exceed 2^64.
+    rng = random.Random(71)
+    huge = Fraction(10 ** 40)
+    for name in FIELDS:
+        K = make_field(name)
+        for seed in range(3):
+            spec = RandomLatticeSpec(n=2, p=10007, seed=seed, field=K)
+            E = sampled_bundle(K, 2, rng.uniform(-1.0, 1.0), spec)
+            view = restrict_scalars(E)
+            delta = view.delta
+            root = math.isqrt(delta)
+            for _ in range(12):
+                z = [rng.randint(-4, 4) for _ in range(view.zrank)]
+                if not any(z):
+                    continue
+                expected = fraction_place_values(E, z)
+                values = view.place_values(z)
+                assert [(v.a, v.b) for v in values] == expected
+                for k, (a, b) in enumerate(expected):
+                    if b == 0 or root * root == delta:
+                        # rational value: the cap equal to it is accepted,
+                        # the next rational below it is rejected
+                        exact = a + b * root
+                        below = exact - Fraction(1, exact.denominator
+                                                 * 2 ** 64)
+                    else:
+                        # irrational value: adjacent doubles around it
+                        with localcontext() as ctx:
+                            ctx.prec = 100
+                            x = Decimal(a.numerator) / a.denominator + (
+                                Decimal(b.numerator) / b.denominator
+                                * Decimal(delta).sqrt())
+                        f = float(x)
+                        lo, hi = ((f, math.nextafter(f, math.inf))
+                                  if Decimal(f) < x
+                                  else (math.nextafter(f, -math.inf), f))
+                        exact, below = Fraction(hi), Fraction(lo)
+                    assert float(values[k]) == pytest.approx(float(exact),
+                                                             rel=1e-12)
+                    caps = [huge] * len(values)
+                    caps[k] = exact
+                    assert view.values_leq(z, caps)
+                    caps[k] = below
+                    assert not view.values_leq(z, caps)
 
 
 def test_saturate_subbundle_rational():

@@ -7,6 +7,7 @@ import math
 import jsonschema
 import pytest
 
+from arakelov import cli
 from arakelov.cli import main
 from arakelov.gramfile import parse_gram_text
 from arakelov.lattice import DEFAULT_NODE_CAP
@@ -238,7 +239,7 @@ def test_search_rate_experiment(capsys):
     validate(doc, "search_outcome.schema.json")
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "no-such-command")
     assert code == 2
     code, out, err = run_cli(capsys, "sections")  # missing --gram
@@ -252,6 +253,16 @@ def test_usage_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--node-cap", cap, "field-info")
         assert code == 2 and out == ""
         assert "--node-cap must be positive" in err
+    # csv is refused before any work is done
+
+    def never(*args, **kwargs):
+        raise AssertionError("mvt_compare ran")
+
+    monkeypatch.setattr(cli, "mvt_compare", never)
+    code, out, err = run_cli(capsys, "--format", "csv", "mvt-verify",
+                             "--n", "4", "--trials", "60", "--p", "100003")
+    assert code == 2 and out == ""
+    assert "csv" in err
 
 
 def test_config_file_fills_defaults(capsys, tmp_path, identity2):
@@ -281,6 +292,14 @@ def test_config_file_fills_defaults(capsys, tmp_path, identity2):
     assert code == 0
     assert doc["report"]["inputs"]["l"] == 2
     assert doc["run_config"]["l"] == 2
+    # search's --trials is the key trials, as mvt-verify's is
+    cfg.write_text("trials = 2\n")
+    code, doc = run_json(capsys, "--config", str(cfg),
+                         "search", "--n", "5", "--slope", "0.0")
+    assert code == 1
+    assert doc["run_config"]["trials"] == 2
+    assert doc["report"]["status"] == "exhausted"
+    assert doc["report"]["attempts"] == 2
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):

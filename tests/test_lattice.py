@@ -81,6 +81,24 @@ def test_lll_finds_short_vector_in_skewed_plane():
     assert sorted(red[i][i] for i in range(2)) == [1, 1]
 
 
+def test_lll_is_exact_on_int_grams():
+    # U U^T for a unimodular U: a skewed copy of Z^3 that float
+    # Gram-Schmidt reads as not positive definite
+    skewed = [[176879975875, -13089133019291, -882388873184],
+              [-13089133019291, 968596938965505, 65296850469933],
+              [-882388873184, 65296850469933, 4401912198758]]
+    rng = random.Random(37)
+    grams = [skewed]
+    for _ in range(20):
+        G = random_pd_fraction_gram(rng, rng.randint(2, 5))
+        grams.append([[int(4 * x) for x in row] for row in G])
+    for G in grams:
+        U = lll_transform(G)
+        assert U == lll_transform([[Fraction(x) for x in row] for row in G])
+    red = apply_transform(lll_transform(skewed), skewed)
+    assert [red[i][i] for i in range(3)] == [1, 1, 1]
+
+
 def test_enumeration_matches_brute_force():
     rng = random.Random(29)
     checked = 0
