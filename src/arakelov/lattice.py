@@ -1,10 +1,10 @@
 """Lattice reduction and bounded enumeration on Gram matrices.
 
 All routines work on Gram matrices rather than embedded bases, so the same
-code serves Euclidean lattices of any provenance.  Arithmetic is generic:
-feed Fractions for exact reduction (termination is then guaranteed), floats
-for speed.  Enumeration returns integer coefficient vectors in the basis the
-Gram matrix was given in, one representative per +-x pair.
+code serves Euclidean lattices of any provenance.  Reduction is exact for
+every input, int, Fraction or float alike; only enumeration works in floats.
+Enumeration returns integer coefficient vectors in the basis the Gram matrix
+was given in, one representative per +-x pair.
 
 Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
@@ -16,7 +16,7 @@ module defaults to.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, sqrt
+from math import floor, lcm, sqrt
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -34,10 +34,8 @@ __all__ = [
 
 DEFAULT_NODE_CAP = 100_000_000
 
-# Lovasz constant of lll_transform, and the round limit factor for float
-# input: at most LLL_FLOAT_ROUNDS_PER_N2 * n^2 rounds.
+# Lovasz constant of lll_transform
 LLL_DELTA = Fraction(99, 100)
-LLL_FLOAT_ROUNDS_PER_N2 = 1000
 
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
@@ -54,68 +52,61 @@ def form_value(gram: Sequence[Sequence], x: Sequence[int]):
     return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram) if xi)
 
 
-def _gram_schmidt(U, gram):
-    """Squared lengths B and projection coefficients mu of the Gram-Schmidt
-    orthogonalization of the basis rows U under the given inner product."""
-    n = len(U)
-    g = apply_transform(U, gram)
-    B = [None] * n
-    mu = [[0] * n for _ in range(n)]
-    r = [[0] * n for _ in range(n)]  # r[i][j] = <b_i, b*_j>
-    for i in range(n):
-        for j in range(i + 1):
-            s = g[i][j]
-            for k in range(j):
-                s = s - mu[j][k] * r[i][k]
-            r[i][j] = s
-            if j < i:
-                if B[j] == 0:
-                    raise InvalidMetricError("Gram matrix is singular")
-                mu[i][j] = s / B[j]
-        B[i] = r[i][i]
-        if B[i] <= 0:
-            raise InvalidMetricError("Gram matrix is not positive definite")
-    return B, mu
-
-
 def lll_transform(gram: Sequence[Sequence]) -> list[list[int]]:
     """Unimodular U whose rows give an LLL-reduced basis for the Gram matrix.
 
-    With Fraction (or int) Gram entries the computation is exact: ints are
-    made Fractions on entry.  For float input a round limit guards against
-    rounding-induced livelock; the result is then still a valid unimodular
-    transform, merely of lesser quality.
+    Exact for every input: entries are read as the rationals they are (a
+    float is dyadic) and scaled to integers by the lcm of their denominators.
+    The all-integer LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) keeps the leading minors d[i], d[0] = 1, and
+    lam[i][j] = d[j+1] * mu_ij.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 0:
-        return U
-    delta, max_rounds = LLL_DELTA, None
-    if all(isinstance(x, (Fraction, int)) for row in gram for x in row):
-        gram = [[Fraction(x) for x in row] for row in gram]
-    else:
-        delta = float(delta)
-        max_rounds = LLL_FLOAT_ROUNDS_PER_N2 * n * n
-    B, mu = _gram_schmidt(U, gram)
+    rows = [[Fraction(x) for x in row] for row in gram]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    G = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = G[i][j]
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+        if u <= 0:
+            raise InvalidMetricError("Gram matrix is not positive definite")
+        d[i + 1] = u
+    num, dnm = LLL_DELTA.numerator, LLL_DELTA.denominator
     k = 1
-    rounds = 0
     while k < n:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            # q = round(lam/d) with ties to even, like round(Fraction)
+            q, r = divmod(lk[j], d[j + 1])
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
             if q:
                 U[k] = [a - q * b for a, b in zip(U[k], U[j])]
                 for t in range(j):
-                    mu[k][t] = mu[k][t] - q * mu[j][t]
-                mu[k][j] = mu[k][j] - q
-        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+                    lk[t] -= q * lam[j][t]
+                lk[j] -= q * d[j + 1]
+        lkk = lk[k - 1]
+        if dnm * d[k + 1] * d[k - 1] >= num * d[k] * d[k] - dnm * lkk * lkk:
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            B, mu = _gram_schmidt(U, gram)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k; Cohen's exact update of d[k] and lam
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return U
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import sympy
@@ -116,6 +117,7 @@ def _draw_coset(rng: np.random.Generator, n: int, modulus: int) -> list[int]:
             return a
 
 
+@lru_cache(maxsize=None)
 def _split_prime_generator(field: NumberField) -> tuple[int, QuadElement]:
     """A rational split prime q and a generator of one prime above it."""
     q = 2

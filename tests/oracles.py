@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
 
 # ---------------------------------------------------------------- constants
@@ -183,3 +184,62 @@ def random_pd_fraction_gram(rng: random.Random, n: int,
     G = B @ B.T
     return [[Fraction(int(G[i][j]), denominator) for j in range(n)]
             for i in range(n)]
+
+
+# ------------------------------------------------------------ reduction
+
+def gram_schmidt(gram):
+    """Squared lengths B and coefficients mu of the Gram-Schmidt
+    orthogonalization of the basis with Gram matrix gram, in its own
+    arithmetic; raises InvalidMetricError at the first B_i <= 0."""
+    n = len(gram)
+    B = [None] * n
+    mu = [[0] * n for _ in range(n)]
+    r = [[0] * n for _ in range(n)]  # r[i][j] = <b_i, b*_j>
+    for i in range(n):
+        for j in range(i + 1):
+            s = gram[i][j]
+            for t in range(j):
+                s = s - mu[j][t] * r[i][t]
+            r[i][j] = s
+            if j < i:
+                mu[i][j] = s / B[j]
+        B[i] = r[i][i]
+        if B[i] <= 0:
+            raise InvalidMetricError("Gram matrix is not positive definite")
+    return B, mu
+
+
+def lll_reference(gram) -> list[list[int]]:
+    """The textbook exact LLL the library's integral one must match bit for
+    bit: entries read as exact Fractions (floats included), Gram-Schmidt of
+    the transformed basis recomputed from scratch after every swap, size
+    reduction from j = k-1 down to 0 with round() (ties to even), Lovasz
+    constant 99/100."""
+    n = len(gram)
+    G = [[Fraction(x) for x in row] for row in gram]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    delta = Fraction(99, 100)
+
+    def transformed_gram():
+        UG = [[sum(u[a] * G[a][b] for a in range(n)) for b in range(n)]
+              for u in U]
+        return [[sum(x * y for x, y in zip(ug, u)) for u in U] for ug in UG]
+
+    B, mu = gram_schmidt(transformed_gram())
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+                for t in range(j):
+                    mu[k][t] = mu[k][t] - q * mu[j][t]
+                mu[k][j] = mu[k][j] - q
+        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            B, mu = gram_schmidt(transformed_gram())
+            k = max(k - 1, 1)
+    return U

@@ -5,16 +5,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from arakelov.bundle import restrict_scalars, tensor
 from arakelov.errors import EnumerationCapError, InvalidMetricError
+from arakelov.intlinalg import rat_det
 from arakelov.lattice import (
+    LLL_DELTA,
     ReducedLattice,
     apply_transform,
     enumerate_short_vectors,
     lll_transform,
     shortest_vector,
 )
-from tests.oracles import box_bound, e8_gram, random_pd_fraction_gram
+from arakelov.numberfield import make_field
+from arakelov.sampler import DEFAULT_PRIME, RandomLatticeSpec, random_bundle
+from tests.oracles import (
+    box_bound,
+    e8_gram,
+    gram_schmidt,
+    lll_reference,
+    random_pd_fraction_gram,
+)
 
 
 def gram_matrix(basis):
@@ -97,6 +109,105 @@ def test_lll_is_exact_on_int_grams():
         assert U == lll_transform([[Fraction(x) for x in row] for row in G])
     red = apply_transform(lll_transform(skewed), skewed)
     assert [red[i][i] for i in range(3)] == [1, 1, 1]
+
+
+def congruence_gram(rng, n, p):
+    """Integer Gram of the index-p sublattice {x : a.x = 0 mod p} of Z^n in
+    its echelon basis p e_0, e_i - a_i e_0: the Hecke sampler's input."""
+    rows = [[p] + [0] * (n - 1)]
+    for i in range(1, n):
+        row = [0] * n
+        row[0], row[i] = -rng.randrange(p), 1
+        rows.append(row)
+    return gram_matrix(rows)
+
+
+def test_lll_matches_reference_on_hecke_grams():
+    rng = random.Random(41)
+    for n in range(3, 13):
+        G = congruence_gram(rng, n, DEFAULT_PRIME)
+        assert lll_transform(G) == lll_reference(G)
+
+
+def test_lll_matches_reference_on_rational_and_float_grams():
+    rng = random.Random(43)
+    Q = make_field("Q")
+    # the first Gram meets the Lovasz condition with equality: no swap
+    grams = [[[100, 0], [0, 99]]]
+    grams += [random_pd_fraction_gram(rng, rng.randint(2, 6),
+                                      rng.choice([1, 3, 4, 7]))
+              for _ in range(30)]
+    for trial in range(8):
+        # tensor products of sampler bundles: Fraction Grams whose entries
+        # carry denominators from the float rescaling p^(-2/n)
+        E, F = (random_bundle(Q, n, 0.0, RandomLatticeSpec(n, 10007, trial, Q))
+                for n in (2, rng.randint(2, 3)))
+        grams.append(tensor(E, F).gram_real[0])
+    exact = len(grams)
+    # float inputs: float copies of the exact Grams, and trace Grams of
+    # bundles over quadratic fields; the reference reads their exact values
+    grams += [[[float(x) for x in row] for row in G] for G in grams]
+    for name in ("Q(sqrt{-1})", "Q(sqrt{5})", "Q(sqrt{-7})"):
+        K = make_field(name)
+        for trial in range(4):
+            spec = RandomLatticeSpec(2, 10007, trial, K)
+            grams.append(restrict_scalars(
+                random_bundle(K, 2, 0.3 * trial, spec)).trace_gram)
+    assert all(isinstance(x, float) for G in grams[exact:] for row in G
+               for x in row)
+    for G in grams:
+        assert lll_transform(G) == lll_reference(G)
+
+
+@st.composite
+def pd_integer_grams(draw):
+    """B B^T for a random nonsingular integer B, or U U^T for a skewed
+    unimodular U built from large elementary shears."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(1, 2 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.integers(-10 ** 6, 10 ** 6))
+            if i != j:
+                B[i] = [a + c * b for a, b in zip(B[i], B[j])]
+    else:
+        entry = st.integers(-20, 20)
+        B = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        assume(rat_det(B) != 0)
+    return gram_matrix(B)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pd_integer_grams())
+def test_lll_output_is_reduced(G):
+    n = len(G)
+    U = lll_transform(G)
+    assert abs(rat_det(U)) == 1
+    B, mu = gram_schmidt([[Fraction(x) for x in row]
+                          for row in apply_transform(U, G)])
+    for i in range(n):
+        for j in range(i):
+            assert abs(mu[i][j]) <= Fraction(1, 2)
+    for k in range(1, n):
+        assert B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+@pytest.mark.parametrize("G", [
+    [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],  # first leading minor negative
+    [[0, 0, 0], [0, 1, 0], [0, 0, 1]],  # first leading minor zero
+    [[1, 2, 0], [2, 1, 0], [0, 0, 1]],  # middle minor negative
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # middle minor zero
+    [[2, 1, 1], [1, 2, 1], [1, 1, 0]],  # last minor negative
+    [[1, 1, 1], [1, 2, 2], [1, 2, 2]],  # last minor zero
+])
+@pytest.mark.parametrize("kind", [int, Fraction, float])
+def test_lll_rejects_non_positive_definite(G, kind):
+    G = [[kind(x) for x in row] for row in G]
+    for lll in (lll_transform, lll_reference):
+        with pytest.raises(InvalidMetricError, match="not positive definite"):
+            lll(G)
 
 
 def test_enumeration_matches_brute_force():
