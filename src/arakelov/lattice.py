@@ -190,12 +190,23 @@ class ReducedLattice:
     yields (x, Q(x)) with x mapped back to the basis the Gram was given in.
     The radius is passed through untouched, so each caller keeps its own
     padding.  Each enumeration is capped at node_cap nodes on its own.
+    A float Gram whose reduced Gram floats cannot hold raises
+    InvalidMetricError rather than enumerate the wrong lattice.
     """
 
     def __init__(self, gram: Sequence[Sequence],
                  node_cap: int = DEFAULT_NODE_CAP):
         self.U = lll_transform(gram)
         self.gram = apply_transform(self.U, gram)
+        if any(isinstance(x, float) for row in gram for x in row):
+            # Float entries carry 2^-52 relative error and U G U^T adds as
+            # much; refuse 1e-10 on a reduced norm, a tenth of the padding.
+            size = [[abs(x) for x in row] for row in gram]
+            eps = 2 * len(gram) * 2.0 ** -52
+            if any(eps * form_value(size, [abs(c) for c in u]) > 1e-10 * g[i]
+                   for i, (u, g) in enumerate(zip(self.U, self.gram))):
+                raise InvalidMetricError(
+                    "float Gram matrix too ill-conditioned to enumerate")
         self.node_cap = node_cap
         self._columns = tuple(zip(*self.U))
         # One counter per enumeration: they may run nested, and each

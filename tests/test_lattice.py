@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from arakelov.bundle import restrict_scalars, tensor
 from arakelov.errors import EnumerationCapError, InvalidMetricError
@@ -159,39 +158,39 @@ def test_lll_matches_reference_on_rational_and_float_grams():
         assert lll_transform(G) == lll_reference(G)
 
 
-@st.composite
-def pd_integer_grams(draw):
+def random_pd_integer_gram(rng):
     """B B^T for a random nonsingular integer B, or U U^T for a skewed
     unimodular U built from large elementary shears."""
-    n = draw(st.integers(2, 6))
-    if draw(st.booleans()):
+    n = rng.randint(2, 6)
+    if rng.random() < 0.5:
         B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(draw(st.integers(1, 2 * n))):
-            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            c = draw(st.integers(-10 ** 6, 10 ** 6))
+        for _ in range(rng.randint(1, 2 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            c = rng.randint(-10 ** 6, 10 ** 6)
             if i != j:
                 B[i] = [a + c * b for a, b in zip(B[i], B[j])]
     else:
-        entry = st.integers(-20, 20)
-        B = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                          min_size=n, max_size=n))
-        assume(rat_det(B) != 0)
+        while True:
+            B = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            if rat_det(B) != 0:
+                break
     return gram_matrix(B)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(pd_integer_grams())
-def test_lll_output_is_reduced(G):
-    n = len(G)
-    U = lll_transform(G)
-    assert abs(rat_det(U)) == 1
-    B, mu = gram_schmidt([[Fraction(x) for x in row]
-                          for row in apply_transform(U, G)])
-    for i in range(n):
-        for j in range(i):
-            assert abs(mu[i][j]) <= Fraction(1, 2)
-    for k in range(1, n):
-        assert B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]
+def test_lll_output_is_reduced():
+    rng = random.Random(47)
+    for _ in range(150):
+        G = random_pd_integer_gram(rng)
+        n = len(G)
+        U = lll_transform(G)
+        assert abs(rat_det(U)) == 1
+        B, mu = gram_schmidt([[Fraction(x) for x in row]
+                              for row in apply_transform(U, G)])
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]
 
 
 @pytest.mark.parametrize("G", [

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from arakelov.bundle import make_bundle, scale, trivial_bundle
-from arakelov.errors import EnumerationCapError
+from arakelov.errors import EnumerationCapError, InvalidMetricError
+from arakelov.lattice import ReducedLattice
 from arakelov.numberfield import make_field
 from arakelov.sections import (
     count_in_region,
@@ -150,6 +151,21 @@ def test_node_cap_is_loud():
         global_sections_truncation_probe(E)
     report = global_sections(E, node_cap=50)
     assert report.truncated
+
+
+def test_skewed_gram_raises_instead_of_partial_sections():
+    # a skewed copy U U^T of Z^3 (U unimodular): six unit sections.  Its
+    # float trace Gram cannot hold the reduced Gram, so the section search
+    # must refuse rather than return some of the six.
+    G = [[5828877, 115180088, 379309023],
+         [115180088, 2275991630, 7494901859],
+         [379309023, 7494901859, 24713137886]]
+    assert [q for _, q in ReducedLattice(G).short_vectors(1)] == [1, 1, 1]
+    E = make_bundle(make_field("Q"), G)
+    with pytest.raises(InvalidMetricError):
+        global_sections(E)
+    with pytest.raises(InvalidMetricError):
+        has_nonzero_section(E)
 
 
 def global_sections_truncation_probe(E):
