@@ -4,9 +4,10 @@ Exit codes form a protocol for headless runs: 0 success or positive
 verdict, 1 negative verdict (|z| too large, search exhausted or blocked,
 existence not guaranteed), 2 usage errors including malformed Gram files,
 3 indeterminate results (enumeration budget hit, truncated reports, too
-many discarded trials).  Every report echoes its run configuration, all
-floats are serialized to 12 significant digits, and identical
-configurations produce identical bytes.
+many discarded trials).  Every report echoes its run configuration, with
+the global settings only where the subcommand reads them; all floats are
+serialized to 12 significant digits, and identical configurations produce
+identical bytes.
 
 The argument parser is the one table of options and defaults.  A
 ``--config`` file of ``key = value`` lines supplies defaults: any long
@@ -99,9 +100,29 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix[:-1]} = {json.dumps(obj)}"
 
 
+# The global settings each subcommand reads; bounds reads node_cap only
+# for --kind theorem.
+_SETTINGS_READ = {
+    "field-info": (),
+    "bundle-info": (),
+    "sections": ("node_cap",),
+    "zeta": ("node_cap",),
+    "mvt-verify": ("seed", "node_cap", "threads"),
+    "bounds": ("node_cap",),
+    "density": ("node_cap",),
+    "search": ("seed", "node_cap"),
+}
+
+
 def _run_config(args) -> dict:
-    """Every parsed option of the run; the subcommand under "subcommand"."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    """Every parsed option of the run that took effect; the subcommand under
+    "subcommand".  A global setting the subcommand never reads is left out."""
+    read = _SETTINGS_READ[args.command]
+    if args.command == "bounds" and args.kind == "thresholds":
+        read = ()
+    unread = {"seed", "node_cap", "threads"}.difference(read)
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "func") and k not in unread}
     cfg["subcommand"] = args.command
     return cfg
 

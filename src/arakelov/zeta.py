@@ -10,14 +10,18 @@ w^T).  The middle case l=2 in rank 4 enumerates candidate reduced bases
 target submodule because a rank-2 reduced basis attains both minima.
 
 Over quadratic fields only l = 1 and l = rank are available; a line's unit
-orbit is collapsed by keying on the Hermite form of its Z-span, and for real
-quadratic fields the trace-form search radius (eps + 1/eps) exp(-min_degree)
-suffices because every line has a unit-balanced representative.
+orbit is collapsed by keying on the Pluecker minors of its Z-span (v, w v),
+which also decide primitivity, and for real quadratic fields the trace-form
+search radius (eps + 1/eps) exp(-min_degree) suffices because every line
+has a unit-balanced representative.  Rank-2 planes over Q are keyed on the
+same minors.  Candidates are tested and keyed on Python ints; Fractions and
+field elements are built only for the records that are kept.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -25,6 +29,7 @@ from typing import Iterator, Sequence
 from .bundle import (
     ArakelovBundle,
     ZLatticeView,
+    _to_int_matrices,
     degree as bundle_degree,
     log_fraction,
     restrict_scalars,
@@ -67,6 +72,10 @@ HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
 
 # degree_shells groups degrees rounded to this many decimals.
 SHELL_DECIMALS = 9
+
+# Largest exponent of a degree cap: exp of it, padded by any factor below
+# e into a search radius, is still a finite float.
+MAX_CAP_EXPONENT = math.log(sys.float_info.max) - 1.0
 
 
 @dataclass(frozen=True)
@@ -112,46 +121,83 @@ def _trace_region(view: ZLatticeView, radius: float,
         yield z
 
 
+def _plucker(u: Sequence[int], v: Sequence[int]) -> tuple[int, tuple]:
+    """The gcd g of the 2x2 minors of the rows u, v, and the minors over g
+    with the first nonzero one made positive.
+
+    g is 0 for dependent rows; otherwise it is the index of span(u, v) in
+    its saturation (Newman, Integral Matrices, ch. II), and the key is the
+    primitive Pluecker vector, which names the saturated plane.
+    """
+    n = len(u)
+    minors = [u[i] * v[j] - u[j] * v[i]
+              for i in range(n) for j in range(i + 1, n)]
+    g = math.gcd(*minors)
+    if g == 0:
+        return 0, ()
+    unit = g if next(m for m in minors if m) > 0 else -g
+    return g, tuple(m // unit for m in minors)
+
+
+def _omega_times(z: Sequence[int], s: int, q: int) -> list[int]:
+    """Coordinates of w v for v with coordinate pairs z, where w^2 = s w - q:
+    w (a + b w) = -q b + (a + s b) w."""
+    return [c for a, b in zip(z[::2], z[1::2]) for c in (-q * b, a + s * b)]
+
+
+def _capped_logs(A, den: int, cap: Fraction, vectors) -> list[tuple]:
+    """(log(z A z^T / den), z) for each vector whose value is at most cap,
+    decided on ints; the log is log_fraction's, so its bits match."""
+    kept = []
+    for z in vectors:
+        a = form_value(A, z)
+        if a * cap.denominator > cap.numerator * den:
+            continue
+        g = math.gcd(a, den)
+        kept.append((math.log(a // g) - math.log(den // g), z))
+    return kept
+
+
+def _exp_cap(exponent: float) -> Fraction:
+    """exp(exponent) as the exact cap of a degree filter; ValueError, before
+    any enumeration, when the search bound would leave the float range."""
+    if exponent > MAX_CAP_EXPONENT:
+        raise ValueError(f"min_degree is too low: the search bound "
+                         f"exp({exponent:.6g}) is not a finite float")
+    return Fraction(math.exp(exponent))
+
+
 def _line_records(E: ArakelovBundle, min_degree: float,
                   node_cap: int) -> list[SubbundleRecord]:
     field = E.field
     view = restrict_scalars(E)
 
     if field.is_rational():
-        cap = Fraction(math.exp(-2.0 * min_degree))
-        records = []
-        for z in _trace_region(view, float(cap), node_cap):
-            if not is_primitive_vector(z):
-                continue
-            value = view.place_forms[0].value_pair(z).a
-            if value > cap:
-                continue
-            deg = -0.5 * log_fraction(value)
-            records.append(SubbundleRecord(
-                rank=1, degree=deg, basis=(view.coords_to_module(z),)))
-        records.sort(key=lambda r: (-r.degree, r.basis))
-        return records
+        cap = _exp_cap(-2.0 * min_degree)
+        form = view.place_forms[0]
+        primitive = (z for z in _trace_region(view, float(cap), node_cap)
+                     if is_primitive_vector(z))
+        kept = [(-0.5 * log, z)
+                for log, z in _capped_logs(form.A, form.den, cap, primitive)]
+        kept.sort(key=lambda t: (-t[0], t[1]))
+        return [SubbundleRecord(rank=1, degree=deg,
+                                basis=(view.coords_to_module(z),))
+                for deg, z in kept]
 
     if field.D < 0:
-        value_cap = Fraction(math.exp(-min_degree))
+        value_cap = _exp_cap(-min_degree)
         trace_radius = 2.0 * float(value_cap)
     else:
         eps = field.embed(field.fundamental_unit(), 0)
-        value_cap = Fraction(math.exp(-2.0 * min_degree))  # on q0*q1
+        value_cap = _exp_cap(-2.0 * min_degree)  # on q0*q1
         trace_radius = (eps + 1.0 / eps) * math.exp(-min_degree)
 
-    w = field.element(0, 1)
+    s, q = field.omega_minpoly()
     seen = {}
     for z in _trace_region(view, trace_radius, node_cap):
-        v = view.coords_to_module(z)
-        wv = tuple(field.mul(w, x) for x in v)
-        rows = [z, [c for x in wv for c in (int(x.a), int(x.b))]]
-        key = hnf(rows, view.zrank)
-        if key in seen:
-            continue
-        sat = saturation_rows(rows, view.zrank)
-        if [list(r) for r in key] != [list(r) for r in sat]:
-            continue  # v is not primitive: its line was or will be seen
+        g, key = _plucker(z, _omega_times(z, s, q))
+        if g != 1 or key in seen:
+            continue  # v is not primitive, or its line is already kept
         values = view.place_values(z)
         if field.D < 0:
             value, power = values[0], 1.0
@@ -161,7 +207,8 @@ def _line_records(E: ArakelovBundle, min_degree: float,
             continue
         deg = -power * (log_fraction(value.a) if value.b == 0
                         else math.log(float(value)))
-        seen[key] = SubbundleRecord(rank=1, degree=deg, basis=(v,))
+        seen[key] = SubbundleRecord(rank=1, degree=deg,
+                                    basis=(view.coords_to_module(z),))
     records = sorted(seen.values(), key=lambda r: (-r.degree, str(r.basis)))
     return records
 
@@ -171,30 +218,26 @@ def _hyperplane_records(E: ArakelovBundle, min_degree: float,
     G = E.gram_real[0]
     n = E.rank
     deg_e = bundle_degree(E)
-    cap = Fraction(math.exp(2.0 * (deg_e - min_degree)))
+    cap = _exp_cap(2.0 * (deg_e - min_degree))
     ginv = rat_inverse(G)
+    (int_ginv,), den = _to_int_matrices([ginv])
     lattice = ReducedLattice(ginv, node_cap)
-    records = []
-    for wv, _ in lattice.short_vectors(float(cap) * (1.0 + 1e-9) + 1e-12):
-        if not is_primitive_vector(wv):
-            continue
-        dual_q = form_value(ginv, wv)
-        if dual_q > cap:
-            continue
-        basis = [list(r) for r in hnf(right_kernel_rows([list(wv)], n), n)]
-        deg = deg_e - 0.5 * log_fraction(dual_q)
-        records.append(SubbundleRecord(
-            rank=n - 1, degree=deg,
-            basis=tuple(tuple(Fraction(x) for x in row) for row in basis)))
-    records.sort(key=lambda r: (-r.degree, r.basis))
-    return records
+    primitive = (wv for wv, _ in lattice.short_vectors(
+        float(cap) * (1.0 + 1e-9) + 1e-12) if is_primitive_vector(wv))
+    kept = [(deg_e - 0.5 * log, hnf(right_kernel_rows([list(wv)], n), n))
+            for log, wv in _capped_logs(int_ginv, den, cap, primitive)]
+    kept.sort(key=lambda t: (-t[0], t[1]))
+    return [SubbundleRecord(
+                rank=n - 1, degree=deg,
+                basis=tuple(tuple(Fraction(x) for x in row) for row in basis))
+            for deg, basis in kept]
 
 
 def _pair_records(E: ArakelovBundle, min_degree: float,
                   node_cap: int) -> list[SubbundleRecord]:
     G = E.gram_real[0]
     n = E.rank
-    det_cap = Fraction(math.exp(-2.0 * min_degree))
+    det_cap = _exp_cap(-2.0 * min_degree)
     product = HERMITE_RANK2 * math.exp(-min_degree)
     lattice = ReducedLattice(G, node_cap)
     seen = {}
@@ -206,16 +249,14 @@ def _pair_records(E: ArakelovBundle, min_degree: float,
         for b2, q2 in lattice.short_vectors(inner * slack):
             if q2 + 1e-12 < q1:
                 continue  # enforce |b1| <= |b2| up to float noise
-            rows = [list(b1), list(b2)]
-            sat = saturation_rows(rows, n)
-            if len(sat) != 2:
-                continue  # dependent pair
-            key = tuple(tuple(r) for r in sat)
-            if key in seen:
-                continue
-            det2 = rat_det(apply_transform(sat, G))
+            g, key = _plucker(b1, b2)
+            if g == 0 or key in seen:
+                continue  # dependent pair, or its plane is already kept
+            # the Gram determinant scales by the index squared
+            det2 = rat_det(apply_transform((b1, b2), G)) / (g * g)
             if det2 > det_cap:
                 continue
+            sat = saturation_rows([list(b1), list(b2)], n)
             seen[key] = SubbundleRecord(
                 rank=2, degree=-0.5 * log_fraction(det2),
                 basis=tuple(tuple(Fraction(x) for x in row) for row in sat))
@@ -253,7 +294,8 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
 
     The degree filter compares exact rational determinants against the float
     image of the requested bound, so results are deterministic and match a
-    brute-force oracle using the same convention.
+    brute-force oracle using the same convention.  A min_degree so low that
+    the search bound exp(...) is not a finite float raises ValueError.
     """
     check_subbundle_scope(E, l)
     if not math.isfinite(min_degree):

@@ -55,7 +55,8 @@ def test_field_info(capsys):
     assert report["torsion_units"] == 6
     cfg = doc["run_config"]
     assert cfg["subcommand"] == "field-info"
-    assert cfg["seed"] == 0 and cfg["threads"] == 1
+    # field-info reads no global setting, so none is echoed
+    assert not {"seed", "node_cap", "threads"} & set(cfg)
 
 
 def test_field_info_real_quadratic_has_unit(capsys):
@@ -239,7 +240,7 @@ def test_search_rate_experiment(capsys):
     validate(doc, "search_outcome.schema.json")
 
 
-def test_usage_errors(capsys, tmp_path, monkeypatch):
+def test_usage_errors(capsys, tmp_path, monkeypatch, identity2):
     code, out, err = run_cli(capsys, "no-such-command")
     assert code == 2
     code, out, err = run_cli(capsys, "sections")  # missing --gram
@@ -253,6 +254,11 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, "--node-cap", cap, "field-info")
         assert code == 2 and out == ""
         assert "--node-cap must be positive" in err
+    # a zeta search bound beyond the float range
+    code, out, err = run_cli(capsys, "zeta", "--gram", identity2,
+                             "--l", "1", "--s", "6", "--cutoff", "400")
+    assert code == 2 and out == ""
+    assert "not a finite float" in err
     # csv is refused before any work is done
 
     def never(*args, **kwargs):
@@ -263,6 +269,30 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
                              "--n", "4", "--trials", "60", "--p", "100003")
     assert code == 2 and out == ""
     assert "csv" in err
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["field-info"], set()),
+    (["bounds", "--kind", "thresholds", "--n", "8"], set()),
+    (["bounds", "--kind", "theorem", "--n", "8", "--det-degree", "-2"],
+     {"node_cap"}),
+    (["zeta", "--gram", "GRAM", "--cutoff", "0.7"], {"node_cap"}),
+    (["sections", "--gram", "GRAM"], {"node_cap"}),
+    (["density", "--gram", "GRAM"], {"node_cap"}),
+    (["bundle-info", "--gram", "GRAM"], set()),
+    (["search", "--n", "4", "--slope", "-2", "--trials", "2"],
+     {"seed", "node_cap"}),
+    (["mvt-verify", "--n", "3", "--trials", "30", "--z-max", "1e6"],
+     {"seed", "node_cap", "threads"}),
+])
+def test_run_config_echoes_only_settings_read(capsys, identity2, argv,
+                                              echoed):
+    argv = [identity2 if a == "GRAM" else a for a in argv]
+    code, doc = run_json(capsys, *argv)
+    assert code in (0, 1)
+    cfg = doc["run_config"]
+    assert {"seed", "node_cap", "threads"} & set(cfg) == echoed
+    assert cfg["subcommand"] == argv[0] and cfg["format"] == "json"
 
 
 def test_config_file_fills_defaults(capsys, tmp_path, identity2):

@@ -14,10 +14,12 @@ from arakelov.errors import (
     UnsupportedFieldError,
     ZetaDivergenceError,
 )
-from arakelov.intlinalg import rat_det, rat_inverse, saturation_rows
+from arakelov.intlinalg import hnf, rat_det, rat_inverse, saturation_rows
 from arakelov.numberfield import make_field
 from arakelov.zeta import (
     SubbundleRecord,
+    _omega_times,
+    _plucker,
     degree_shells,
     enumerate_subbundles,
     mu_max,
@@ -27,6 +29,7 @@ from arakelov.zeta import (
 from tests.oracles import (
     box_bound,
     gaussian_gcd,
+    ok_is_primitive_vector,
     primitive_plane_vectors,
     random_pd_fraction_gram,
 )
@@ -122,35 +125,140 @@ def test_gaussian_line_records_match_oracle():
 
 
 def test_real_quadratic_line_records_match_oracle():
-    K = make_field("Q(sqrt{2})")
-    E = trivial_bundle(K, 2)
-    T = 1.0
-    cap = Fraction(math.exp(2.0 * T))  # cap on the product of the two places
-    from tests.oracles import ok_is_primitive_vector
+    # Q(sqrt 5) has w = (1 + sqrt 5)/2, so w^2 = w + 1 exercises the s term
+    # of w-multiplication; both fields have a unit of norm -1.
+    for desc in ("Q(sqrt{2})", "Q(sqrt{5})"):
+        K = make_field(desc)
+        E = trivial_bundle(K, 2)
+        T = 1.0
+        cap = Fraction(math.exp(2.0 * T))  # cap on the product of the places
+        reps = []  # one exact product value per proportionality class
+        box = range(-2, 3)
+        for a, b, c, d in itertools.product(box, box, box, box):
+            if not (a or b or c or d):
+                continue
+            x, y = K.element(a, b), K.element(c, d)
+            s = K.add(K.mul(x, x), K.mul(y, y))
+            value = K.norm(s)  # q_0 * q_1 exactly
+            if value > cap:
+                continue
+            if not ok_is_primitive_vector(K, [x, y]):
+                continue
+            for vx, vy, _ in reps:
+                if K.sub(K.mul(vx, y), K.mul(vy, x)) == K.element(0):
+                    break
+            else:
+                reps.append((x, y, value))
+        records = enumerate_subbundles(E, 1, -T)
+        assert len(records) == len(reps), desc
+        got = sorted(K.norm(K.add(K.mul(r.basis[0][0], r.basis[0][0]),
+                                  K.mul(r.basis[0][1], r.basis[0][1])))
+                     for r in records)
+        assert got == sorted(v for _, _, v in reps), desc
 
-    reps = []  # one exact product value per proportionality class
-    box = range(-2, 3)
+
+def test_eisenstein_line_records_match_oracle():
+    """Q(sqrt -3): w = (1 + sqrt -3)/2, six units, w^2 = w - 1."""
+    K = make_field("Q(sqrt{-3})")
+    units = K.torsion_units()
+    assert len(units) == 6
+    E = trivial_bundle(K, 2)
+    T = math.log(5.0)
+    cap = Fraction(math.exp(T))
+    classes = {}
+    box = range(-3, 4)  # N(a + b w) >= 3 max(|a|, |b|)^2 / 4: |a|, |b| <= 2
     for a, b, c, d in itertools.product(box, box, box, box):
         if not (a or b or c or d):
             continue
         x, y = K.element(a, b), K.element(c, d)
-        s = K.add(K.mul(x, x), K.mul(y, y))
-        value = K.norm(s)  # q_0 * q_1 exactly
-        if value > cap:
+        N = K.norm(x) + K.norm(y)
+        if N > cap or not ok_is_primitive_vector(K, [x, y]):
             continue
-        if not ok_is_primitive_vector(K, [x, y]):
-            continue
-        for vx, vy, _ in reps:
-            if K.sub(K.mul(vx, y), K.mul(vy, x)) == K.element(0):
-                break
-        else:
-            reps.append((x, y, value))
+        orbit = [(K.mul(u, x), K.mul(u, y)) for u in units]
+        rep = min(((ux.a, ux.b, uy.a, uy.b) for ux, uy in orbit))
+        classes[rep] = N
     records = enumerate_subbundles(E, 1, -T)
-    assert len(records) == len(reps)
-    got = sorted(K.norm(K.add(K.mul(r.basis[0][0], r.basis[0][0]),
-                              K.mul(r.basis[0][1], r.basis[0][1])))
+    assert len(records) == len(classes)
+    got = sorted(K.norm(r.basis[0][0]) + K.norm(r.basis[0][1])
                  for r in records)
-    assert got == sorted(v for _, _, v in reps)
+    assert got == sorted(classes.values())
+    for r in records:
+        N = K.norm(r.basis[0][0]) + K.norm(r.basis[0][1])
+        assert r.degree == pytest.approx(-math.log(float(N)), abs=1e-9)
+
+
+def gram(rows, G):
+    n = len(G)
+    return [[sum(Fraction(G[a][b]) * u[a] * v[b]
+                 for a in range(n) for b in range(n)) for v in rows]
+            for u in rows]
+
+
+def test_plucker_keys_match_hermite_forms():
+    """The Pluecker gcd decides primitivity and the key names the line, as
+    the Hermite forms of the Z-spans do; over Q the determinant of a pair's
+    Gram over g^2 is that of its saturation."""
+    rng = random.Random(811)
+    for desc in ("Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{-7})",
+                 "Q(sqrt{2})", "Q(sqrt{5})"):
+        K = make_field(desc)
+        s, q = K.omega_minpoly()
+        w = K.element(0, 1)
+        units = list(K.torsion_units())
+        if K.D > 0:
+            eps = K.fundamental_unit()
+            units += [eps, K.mul(eps, eps), K.mul(K.element(-1), eps)]
+
+        def coords(v):
+            return [int(c) for x in v for c in (x.a, x.b)]
+
+        def zspan(v):
+            return [coords(v), coords([K.mul(w, x) for x in v])]
+
+        for _ in range(60):
+            n = rng.choice((2, 3))
+            v = [K.element(rng.randint(-4, 4), rng.randint(-4, 4))
+                 for _ in range(n)]
+            if all(x.a == 0 and x.b == 0 for x in v):
+                continue
+            z = coords(v)
+            rows = zspan(v)
+            assert _omega_times(z, s, q) == rows[1], desc
+            g, key = _plucker(z, rows[1])
+            primitive = hnf(rows, 2 * n) == tuple(
+                tuple(r) for r in saturation_rows(rows, 2 * n))
+            assert (g == 1) == primitive, (desc, v)
+            if not primitive:
+                continue
+            for u in units:
+                uv = [K.mul(u, x) for x in v]
+                assert _plucker(coords(uv), zspan(uv)[1]) == (1, key)
+            # another vector, a shifted one or a unit multiple: equal keys
+            # exactly when the Hermite forms agree
+            if rng.random() < 0.5:
+                other = [K.add(x, K.element(rng.randint(-1, 1))) for x in v]
+            else:
+                u = rng.choice(units)
+                other = [K.mul(u, x) for x in v]
+            orows = zspan(other)
+            og, okey = _plucker(orows[0], orows[1])
+            if og == 1:
+                assert (okey == key) == (hnf(orows, 2 * n) == hnf(rows, 2 * n))
+
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        G = random_pd_fraction_gram(rng, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+        if rng.random() < 0.2:
+            rows[1] = [2 * c for c in rows[0]]  # dependent
+        g, key = _plucker(*rows)
+        sat = saturation_rows(rows, n)
+        if len(sat) < 2:
+            assert g == 0 and key == ()
+            continue
+        assert g > 0
+        assert _plucker(*sat) == (1, key)
+        assert rat_det(gram(rows, G)) / (g * g) == rat_det(gram(sat, G))
 
 
 def test_hyperplane_records_match_covector_oracle():
@@ -325,6 +433,17 @@ def test_enumerate_validation():
         enumerate_subbundles(E, 3, -1.0)
     with pytest.raises(ValueError):
         enumerate_subbundles(E, 1, -math.inf)
+    # a search bound beyond the float range is a ValueError before any
+    # enumeration, not an OverflowError: lines, hyperplanes, planes
+    for bundle, l, min_degree in ((E, 1, -400.0),
+                                  (trivial_bundle(Q, 3), 2, -400.0),
+                                  (trivial_bundle(Q, 4), 2, -400.0),
+                                  (trivial_bundle(make_field("Q(sqrt{5})"), 2),
+                                   1, -400.0),
+                                  (trivial_bundle(make_field("Q(sqrt{-1})"), 2),
+                                   1, -800.0)):
+        with pytest.raises(ValueError, match="not a finite float"):
+            enumerate_subbundles(bundle, l, min_degree)
     with pytest.raises(BudgetExceededError):
         enumerate_subbundles(trivial_bundle(Q, 5), 2, -0.5)
     K = make_field("Q(sqrt{-1})")
