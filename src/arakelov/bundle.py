@@ -4,8 +4,9 @@ A bundle is the free module O_K^n together with one positive-definite Gram
 matrix per infinite place (symmetric at real places, Hermitian at complex
 ones).  Gram entries are stored as exact rationals: every float converts to a
 Fraction without loss, complex entries become (real, imaginary) Fraction
-pairs.  Degrees therefore come from exact determinants, rounded only at the
-final logarithm.
+pairs.  Degrees therefore come from exact determinants, taken by
+fraction-free elimination on the Gram scaled to integers and rounded only
+at the final logarithm.
 
 restrict_scalars exposes the module as a Z-lattice of rank d*n.  Its
 per-place norm forms are kept as integer symmetric matrices A, B over one
@@ -188,7 +189,7 @@ def _validate_real(g: RealGram, rank: int):
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise InvalidMetricError("Gram matrix is not symmetric")
-    if not is_positive_definite([list(row) for row in g]):
+    if not is_positive_definite(g):
         raise InvalidMetricError("Gram matrix is not positive definite")
 
 
@@ -490,7 +491,8 @@ class ZLatticeView:
 
         A = total([f.A for f in forms])
         B = total([f.B or zero for f in forms])
-        d = det(_surds(A, B, self.delta)) / forms[0].den ** n
+        d, q = det(_surds(A, B, self.delta)), forms[0].den ** n
+        d = QSurd(d.a / q, d.b / q, self.delta)
         r2 = self.bundle.field.complex_places
         return 2.0 ** (self.bundle.rank * r2) * math.sqrt(float(d))
 

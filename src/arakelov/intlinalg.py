@@ -1,13 +1,17 @@
 """Exact linear algebra over Z, Q, quadratic fields and their integer rings.
 
 Everything here is exact: integer matrices use Python ints, rational ones
-use fractions.Fraction, and quadratic integers use QuadElement coordinates.
+come in and go out as fractions.Fraction, and quadratic integers use
+QuadElement coordinates.
 
-Over fields there is one Gaussian elimination, ``_eliminate``.  It touches
-entries only through - * / and a zero test, so Fraction matrices and
-matrices of QSurd elements a + b sqrt(delta) (delta = -1 gives Q(i), hence
-Hermitian forms) share it.  Determinant, rank, inverse and the Sylvester
-positive-definiteness test are thin readings of its result.
+Over fields there is one elimination, the fraction-free (Bareiss)
+``_bareiss``.  A matrix M is first written once as c A, with c > 0 rational
+and A a primitive integer matrix: rational entries become ints, and QSurd
+entries a + b sqrt(delta) (delta = -1 gives Q(i), hence Hermitian forms)
+become elements of Z[sqrt(delta)] with int parts.  The elimination runs on
+A with exact divisions only, so no Fraction is built inside it, and its
+pivots are minors of A.  Determinant, rank, inverse and the Sylvester
+positive-definiteness test read them and divide once, at the end.
 
 Over rings the workhorse is row Hermite reduction with a tracked unimodular
 transform; kernels and saturations fall out of it (a transform-tracked
@@ -149,24 +153,22 @@ def is_primitive_vector(v) -> bool:
 
 
 # ----------------------------------------------------------------------
-# matrices over fields: one elimination
+# matrices over fields: one fraction-free elimination
 # ----------------------------------------------------------------------
 
 class QSurd:
     """Element a + b sqrt(delta) of Q(sqrt(delta)), delta not a nonzero square.
 
-    - * /, a zero test, float() and an exact order, which for delta < 0
-    covers only the rational elements (the pivots of a Hermitian matrix).
-    Plain ints and Fractions mix in with b = 0.
+    - *, a zero test, float() and an exact order, which for delta < 0 covers
+    only the rational elements.  With int parts it is an element of
+    Z[sqrt(delta)], and // is the exact quotient there.  Plain ints and
+    Fractions mix in with b = 0.
     """
 
     __slots__ = ("a", "b", "delta")
 
     def __init__(self, a, b, delta: int):
         self.a, self.b, self.delta = a, b, delta
-
-    def _lift(self, y) -> QSurd:
-        return y if isinstance(y, QSurd) else QSurd(y, 0, self.delta)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -191,52 +193,57 @@ class QSurd:
         d = a * a - b * b * delta
         return sa if d > 0 else (sb if d < 0 else 0)
 
-    def __gt__(self, y) -> bool:
-        return (self - y)._sign() > 0
-
     def __le__(self, y) -> bool:
         return (self - y)._sign() <= 0
 
     def __sub__(self, y) -> QSurd:
-        y = self._lift(y)
+        if y.__class__ is not QSurd:
+            return QSurd(self.a - y, self.b, self.delta)
         return QSurd(self.a - y.a, self.b - y.b, self.delta)
 
-    def __rsub__(self, y) -> QSurd:
-        return self._lift(y) - self
-
     def __mul__(self, y) -> QSurd:
-        y = self._lift(y)
-        return QSurd(self.a * y.a + self.delta * self.b * y.b,
-                     self.a * y.b + self.b * y.a, self.delta)
+        a, b = self.a, self.b
+        if y.__class__ is not QSurd:
+            return QSurd(a * y, b * y, self.delta)
+        c, d = y.a, y.b
+        return QSurd(a * c + self.delta * b * d, a * d + b * c, self.delta)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, y) -> QSurd:
-        # (a + b r) / (c + d r) = (a + b r)(c - d r) / (c^2 - delta d^2)
-        y = self._lift(y)
-        norm = Fraction(y.a * y.a - self.delta * y.b * y.b)
-        return QSurd((self.a * y.a - self.delta * self.b * y.b) / norm,
-                     (self.b * y.a - self.a * y.b) / norm, self.delta)
+    def __floordiv__(self, y) -> QSurd:
+        """Exact quotient of int-part elements by a divisor of self:
+        (a + b r) / (c + d r) = (a + b r)(c - d r) / (c^2 - delta d^2)."""
+        a, b = self.a, self.b
+        if y.__class__ is not QSurd:
+            return QSurd(a // y, b // y, self.delta)
+        c, d = y.a, y.b
+        if not d:  # a rational divisor, as every Hermitian minor is
+            return QSurd(a // c, b // c, self.delta)
+        norm = c * c - self.delta * d * d
+        return QSurd((a * c - self.delta * b * d) // norm,
+                     (b * c - a * d) // norm, self.delta)
 
-    def __rtruediv__(self, y) -> QSurd:
-        return self._lift(y) / self
 
+def _bareiss(M: list[list], ncols: int, swap: bool = True,
+             reduce_above: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination in place on the rows of M.
 
-def _eliminate(M: list[list], ncols: int, swap: bool = True,
-               reduce_above: bool = False) -> tuple[list[int], int]:
-    """Gaussian elimination in place on the rows of M over a field.
-
-    Entries are used only through - * / and a zero test.  Returns the
-    pivot columns in order and the parity (+1 or -1) of the row swaps; the
-    k-th pivot is then M[k][cols[k]] and len(cols) is the rank of the
-    first ncols columns.  With reduce_above the entries above each pivot are
-    cleared too (Gauss-Jordan).  With swap=False rows never move, pivot k
-    sits on the diagonal, and elimination stops after listing the first zero
-    one: the pivots are then the ratios of consecutive leading minors.
+    Entries are ints or QSurds with int parts.  Each step sets
+    m_ij <- (p m_ij - m_ic m_rj) // p_prev, with p the new pivot and p_prev
+    the one before it (1 at the start); by Sylvester's identity every entry
+    stays a minor of the input, so the quotient is exact (Bareiss, Math.
+    Comp. 22, 1968).  Returns the pivot columns in order and the parity
+    (+1 or -1) of the row swaps; the k-th pivot is M[k][cols[k]] and
+    len(cols) is the rank of the first ncols columns.  With reduce_above the
+    rows above each pivot are cleared too (Gauss-Jordan).  With swap=False
+    rows never move, pivot k sits on the diagonal, and elimination stops
+    after listing the first zero one: pivot k is then the leading minor of
+    size k + 1.
     """
     m = len(M)
     cols: list[int] = []
     sign = 1
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == m:
@@ -252,67 +259,128 @@ def _eliminate(M: list[list], ncols: int, swap: bool = True,
         p = M[r][c]
         if not p:
             break
-        # Row r is zero left of column c, so only the tail changes.
-        tail = M[r][c:]
+        # Entries left of column c + 1 are never read again.
+        tail = M[r][c + 1:]
         for i in (range(m) if reduce_above else range(r + 1, m)):
-            if i != r and M[i][c]:
-                f = M[i][c] / p
-                M[i][c:] = [a - f * b for a, b in zip(M[i][c:], tail)]
+            if i == r:
+                continue
+            row = M[i]
+            f = row[c]
+            if r:
+                row[c + 1:] = [(p * a - f * b) // prev
+                               for a, b in zip(row[c + 1:], tail)]
+            else:  # the first step divides by 1
+                row[c + 1:] = [p * a - f * b
+                               for a, b in zip(row[c + 1:], tail)]
+        prev = p
         r += 1
     return cols, sign
 
 
-def det(M: list[list]):
-    """Determinant of a square matrix of field elements (M is consumed).
+def _scaled(M: list[list]) -> tuple[list[list], Fraction]:
+    """A primitive integer matrix A and the rational c > 0 with M = c A.
 
-    The echelon form of a square matrix is upper triangular, with a zero
-    last row when the matrix is singular.
+    Rational entries become ints; when any entry is a QSurd, every entry
+    becomes a QSurd with int parts.  c is the gcd g of the entries of L M
+    over L, the lcm of the denominators of M's entries: dividing g out keeps
+    the integers of the elimination small (a Gram scaled by a float t^2
+    carries t^2's numerator in every entry).
     """
-    _, d = _eliminate(M, len(M))
-    for k in range(len(M)):
-        d = d * M[k][k]
-    return d
+    flat = [x for row in M for x in row]
+    delta = next((x.delta for x in flat if isinstance(x, QSurd)), None)
+    if delta is not None:
+        flat = [y for x in flat for y in ((x.a, x.b) if isinstance(x, QSurd)
+                                          else (x, 0))]
+    try:
+        ratios = [x.as_integer_ratio() for x in flat]
+    except AttributeError:  # numpy integers, strings
+        ratios = [Fraction(x).as_integer_ratio() for x in flat]
+    dens = {d for _, d in ratios}
+    L = math.lcm(*dens)
+    mult = {d: L // d for d in dens}
+    ints = [a * mult[d] for a, d in ratios]
+    g = math.gcd(*ints) or 1
+    ints = [a // g for a in ints]
+    if delta is not None:
+        ints = [QSurd(a, b, delta) for a, b in zip(ints[::2], ints[1::2])]
+    m = len(M[0]) if M else 0
+    return [ints[i * m:(i + 1) * m] for i in range(len(M))], Fraction(g, L)
+
+
+def _over(x, q: int):
+    """x / q for an int or int-part QSurd x, as a Fraction or a QSurd with
+    Fraction parts."""
+    if isinstance(x, QSurd):
+        return QSurd(Fraction(x.a, q), Fraction(x.b, q), x.delta)
+    return Fraction(x, q)
+
+
+def det(M: list[list]):
+    """Determinant of a square matrix of rationals (a Fraction) or of QSurds
+    (a QSurd with Fraction parts).  With M = c A, it is c^n times the last
+    Bareiss pivot of A, up to the sign of the row swaps."""
+    n = len(M)
+    A, c = _scaled(M)
+    cols, sign = _bareiss(A, n)
+    d = A[n - 1][n - 1] * (sign if len(cols) == n else 0)
+    return _over(d * c.numerator ** n, c.denominator ** n)
 
 
 def rank(M: list[list], ncols: int) -> int:
-    """Rank of a matrix of field elements (M is consumed)."""
-    return len(_eliminate(M, ncols)[0])
+    """Rank of a matrix of rationals or QSurds."""
+    A, _ = _scaled(M)
+    return len(_bareiss(A, ncols)[0])
 
 
 def inverse(M: list[list]) -> list[list]:
-    """Inverse of a square matrix of field elements (M is consumed); raises
-    ZeroDivisionError when it is singular."""
+    """Inverse of a square matrix of rationals (Fractions) or of QSurds
+    (QSurds with Fraction parts); raises ZeroDivisionError when it is
+    singular.
+
+    With M = c A, fraction-free Gauss-Jordan on [A | I] ends at [d I | T]
+    with d the last pivot, so T A = d I and the inverse is T / (c d): one
+    division per entry, at the end.
+    """
     n = len(M)
+    A, c = _scaled(M)
     for i in range(n):
-        M[i] = M[i] + [1 if i == j else 0 for j in range(n)]
-    if len(_eliminate(M, n, reduce_above=True)[0]) < n:
+        A[i] += [1 if i == j else 0 for j in range(n)]
+    if len(_bareiss(A, n, reduce_above=True)[0]) < n:
         raise ZeroDivisionError("singular matrix")
-    return [[x / M[i][i] for x in M[i][n:]] for i in range(n)]
+    d = A[n - 1][n - 1]
+    if isinstance(d, QSurd):
+        # x / (c d) = x conj(d) / (c N(d))
+        conj = QSurd(c.denominator * d.a, -c.denominator * d.b, d.delta)
+        norm = c.numerator * (d.a * d.a - d.delta * d.b * d.b)
+        return [[_over(x * conj, norm) for x in row[n:]] for row in A]
+    return [[Fraction(c.denominator * x, c.numerator * d) for x in row[n:]]
+            for row in A]
 
 
 def is_positive_definite(M: list[list]) -> bool:
-    """Sylvester's criterion for a symmetric or Hermitian matrix of field
-    elements (M is consumed): all leading minors are positive exactly when
-    elimination without row swaps meets only positive pivots."""
+    """Sylvester's criterion for a symmetric matrix of rationals or a
+    Hermitian matrix of QSurds.  With M = c A and c > 0, the Bareiss pivots
+    of A without row swaps are its leading minors, which must all be
+    positive.  Hermitian minors are rational; a non-real one (the matrix is
+    not Hermitian) raises TypeError."""
     n = len(M)
-    cols, _ = _eliminate(M, n, swap=False)
-    return len(cols) == n and all(M[k][k] > 0 for k in range(n))
-
-
-def _fractions(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+    A, _ = _scaled(M)
+    cols, _ = _bareiss(A, n, swap=False)
+    return len(cols) == n and all(
+        (p._sign() if isinstance(p, QSurd) else p) > 0
+        for p in (A[k][k] for k in range(n)))
 
 
 def rat_det(rows) -> Fraction:
-    return Fraction(det(_fractions(rows)))
+    return det(rows)
 
 
 def rat_inverse(rows) -> list[list[Fraction]]:
-    return inverse(_fractions(rows))
+    return inverse(rows)
 
 
 def rat_rank(rows, ncols: int) -> int:
-    return rank(_fractions(rows), ncols)
+    return rank(rows, ncols)
 
 
 # ----------------------------------------------------------------------

@@ -73,9 +73,11 @@ HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
 # degree_shells groups degrees rounded to this many decimals.
 SHELL_DECIMALS = 9
 
+# Largest x with exp(x) a finite float.
+MAX_EXPONENT = math.log(sys.float_info.max)
 # Largest exponent of a degree cap: exp of it, padded by any factor below
 # e into a search radius, is still a finite float.
-MAX_CAP_EXPONENT = math.log(sys.float_info.max) - 1.0
+MAX_CAP_EXPONENT = MAX_EXPONENT - 1.0
 
 
 @dataclass(frozen=True)
@@ -251,16 +253,18 @@ def _pair_records(E: ArakelovBundle, min_degree: float,
                 continue  # enforce |b1| <= |b2| up to float noise
             g, key = _plucker(b1, b2)
             if g == 0 or key in seen:
-                continue  # dependent pair, or its plane is already kept
+                continue  # dependent pair, or its plane was already tested
             # the Gram determinant scales by the index squared
             det2 = rat_det(apply_transform((b1, b2), G)) / (g * g)
             if det2 > det_cap:
+                seen[key] = None  # det2 depends only on the plane
                 continue
             sat = saturation_rows([list(b1), list(b2)], n)
             seen[key] = SubbundleRecord(
                 rank=2, degree=-0.5 * log_fraction(det2),
                 basis=tuple(tuple(Fraction(x) for x in row) for row in sat))
-    records = sorted(seen.values(), key=lambda r: (-r.degree, r.basis))
+    records = sorted((r for r in seen.values() if r is not None),
+                     key=lambda r: (-r.degree, r.basis))
     return records
 
 
@@ -341,11 +345,15 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
     Divergence guard: terms are bucketed into unit-width degree shells; if
     the last three shell sums grow strictly, the series at this s shows no
     decay and ZetaDivergenceError is raised instead of returning a number.
+    A term or a sum that is not a finite float raises ValueError.
     """
     records = enumerate_subbundles(E, l, -T, node_cap)
     shells: dict[int, float] = {}
     total = []
     for r in records:
+        if s * r.degree > MAX_EXPONENT:
+            raise ValueError(f"exp(s * degree) is not a finite float at "
+                             f"s = {s:g}, degree = {r.degree:.6g}")
         term = math.exp(s * r.degree)
         total.append(term)
         shells[math.floor(-r.degree)] = shells.get(
@@ -361,8 +369,13 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
                 else math.inf)
     else:
         tail = 0.0
+    try:
+        partial_sum = math.fsum(total)
+    except OverflowError:
+        raise ValueError(f"the partial sum at s = {s:g} is not a finite "
+                         f"float") from None
     return ZetaPartial(s=s, l=l, cutoff=T,
-                       partial_sum=math.fsum(total), terms=len(total),
+                       partial_sum=partial_sum, terms=len(total),
                        tail_bound_estimate=tail)
 
 

@@ -243,3 +243,143 @@ def lll_reference(gram) -> list[list[int]]:
             B, mu = gram_schmidt(transformed_gram())
             k = max(k - 1, 1)
     return U
+
+
+# ---------------------------------------------------------- elimination
+
+class SurdReference:
+    """a + b sqrt(delta) with Fraction parts and the field operations
+    - * / and a zero test, for eliminate_reference."""
+
+    __slots__ = ("a", "b", "delta")
+
+    def __init__(self, a, b, delta: int):
+        self.a, self.b, self.delta = Fraction(a), Fraction(b), delta
+
+    def _lift(self, y):
+        return y if isinstance(y, SurdReference) else SurdReference(
+            y, 0, self.delta)
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __sub__(self, y):
+        y = self._lift(y)
+        return SurdReference(self.a - y.a, self.b - y.b, self.delta)
+
+    def __rsub__(self, y):
+        return self._lift(y) - self
+
+    def __mul__(self, y):
+        y = self._lift(y)
+        return SurdReference(self.a * y.a + self.delta * self.b * y.b,
+                             self.a * y.b + self.b * y.a, self.delta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, y):
+        y = self._lift(y)
+        norm = y.a * y.a - self.delta * y.b * y.b
+        return SurdReference((self.a * y.a - self.delta * self.b * y.b) / norm,
+                             (self.b * y.a - self.a * y.b) / norm, self.delta)
+
+    def __rtruediv__(self, y):
+        return self._lift(y) / self
+
+
+def eliminate_reference(M: list[list], ncols: int, swap: bool = True,
+                        reduce_above: bool = False) -> tuple[list[int], int]:
+    """Textbook Gaussian elimination in place over a field, the library's
+    former one: entries are used only through - * / and a zero test.
+    Returns the pivot columns and the parity of the row swaps; with
+    swap=False rows never move and elimination stops after listing the
+    first zero pivot, so the pivots are ratios of consecutive leading
+    minors."""
+    m = len(M)
+    cols: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        if swap:
+            piv = next((i for i in range(r, m) if M[i][c]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                M[r], M[piv] = M[piv], M[r]
+                sign = -sign
+        cols.append(c)
+        p = M[r][c]
+        if not p:
+            break
+        tail = M[r][c:]
+        for i in (range(m) if reduce_above else range(r + 1, m)):
+            if i != r and M[i][c]:
+                f = M[i][c] / p
+                M[i][c:] = [a - f * b for a, b in zip(M[i][c:], tail)]
+        r += 1
+    return cols, sign
+
+
+def _field_matrix(M) -> list[list]:
+    """Entries as Fractions, or as SurdReferences when any entry has
+    a, b and delta attributes (a QSurd)."""
+    delta = next((x.delta for row in M for x in row if hasattr(x, "delta")),
+                 None)
+    if delta is None:
+        return [[Fraction(x) for x in row] for row in M]
+    return [[SurdReference(x.a, x.b, delta) if hasattr(x, "delta")
+             else SurdReference(x, 0, delta) for x in row] for row in M]
+
+
+def det_reference(M):
+    A = _field_matrix(M)
+    n = len(A)
+    _, d = eliminate_reference(A, n)
+    for k in range(n):
+        d = d * A[k][k]
+    return d
+
+
+def rank_reference(M, ncols: int) -> int:
+    return len(eliminate_reference(_field_matrix(M), ncols)[0])
+
+
+def inverse_reference(M):
+    """The inverse, or None for a singular matrix."""
+    A = _field_matrix(M)
+    n = len(A)
+    for i in range(n):
+        A[i] = A[i] + [1 if i == j else 0 for j in range(n)]
+    if len(eliminate_reference(A, n, reduce_above=True)[0]) < n:
+        return None
+    return [[x / A[i][i] for x in A[i][n:]] for i in range(n)]
+
+
+def positive_definite_reference(M) -> bool:
+    """Sylvester's criterion read off pivots without row swaps, for a
+    symmetric or Hermitian matrix; a Hermitian pivot must be rational."""
+    A = _field_matrix(M)
+    n = len(A)
+    cols, _ = eliminate_reference(A, n, swap=False)
+    if len(cols) < n:
+        return False
+    return all(_positive(A[k][k]) for k in range(n))
+
+
+def _positive(x) -> bool:
+    """x > 0 for a Fraction or a real SurdReference a + b sqrt(delta)."""
+    if not isinstance(x, SurdReference):
+        return x > 0
+    a, b, delta = x.a, x.b, x.delta
+    if b and delta < 0:
+        raise ValueError("a Hermitian pivot came out non-real")
+    if b == 0:
+        return a > 0
+    # a + b sqrt(delta) > 0 with b != 0 and delta > 0
+    if a >= 0 and b > 0:
+        return True
+    if a <= 0 and b < 0:
+        return False
+    return (a * a > b * b * delta) == (a > 0)

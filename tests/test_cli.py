@@ -259,6 +259,13 @@ def test_usage_errors(capsys, tmp_path, monkeypatch, identity2):
                              "--l", "1", "--s", "6", "--cutoff", "400")
     assert code == 2 and out == ""
     assert "not a finite float" in err
+    # a zeta term exp(s * degree) beyond the float range
+    skinny = tmp_path / "skinny.gram"
+    skinny.write_text("Q\n2\n1/10000 0\n0 1\n")
+    code, out, err = run_cli(capsys, "zeta", "--gram", str(skinny),
+                             "--l", "1", "--s", "200", "--cutoff", "1")
+    assert code == 2 and out == ""
+    assert "s = 200, degree = 4.60517" in err
     # csv is refused before any work is done
 
     def never(*args, **kwargs):

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from arakelov.errors import UnsupportedFieldError
+from arakelov.bundle import (
+    _hermitian_det,
+    _surds,
+    make_bundle,
+    restrict_scalars,
+    tensor,
+)
+from arakelov.errors import InvalidMetricError, UnsupportedFieldError
 from arakelov.intlinalg import (
     NORM_EUCLIDEAN_D,
     QSurd,
@@ -15,6 +22,7 @@ from arakelov.intlinalg import (
     hnf,
     hnf_with_transform,
     inverse,
+    is_positive_definite,
     is_primitive_vector,
     kernel_rows,
     ok_gcd,
@@ -28,7 +36,15 @@ from arakelov.intlinalg import (
     saturation_rows,
 )
 from arakelov.numberfield import make_field
-from tests.oracles import ok_is_primitive_vector
+from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
+from tests.oracles import (
+    det_reference,
+    inverse_reference,
+    ok_is_primitive_vector,
+    positive_definite_reference,
+    random_pd_fraction_gram,
+    rank_reference,
+)
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -280,3 +296,228 @@ def test_gauss_integer_gcd_value():
     g2 = ok_gcd(K, K.element(0), K.element(3, 1))
     assert abs(K.norm(g2)) == 10
     assert math.gcd(10, 4) == 2
+
+
+# ---------------------------------------------------------------- Bareiss
+# The fraction-free elimination against the textbook Fraction one.
+
+def parts(x):
+    """A field element as comparable exact parts: a Fraction, or the
+    (a, b) pair of a + b sqrt(delta)."""
+    if hasattr(x, "delta"):
+        return Fraction(x.a), Fraction(x.b)
+    return Fraction(x)
+
+
+def parts_matrix(M):
+    return None if M is None else [[parts(x) for x in row] for row in M]
+
+
+def inverse_or_none(M):
+    try:
+        return inverse(M)
+    except ZeroDivisionError:
+        return None
+
+
+def assert_matches_reference(M):
+    """rank and, for a square M, det, inverse and (when M is symmetric or
+    Hermitian) the Sylvester verdict agree with the Fraction elimination."""
+    m, n = len(M), len(M[0])
+    assert rank(M, n) == rank_reference(M, n)
+    if m != n:
+        return
+    assert parts(det(M)) == parts(det_reference(M))
+    assert parts_matrix(inverse_or_none(M)) == \
+        parts_matrix(inverse_reference(M))
+    if all(parts(M[i][j]) == adjoint(M[j][i])
+           for i in range(n) for j in range(n)):
+        assert is_positive_definite(M) == positive_definite_reference(M)
+
+
+def adjoint(x):
+    """parts of the complex conjugate of x; over Q and real quadratic
+    fields, parts of x itself."""
+    if hasattr(x, "delta") and x.delta < 0:
+        return Fraction(x.a), -Fraction(x.b)
+    return parts(x)
+
+
+def sampler_bundles(field, ranks, count, seed):
+    rng = random.Random(seed)
+    for j in range(count):
+        n = rng.choice(ranks)
+        spec = RandomLatticeSpec(n, rng.choice([101, 997, 100003]), j, field)
+        yield random_bundle(field, n, rng.uniform(-1.0, 1.0), spec,
+                            trial_rng(seed, j))
+
+
+def test_bareiss_matches_reference_on_float_read_grams():
+    # hecke_unimodular scales by the float p^(-2/n) and random_bundle by a
+    # float t^2, so the exact Grams carry dyadic denominators above 2^64
+    Q = make_field("Q")
+    grams, dens = [], []
+    bundles = list(sampler_bundles(Q, (3, 4, 5), 8, 41))
+    for E in bundles:
+        (g,) = E.gram_real
+        grams.append(g)
+        grams.append(restrict_scalars(E).trace_gram)
+    for E, F in zip(bundles, bundles[1:4]):
+        grams.append(tensor(E, F).gram_real[0])
+    for K in (make_field("Q(sqrt{5})"), make_field("Q(sqrt{2})")):
+        for E in sampler_bundles(K, (2, 3), 3, 42):
+            grams.extend(E.gram_real)
+            grams.append(restrict_scalars(E).trace_gram)
+    for g in grams:
+        dens.append(max(Fraction(x).denominator for row in g for x in row))
+        M = [list(row) for row in g]
+        assert_matches_reference(M)
+        assert is_positive_definite(M)
+        # rat_det reads floats exactly, as the reference does
+        assert rat_det(g) == det_reference(g)
+    assert sum(d > 2 ** 64 for d in dens) >= len(dens) // 2
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{-1})", "Q(sqrt{-3})"])
+def test_bareiss_matches_reference_on_hermitian_grams(descriptor):
+    K = make_field(descriptor)
+    for E in sampler_bundles(K, (2, 3, 4, 5), 8, 43):
+        (g,) = E.gram_complex
+        H = _surds(*g, -1)
+        assert_matches_reference(H)
+        assert is_positive_definite(H)
+        d = det(H)
+        assert d.b == 0 and d.a > 0  # a Hermitian determinant is real
+        assert _hermitian_det(g) == det_reference(H).a
+
+
+def psd_singular(rng, n, k, delta=None):
+    """V V^* for n rows of which row k - 1 lies in the span of the rows
+    before it (the zero row when k = 1): the leading minors of size >= k
+    are exactly 0 and the ones below it positive.  With delta = -1 the
+    rows are Gaussian and the result is Hermitian."""
+    def entry():
+        if delta is None:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    while True:
+        V = [[entry() for _ in range(n)] for _ in range(n)]
+        coeffs = [rng.randint(-2, 2) for _ in range(k - 1)]
+        if delta is None:
+            V[k - 1] = [sum((c * v[j] for c, v in zip(coeffs, V)), Fraction(0))
+                        for j in range(n)]
+            G = matmul(V, [list(col) for col in zip(*V)])
+            if rank_reference(G[:k - 1], n) == k - 1:
+                return G
+            continue
+        V[k - 1] = [tuple(sum((c * v[j][t] for c, v in zip(coeffs, V)),
+                              Fraction(0)) for t in (0, 1))
+                    for j in range(n)]
+        # H_ij = sum_t conj(V_it) V_jt
+        H = [[QSurd(sum(V[i][t][0] * V[j][t][0] + V[i][t][1] * V[j][t][1]
+                        for t in range(n)),
+                    sum(V[i][t][0] * V[j][t][1] - V[i][t][1] * V[j][t][0]
+                        for t in range(n)), -1)
+              for j in range(n)] for i in range(n)]
+        if rank_reference(H[:k - 1], n) == k - 1:
+            return H
+
+
+def test_bareiss_boundary_inputs():
+    rng = random.Random(44)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for delta in (None, -1):
+                M = psd_singular(rng, n, k, delta)
+                assert_matches_reference(M)
+                assert not is_positive_definite(M)
+                assert parts(det(M)) in (0, (0, 0))
+                assert rank(M, n) < n
+    # indefinite: V D V^T with one negative entry in D
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        V = random_matrix(rng, n, n, 4)
+        D = [rng.choice([1, 2, 3]) for _ in range(n)]
+        D[rng.randrange(n)] = -rng.randint(1, 3)
+        M = [[Fraction(sum(V[i][t] * D[t] * V[j][t] for t in range(n)), 4)
+              for j in range(n)] for i in range(n)]
+        assert_matches_reference(M)
+        assert not is_positive_definite(M)
+    # rectangular, with dependent rows, over Q, Q(sqrt 5) and Q(sqrt -3)
+    for _ in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        delta = rng.choice([None, 5, -3])
+
+        def entry():
+            x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if delta is None:
+                return x
+            return QSurd(x, Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                         delta)
+
+        M = [[entry() for _ in range(n)] for _ in range(m)]
+        for i in range(1, m):
+            if rng.random() < 0.4:
+                c = rng.randint(-3, 3)
+                j = rng.randrange(i)
+                M[i] = [x * c for x in M[j]]
+        assert_matches_reference(M)
+    # the rows of an upper triangular U shuffled: the elimination must swap
+    # rows, and det = sign(shuffle) * prod(diag U)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        U = [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+              if i == j else (Fraction(rng.randint(-3, 3)) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+        order = list(range(n))
+        while order == sorted(order):
+            rng.shuffle(order)
+        M = [U[i] for i in order]
+        inversions = sum(a > b for i, a in enumerate(order)
+                         for b in order[i + 1:])
+        assert det(M) == (-1) ** inversions * math.prod(
+            U[i][i] for i in range(n))
+        assert_matches_reference(M)
+
+
+def test_make_bundle_rejects_what_the_reference_rejects():
+    rng = random.Random(45)
+    Q, K = make_field("Q"), make_field("Q(sqrt{-1})")
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        kind = rng.choice(["pd", "singular", "indefinite", "hermitian"])
+        if kind == "hermitian":
+            H = psd_singular(rng, n, rng.randint(1, n), -1)
+            if rng.random() < 0.5:  # shift to positive definite
+                H = [[QSurd(x.a + (5 if i == j else 0), x.b, -1)
+                      for j, x in enumerate(row)] for i, row in enumerate(H)]
+            grams = [[complex(float(x.a), float(x.b)) for x in row]
+                     for row in H]
+            # the complex floats read back as the exact parts
+            expected = positive_definite_reference(
+                [[QSurd(Fraction(c.real), Fraction(c.imag), -1) for c in row]
+                 for row in grams])
+            field = K
+        else:
+            if kind == "pd":
+                grams = random_pd_fraction_gram(rng, n)
+            elif kind == "singular":
+                grams = psd_singular(rng, n, rng.randint(1, n))
+            else:
+                V = random_matrix(rng, n, n, 3)
+                grams = [[Fraction(sum(V[i][t] * V[j][t] * (-1 if t == 0 else 1)
+                                       for t in range(n)), 3)
+                          for j in range(n)] for i in range(n)]
+            expected = positive_definite_reference(grams)
+            field = Q
+        try:
+            make_bundle(field, grams)
+            accepted = True
+        except InvalidMetricError:
+            accepted = False
+        assert accepted == expected, (kind, grams)
+        seen.add((field.descriptor, accepted))
+    assert len(seen) == 4  # both verdicts over Q and over Q(i)

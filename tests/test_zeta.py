@@ -15,7 +15,9 @@ from arakelov.errors import (
     ZetaDivergenceError,
 )
 from arakelov.intlinalg import hnf, rat_det, rat_inverse, saturation_rows
+from arakelov import zeta
 from arakelov.numberfield import make_field
+from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.zeta import (
     SubbundleRecord,
     _omega_times,
@@ -360,6 +362,30 @@ def test_pair_records_match_plane_oracle(diag):
     assert sorted(got) == sorted(oracle.values())
 
 
+def test_pair_records_test_each_plane_once(monkeypatch):
+    # det2 depends only on the plane, so each distinct plane costs one
+    # rat_det call whether it is kept or rejected
+    E = random_bundle(Q, 4, 0.0, RandomLatticeSpec(4, 100003, 0, Q),
+                      trial_rng(0, 9))
+    expected = enumerate_subbundles(E, 2, -0.5)
+    keys, tested = [], []
+
+    def plucker(u, v):
+        keys.append(_plucker(u, v))
+        return keys[-1]
+
+    def counting_det(rows):
+        tested.append(keys[-1][1])
+        return rat_det(rows)
+
+    monkeypatch.setattr(zeta, "_plucker", plucker)
+    monkeypatch.setattr(zeta, "rat_det", counting_det)
+    assert enumerate_subbundles(E, 2, -0.5) == expected
+    planes = {key for g, key in keys if g}
+    assert len(tested) == len(set(tested)) == len(planes)
+    assert len(keys) > len(planes) > len(expected) > 0
+
+
 def test_full_rank_record():
     E = trivial_bundle(Q, 3)
     (rec,) = enumerate_subbundles(E, 3, -0.5)
@@ -415,6 +441,19 @@ def test_divergence_guard():
     E = trivial_bundle(Q, 2)
     with pytest.raises(ZetaDivergenceError):
         zeta_partial(E, 1, 0.5, 4.0)
+
+
+def test_zeta_partial_outside_the_float_range():
+    # the four lines of degree >= 4 have degrees log(100) (twice) and
+    # log(100) - log(2) / 2: exp(154 log(100)) is finite but two such
+    # terms are not, and exp(200 log(100)) is not either
+    E = make_bundle(Q, [[Fraction(1, 10000), 0], [0, Fraction(1, 10000)]])
+    with pytest.raises(ValueError, match="partial sum at s = 154"):
+        zeta_partial(E, 1, 154.0, -4.0)
+    with pytest.raises(ValueError, match="s = 200, degree = 4.60517"):
+        zeta_partial(E, 1, 200.0, -4.0)
+    zp = zeta_partial(E, 1, 150.0, -4.0)
+    assert zp.terms == 4 and zp.partial_sum < math.inf
 
 
 def test_rank_one_zeta_is_single_term():
