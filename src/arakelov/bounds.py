@@ -19,7 +19,8 @@ from .errors import EnumerationCapError, UnsupportedFieldError
 from .intlinalg import rat_det
 from .lattice import DEFAULT_NODE_CAP, form_value, shortest_vector
 from .numberfield import NumberField, ball_volume
-from .zeta import ZetaPartial, check_subbundle_scope, zeta_partial
+from .zeta import (MAX_EXPONENT, ZetaPartial, check_subbundle_scope,
+                   zeta_partial)
 
 __all__ = [
     "BoundReport",
@@ -123,7 +124,9 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     Each subbundle rank l of E contributes
     disc^(-nl/2) * quotient_volume(n l) * zeta_E^(l)(n) * exp(l det_degree).
     Over Q the quotient volume is exact; otherwise its upper bound stands
-    in, which can only weaken (never wrongly assert) the guarantee.
+    in, which can only weaken (never wrongly assert) the guarantee.  A
+    det_degree whose exp(...) factor is not a finite float raises
+    ValueError before any enumeration.
     """
     if n <= E.rank:
         raise ValueError("twist rank must exceed the rank of E")
@@ -135,17 +138,22 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     for l in range(1, E.rank + 1):
         check_subbundle_scope(E, l)  # fail before any enumeration
     field = E.field
-    exact_q = field.is_rational()
     log_disc = math.log(abs(field.discriminant))
+    exponents = [-0.5 * n * l * log_disc + l * det_degree
+                 for l in range(1, E.rank + 1)]
+    if max(exponents) > MAX_EXPONENT:
+        raise ValueError(f"det_degree = {det_degree:g} is too large: "
+                         f"exp({max(exponents):.6g}) in the averaged count "
+                         f"is not a finite float")
+    exact_q = field.is_rational()
     terms = []
     tail_uncertain = False
-    for l in range(1, E.rank + 1):
+    for l, exponent in enumerate(exponents, 1):
         zp, ok = _zeta_term(E, l, float(n), cutoff, node_cap)
         tail_uncertain = tail_uncertain or not ok
         qv = quotient_volume(field, n * l,
                              "exact" if exact_q else "upper_bound")
-        terms.append(math.exp(-0.5 * n * l * log_disc + l * det_degree)
-                     * qv * zp.partial_sum)
+        terms.append(math.exp(exponent) * qv * zp.partial_sum)
     value = math.fsum(terms)
     if value < 1.0:
         verdict = ("existence guaranteed" if exact_q

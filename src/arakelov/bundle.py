@@ -8,6 +8,12 @@ pairs.  Degrees therefore come from exact determinants, taken by
 fraction-free elimination on the Gram scaled to integers and rounded only
 at the final logarithm.
 
+Every functor treats all places alike: it reads each place's Gram as one
+exact matrix (Fractions at a real place, Gaussian QSurds re + im sqrt(-1)
+at a complex one), runs the same matrix operation on each, and stores the
+result back.  The stored form stays the (re, im) Fraction pair, which
+reports print as it is.
+
 restrict_scalars exposes the module as a Z-lattice of rank d*n.  Its
 per-place norm forms are kept as integer symmetric matrices A, B over one
 common denominator den, meaning (z A z^T + (z B z^T) sqrt(|D|)) / den.  A
@@ -34,8 +40,6 @@ from .intlinalg import (
     inverse,
     is_positive_definite,
     ok_saturation_rows,
-    rat_det,
-    rat_inverse,
     rat_rank,
     saturation_rows,
 )
@@ -75,21 +79,24 @@ def _freeze(rows) -> RealGram:
     return tuple(tuple(_fr(x) for x in row) for row in rows)
 
 
+_ZERO = Fraction(0)
+
+
+def _parts(x) -> tuple[Fraction, Fraction]:
+    """(real part, imaginary part) of a rational, float, complex or
+    Gaussian QSurd entry, as Fractions."""
+    if x.__class__ is QSurd:  # before isinstance, which is slow on QSurds
+        return _fr(x.a), _fr(x.b)
+    if isinstance(x, (int, float, Fraction)):
+        return _fr(x), _ZERO
+    c = complex(x)
+    return Fraction(c.real), Fraction(c.imag)
+
+
 def _split_complex(rows) -> ComplexGram:
-    re, im = [], []
-    for row in rows:
-        re_row, im_row = [], []
-        for x in row:
-            c = complex(x) if not isinstance(x, (int, float, Fraction)) else None
-            if c is None:
-                re_row.append(_fr(x))
-                im_row.append(Fraction(0))
-            else:
-                re_row.append(Fraction(c.real))
-                im_row.append(Fraction(c.imag))
-        re.append(tuple(re_row))
-        im.append(tuple(im_row))
-    return tuple(re), tuple(im)
+    pairs = [[_parts(x) for x in row] for row in rows]
+    return (tuple(tuple(a for a, _ in row) for row in pairs),
+            tuple(tuple(b for _, b in row) for row in pairs))
 
 
 def log_fraction(x: Fraction) -> float:
@@ -102,12 +109,8 @@ def log_fraction(x: Fraction) -> float:
 # rational matrix helpers
 # ----------------------------------------------------------------------
 
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def _mat_scale(A, c):
-    return [[c * x for x in row] for row in A]
+    return [[x * c for x in row] for row in A]
 
 
 def _kron(A, B):
@@ -124,28 +127,6 @@ def _surds(A, B, delta: int) -> list[list[QSurd]]:
     Hermitian (real part, imaginary part) pair."""
     return [[QSurd(a, b, delta) for a, b in zip(ra, rb)]
             for ra, rb in zip(A, B)]
-
-
-def _hermitian_det(g: ComplexGram) -> Fraction:
-    """Determinant of a Hermitian matrix with rational entries (a rational)."""
-    d = det(_surds(*g, -1))
-    if d.b != 0:
-        raise InvalidMetricError("Hermitian determinant came out non-real")
-    return d.a
-
-
-def _complex_kron(a: ComplexGram, b: ComplexGram) -> ComplexGram:
-    ar, ai = a
-    br, bi = b
-    re = _mat_add(_kron(ar, br), _mat_scale(_kron(ai, bi), Fraction(-1)))
-    im = _mat_add(_kron(ar, bi), _kron(ai, br))
-    return _freeze(re), _freeze(im)
-
-
-def _complex_inverse(g: ComplexGram) -> ComplexGram:
-    inv = inverse(_surds(*g, -1))
-    return (_freeze([[x.a for x in row] for row in inv]),
-            _freeze([[x.b for x in row] for row in inv]))
 
 
 # ----------------------------------------------------------------------
@@ -168,42 +149,53 @@ class ArakelovBundle:
         return slope(self)
 
 
+def _places(E: ArakelovBundle) -> list[list[list]]:
+    """Each place's Gram as one exact matrix, real places first: Fractions
+    at a real place, Gaussian QSurds re + im sqrt(-1) at a complex one."""
+    return [*E.gram_real, *(_surds(re, im, -1) for re, im in E.gram_complex)]
+
+
+def _from_places(field: NumberField, rank: int, mats) -> ArakelovBundle:
+    """The bundle with these place Grams (inverse of _places); complex
+    places go back to stored (re, im) Fraction pairs."""
+    r1 = field.real_places
+    return ArakelovBundle(
+        field=field, rank=rank,
+        gram_real=tuple(_freeze(m) for m in mats[:r1]),
+        gram_complex=tuple(_split_complex(m) for m in mats[r1:]))
+
+
+def _det(m) -> Fraction:
+    """det of one place Gram; a Hermitian determinant must come out real."""
+    d = det(m)
+    if not isinstance(d, QSurd):
+        return d
+    if d.b != 0:
+        raise InvalidMetricError("Hermitian determinant came out non-real")
+    return d.a
+
+
 def trivial_bundle(field: NumberField, n: int) -> ArakelovBundle:
     """The bundle O^n: standard scalar products everywhere, degree zero."""
     if n < 1:
         raise InvalidMetricError("rank must be at least 1")
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                  for i in range(n))
-    zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    return ArakelovBundle(
-        field=field, rank=n,
-        gram_real=tuple(ident for _ in range(field.real_places)),
-        gram_complex=tuple((ident, zero) for _ in range(field.complex_places)),
-    )
+    ident = [[Fraction(1 if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    return _from_places(field, n, [ident] * len(field.infinite_places()))
 
 
-def _validate_real(g: RealGram, rank: int):
-    if len(g) != rank or any(len(row) != rank for row in g):
+def _validate(m, rank: int):
+    """A place Gram must be rank x rank, Hermitian (symmetric at a real
+    place) and positive definite."""
+    if len(m) != rank or any(len(row) != rank for row in m):
         raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
     for i in range(rank):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise InvalidMetricError("Gram matrix is not symmetric")
-    if not is_positive_definite(g):
-        raise InvalidMetricError("Gram matrix is not positive definite")
-
-
-def _validate_complex(g: ComplexGram, rank: int):
-    re, im = g
-    if len(re) != rank or any(len(row) != rank for row in re):
-        raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
-    for i in range(rank):
-        if im[i][i] != 0:
-            raise InvalidMetricError("Hermitian Gram needs a real diagonal")
-        for j in range(i):
-            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                raise InvalidMetricError("Gram matrix is not Hermitian")
-    if not is_positive_definite(_surds(re, im, -1)):
+        for j in range(i + 1):
+            (a, b), (c, d) = _parts(m[i][j]), _parts(m[j][i])
+            if a != c or b != -d:
+                raise InvalidMetricError("Gram matrix is not symmetric "
+                                         "(Hermitian at complex places)")
+    if not is_positive_definite(m):
         raise InvalidMetricError("Gram matrix is not positive definite")
 
 
@@ -223,18 +215,10 @@ def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     rank = len(mats[0])
     if rank < 1:
         raise InvalidMetricError("rank must be at least 1")
-    reals = []
-    for k in range(field.real_places):
-        g = _freeze(mats[k])
-        _validate_real(g, rank)
-        reals.append(g)
-    cplx = []
-    for k in range(field.complex_places):
-        g = _split_complex(mats[field.real_places + k])
-        _validate_complex(g, rank)
-        cplx.append(g)
-    return ArakelovBundle(field=field, rank=rank,
-                          gram_real=tuple(reals), gram_complex=tuple(cplx))
+    E = _from_places(field, rank, mats)
+    for m in _places(E):
+        _validate(m, rank)
+    return E
 
 
 # ----------------------------------------------------------------------
@@ -242,14 +226,11 @@ def make_bundle(field: NumberField, grams) -> ArakelovBundle:
 # ----------------------------------------------------------------------
 
 def degree(bundle: ArakelovBundle) -> float:
-    """deg = sum over real places of -(1/2) log det G_v, plus sum over
-    complex places of -log det G_v."""
-    total = 0.0
-    for g in bundle.gram_real:
-        total -= 0.5 * log_fraction(rat_det(g))
-    for g in bundle.gram_complex:
-        total -= log_fraction(_hermitian_det(g))
-    return total
+    """deg = sum over places of -e_v log det G_v, with e_v = 1/2 at real
+    places and 1 at complex ones."""
+    r1 = bundle.field.real_places
+    return 0.0 - sum((0.5 if v < r1 else 1.0) * log_fraction(_det(m))
+                     for v, m in enumerate(_places(bundle)))
 
 
 def slope(bundle: ArakelovBundle) -> float:
@@ -266,31 +247,19 @@ def tensor(E: ArakelovBundle, F: ArakelovBundle) -> ArakelovBundle:
     """Tensor product: Kronecker product of the Grams at each place, which
     makes slope additive."""
     _check_same_field(E, F)
-    reals = tuple(_freeze(_kron(ge, gf))
-                  for ge, gf in zip(E.gram_real, F.gram_real))
-    cplx = tuple(_complex_kron(ge, gf)
-                 for ge, gf in zip(E.gram_complex, F.gram_complex))
-    return ArakelovBundle(field=E.field, rank=E.rank * F.rank,
-                          gram_real=reals, gram_complex=cplx)
+    return _from_places(E.field, E.rank * F.rank,
+                        [_kron(a, b) for a, b in zip(_places(E), _places(F))])
 
 
 def determinant(E: ArakelovBundle) -> ArakelovBundle:
     """Top exterior power: the rank-1 bundle whose Gram at each place is the
     scalar det of E's Gram there; same degree as E."""
-    reals = tuple(((rat_det(g),),) for g in E.gram_real)
-    cplx = tuple((((_hermitian_det(g),),), ((Fraction(0),),))
-                 for g in E.gram_complex)
-    return ArakelovBundle(field=E.field, rank=1,
-                          gram_real=reals, gram_complex=cplx)
+    return _from_places(E.field, 1, [[[_det(m)]] for m in _places(E)])
 
 
 def dual(E: ArakelovBundle) -> ArakelovBundle:
     """Dual bundle: inverse Gram at every place; negates the degree."""
-    reals = tuple(tuple(tuple(row) for row in rat_inverse(g))
-                  for g in E.gram_real)
-    cplx = tuple(_complex_inverse(g) for g in E.gram_complex)
-    return ArakelovBundle(field=E.field, rank=E.rank,
-                          gram_real=reals, gram_complex=cplx)
+    return _from_places(E.field, E.rank, [inverse(m) for m in _places(E)])
 
 
 def scale(E: ArakelovBundle, t: float) -> ArakelovBundle:
@@ -299,11 +268,8 @@ def scale(E: ArakelovBundle, t: float) -> ArakelovBundle:
     if t <= 0:
         raise InvalidMetricError("scaling factor must be positive")
     c = Fraction(t) * Fraction(t)
-    reals = tuple(_freeze(_mat_scale(g, c)) for g in E.gram_real)
-    cplx = tuple((_freeze(_mat_scale(re, c)), _freeze(_mat_scale(im, c)))
-                 for re, im in E.gram_complex)
-    return ArakelovBundle(field=E.field, rank=E.rank,
-                          gram_real=reals, gram_complex=cplx)
+    return _from_places(E.field, E.rank,
+                        [_mat_scale(m, c) for m in _places(E)])
 
 
 # ----------------------------------------------------------------------
@@ -381,44 +347,35 @@ def _ok_rank(field: NumberField, rows, ncols: int) -> int:
 
 
 def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
-    """Bundle with E's metrics restricted to the span of the basis rows."""
+    """Bundle with E's metrics restricted to the span of the basis rows.
+
+    Over Q this is exact.  Over a quadratic field each place's Gram G is
+    restricted in floats as conj(emb) G emb^T, with emb the basis embedded
+    at that place; sums run through math.fsum at real places and plain sum
+    at complex ones.
+    """
     field = E.field
-    k = len(basis)
+    k, n = len(basis), E.rank
     if field.is_rational():
-        reals = tuple(_freeze(apply_transform(basis, g)) for g in E.gram_real)
-        return ArakelovBundle(field=field, rank=k,
-                              gram_real=reals, gram_complex=())
-    embeds = field.omega_embeddings()
-    reals = []
-    for idx in range(field.real_places):
-        w = embeds[idx]
+        return _from_places(field, k, [apply_transform(basis, g)
+                                       for g in _places(E)])
+    r1 = field.real_places
+    grams = []
+    for v, (g, w) in enumerate(zip(_places(E), field.omega_embeddings())):
+        num, total = (float, math.fsum) if v < r1 else (complex, sum)
         emb = [[float(x.a) + float(x.b) * w for x in row] for row in basis]
-        g = [[float(v) for v in row] for row in E.gram_real[idx]]
-        sub = [[sum(emb[i][a] * g[a][b] * emb[j][b]
-                    for a in range(E.rank) for b in range(E.rank))
-                for j in range(k)] for i in range(k)]
-        # symmetrize away float asymmetry before validation
-        sub = [[(sub[i][j] + sub[j][i]) / 2.0 for j in range(k)]
-               for i in range(k)]
-        reals.append(_freeze(sub))
-    cplx = []
-    for idx in range(field.complex_places):
-        w = embeds[field.real_places + idx]
-        emb = [[complex(float(x.a), 0) + float(x.b) * w for x in row]
-               for row in basis]
-        re, im = E.gram_complex[idx]
-        h = [[complex(float(a), float(b)) for a, b in zip(ra, ri)]
-             for ra, ri in zip(re, im)]
-        sub = [[sum(emb[i][a].conjugate() * h[a][b] * emb[j][b]
-                    for a in range(E.rank) for b in range(E.rank))
-                for j in range(k)] for i in range(k)]
+        G = [[num(x) for x in row] for row in g]
+        T = [[total(G[a][b] * e[b] for b in range(n)) for e in emb]
+             for a in range(n)]
+        sub = [[total(e[a].conjugate() * T[a][j] for a in range(n))
+                for j in range(k)] for e in emb]
+        # symmetrise away float asymmetry, with a real diagonal
         sub = [[(sub[i][j] + sub[j][i].conjugate()) / 2.0 for j in range(k)]
                for i in range(k)]
         for i in range(k):
-            sub[i][i] = complex(sub[i][i].real, 0.0)
-        cplx.append(_split_complex(sub))
-    return ArakelovBundle(field=field, rank=k,
-                          gram_real=tuple(reals), gram_complex=tuple(cplx))
+            sub[i][i] = num(sub[i][i].real)
+        grams.append(sub)
+    return make_bundle(field, grams)
 
 
 # ----------------------------------------------------------------------

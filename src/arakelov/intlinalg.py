@@ -22,6 +22,7 @@ steps, which restricts those entry points to norm-Euclidean fields.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -159,10 +160,10 @@ def is_primitive_vector(v) -> bool:
 class QSurd:
     """Element a + b sqrt(delta) of Q(sqrt(delta)), delta not a nonzero square.
 
-    - *, a zero test, float() and an exact order, which for delta < 0 covers
-    only the rational elements.  With int parts it is an element of
-    Z[sqrt(delta)], and // is the exact quotient there.  Plain ints and
-    Fractions mix in with b = 0.
+    - *, a zero test, float(), complex() and an exact order, which for
+    delta < 0 covers only the rational elements.  With int parts it is an
+    element of Z[sqrt(delta)], and // is the exact quotient there.  Plain
+    ints and Fractions mix in with b = 0.
     """
 
     __slots__ = ("a", "b", "delta")
@@ -177,6 +178,9 @@ class QSurd:
         if self.b == 0:
             return float(self.a)
         return float(self.a) + float(self.b) * math.sqrt(self.delta)
+
+    def __complex__(self) -> complex:
+        return float(self.a) + float(self.b) * cmath.sqrt(self.delta)
 
     def _sign(self) -> int:
         """Exact sign of a + b sqrt(delta)."""

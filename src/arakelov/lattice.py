@@ -16,11 +16,12 @@ module defaults to.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm, sqrt
+from math import floor, sqrt
 from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidMetricError
+from .intlinalg import _bareiss, _scaled
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -56,28 +57,23 @@ def lll_transform(gram: Sequence[Sequence]) -> list[list[int]]:
     """Unimodular U whose rows give an LLL-reduced basis for the Gram matrix.
 
     Exact for every input: entries are read as the rationals they are (a
-    float is dyadic) and scaled to integers by the lcm of their denominators.
-    The all-integer LLL (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) keeps the leading minors d[i], d[0] = 1, and
-    lam[i][j] = d[j+1] * mu_ij.
+    float is dyadic) and scaled to a primitive integer matrix, which leaves
+    U unchanged.  The all-integer LLL (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7) keeps the leading minors d[i],
+    d[0] = 1, and lam[i][j] = d[j+1] * mu_ij.  Both come from one
+    fraction-free elimination without row swaps: for a symmetric Gram its
+    pivot k is d[k+1], and the entry above the diagonal in row j, column i
+    is lam[i][j].
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows = [[Fraction(x) for x in row] for row in gram]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    G = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = G[i][j]
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-        if u <= 0:
-            raise InvalidMetricError("Gram matrix is not positive definite")
-        d[i + 1] = u
+    G, _ = _scaled(gram)
+    _bareiss(G, n, swap=False)
+    # the pivots up to the first non-positive one are leading minors
+    if any(G[k][k] <= 0 for k in range(n)):
+        raise InvalidMetricError("Gram matrix is not positive definite")
+    d = [1] + [G[k][k] for k in range(n)]
+    lam = [[G[j][i] if j < i else 0 for j in range(n)] for i in range(n)]
     num, dnm = LLL_DELTA.numerator, LLL_DELTA.denominator
     k = 1
     while k < n:

@@ -7,6 +7,10 @@ the invariant measure on the space of unimodular lattices; p is echoed in
 every report so escalation studies are possible.  Randomness comes from
 counter-based Philox streams split per trial index, which makes serial and
 parallel runs agree bit for bit.
+
+Over a quadratic field the bundle is the trivial metric restricted to a
+congruence submodule of O_K^n of index q, for a split prime q, then scaled
+to the target slope.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from .bundle import ArakelovBundle, degree, make_bundle, scale
+from .bundle import (ArakelovBundle, _restricted_bundle, degree, make_bundle,
+                     scale, trivial_bundle)
 from .errors import InvalidCosetError, NoSplitPrimeError
 from .intlinalg import ok_gcd
 from .lattice import apply_transform, lll_transform
 from .numberfield import NumberField, QuadElement
+from .zeta import MAX_EXPONENT
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -143,30 +149,10 @@ def _quadratic_congruence_bundle(field: NumberField, n: int,
     one, zero = field.element(1), field.element(0)
     rows = []
     for i in range(n):
-        if i == pivot:
-            rows.append([pi if j == pivot else zero for j in range(n)])
-        else:
-            r = [one if j == i else zero for j in range(n)]
-            r[pivot] = field.element(-mults[i])
-            rows.append(r)
-    grams = []
-    for k in range(field.real_places):
-        emb = [[field.embed(x, k) for x in row] for row in rows]
-        g = [[math.fsum(emb[i][m] * emb[j][m] for m in range(n))
-              for j in range(n)] for i in range(n)]
-        grams.append([[(g[i][j] + g[j][i]) / 2.0 for j in range(n)]
-                      for i in range(n)])
-    for k in range(field.complex_places):
-        emb = [[field.embed(x, field.real_places + k) for x in row]
-               for row in rows]
-        h = [[sum(emb[i][m].conjugate() * emb[j][m] for m in range(n))
-              for j in range(n)] for i in range(n)]
-        herm = [[(h[i][j] + h[j][i].conjugate()) / 2.0 for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            herm[i][i] = complex(herm[i][i].real, 0.0)
-        grams.append(herm)
-    return make_bundle(field, grams)
+        row = [one if j == i else zero for j in range(n)]
+        row[pivot] = pi if i == pivot else field.element(-mults[i])
+        rows.append(row)
+    return _restricted_bundle(trivial_bundle(field, n), rows)
 
 
 def random_bundle(field: NumberField, n: int, target_slope: float,
@@ -188,5 +174,9 @@ def random_bundle(field: NumberField, n: int, target_slope: float,
     else:
         base = _quadratic_congruence_bundle(field, n, rng)
     d = field.degree
-    t = math.exp((degree(base) - n * target_slope) / (n * d))
-    return scale(base, t)
+    exponent = (degree(base) - n * target_slope) / (n * d)
+    if abs(exponent) > MAX_EXPONENT:
+        raise ValueError(f"slope {target_slope:g} is out of range: the scale "
+                         f"factor exp({exponent:.6g}) is not a positive "
+                         f"finite float")
+    return scale(base, math.exp(exponent))

@@ -52,7 +52,7 @@ def expected_section_count(E: ArakelovBundle, n: int, mu: float,
                            node_cap: int = DEFAULT_NODE_CAP) -> float:
     """Mean number of section classes of a random rank-n twist of E at
     slope mu; a value below one lower-bounds the per-draw success chance
-    by one minus the value."""
+    by one minus the value.  The count's determinant degree is n * mu."""
     return main_inequality(E, n, n * mu,
                            {"node_cap": node_cap}).values["value"]
 

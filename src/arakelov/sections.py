@@ -12,6 +12,7 @@ if and only if they truly satisfy the closed condition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
@@ -56,11 +57,18 @@ def _norm_caps(E: ArakelovBundle, radii) -> list[Fraction]:
     radii = list(radii)
     if len(radii) != len(places):
         raise ValueError(f"need {len(places)} radii, got {len(radii)}")
+    # The trace-form radius sums the caps with weights adding up to the
+    # field degree; it must be a finite float.
+    top = sys.float_info.max
     caps = []
     for t in radii:
         t = Fraction(t)
         if t <= 0:
             raise ValueError("radii must be positive")
+        if t * t > top / E.field.degree:
+            shown = f"{float(t):.6g}" if t <= top else f"above {top:.6g}"
+            raise ValueError(f"radius {shown} is too large: the trace-form "
+                             f"radius is not a finite float")
         caps.append(t * t)
     return caps
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
+from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 
 # ---------------------------------------------------------------- constants
 
@@ -184,6 +185,17 @@ def random_pd_fraction_gram(rng: random.Random, n: int,
     G = B @ B.T
     return [[Fraction(int(G[i][j]), denominator) for j in range(n)]
             for i in range(n)]
+
+
+def sampler_bundles(field, ranks, count, seed):
+    """count sampler bundles over field, ranks drawn from ranks, slopes
+    from [-1, 1] and primes from three sizes, all seeded by seed."""
+    rng = random.Random(seed)
+    for j in range(count):
+        n = rng.choice(ranks)
+        spec = RandomLatticeSpec(n, rng.choice([101, 997, 100003]), j, field)
+        yield random_bundle(field, n, rng.uniform(-1.0, 1.0), spec,
+                            trial_rng(seed, j))
 
 
 # ------------------------------------------------------------ reduction
@@ -383,3 +395,85 @@ def _positive(x) -> bool:
     if a <= 0 and b < 0:
         return False
     return (a * a > b * b * delta) == (a > 0)
+
+
+# ------------------------------------------------ per-place bundle functors
+
+def kron_reference(A, B) -> list[list]:
+    """Kronecker product: entry ((i, k), (j, l)) is A[i][j] B[k][l]."""
+    return [[A[i][j] * B[k][l] for j in range(len(A)) for l in range(len(B))]
+            for i in range(len(A)) for k in range(len(B))]
+
+
+def complex_kron_reference(a, b):
+    """Kronecker product of Hermitian Grams in (re, im) pair form:
+    (A + iB) (x) (C + iD) = (A(x)C - B(x)D) + i (A(x)D + B(x)C)."""
+    (ar, ai), (br, bi) = a, b
+
+    def combine(X, Y, sign):
+        return [[x + sign * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+    return (combine(kron_reference(ar, br), kron_reference(ai, bi), -1),
+            combine(kron_reference(ar, bi), kron_reference(ai, br), 1))
+
+
+def _gaussian_matrix(g):
+    re, im = g
+    return [[SurdReference(a, b, -1) for a, b in zip(ra, rb)]
+            for ra, rb in zip(re, im)]
+
+
+def hermitian_det_reference(g) -> Fraction:
+    """det of a Hermitian Gram in (re, im) pair form, by elimination over
+    Q(i); it must come out real."""
+    d = det_reference(_gaussian_matrix(g))
+    if d.b != 0:
+        raise ValueError("a Hermitian determinant came out non-real")
+    return d.a
+
+
+def hermitian_inverse_reference(g):
+    """Inverse of a Hermitian Gram in (re, im) pair form, as a pair."""
+    inv = inverse_reference(_gaussian_matrix(g))
+    return ([[x.a for x in row] for row in inv],
+            [[x.b for x in row] for row in inv])
+
+
+def degree_reference(E) -> float:
+    """-1/2 log det at each real place, then -log det at each complex one,
+    accumulated in that order."""
+    def log(x: Fraction) -> float:
+        return math.log(x.numerator) - math.log(x.denominator)
+
+    total = 0.0
+    for g in E.gram_real:
+        total -= 0.5 * log(det_reference(g))
+    for g in E.gram_complex:
+        total -= log(hermitian_det_reference(g))
+    return total
+
+
+def congruence_grams_reference(field, rows) -> list[list]:
+    """Embedded Grams of a congruence basis (rows of field elements) under
+    the trivial metric, computed directly from the embeddings: math.fsum
+    at real places, plain sum at complex ones, then symmetrised with a
+    real diagonal."""
+    n = len(rows)
+    grams = []
+    for k in range(field.real_places):
+        emb = [[field.embed(x, k) for x in row] for row in rows]
+        g = [[math.fsum(emb[i][m] * emb[j][m] for m in range(n))
+              for j in range(n)] for i in range(n)]
+        grams.append([[(g[i][j] + g[j][i]) / 2.0 for j in range(n)]
+                      for i in range(n)])
+    for k in range(field.complex_places):
+        emb = [[field.embed(x, field.real_places + k) for x in row]
+               for row in rows]
+        h = [[sum(emb[i][m].conjugate() * emb[j][m] for m in range(n))
+              for j in range(n)] for i in range(n)]
+        herm = [[(h[i][j] + h[j][i].conjugate()) / 2.0 for j in range(n)]
+                for i in range(n)]
+        for i in range(n):
+            herm[i][i] = complex(herm[i][i].real, 0.0)
+        grams.append(herm)
+    return grams

@@ -28,7 +28,17 @@ from arakelov.intlinalg import QSurd, rat_det
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec
 from arakelov.sampler import random_bundle as sampled_bundle
-from tests.oracles import random_pd_fraction_gram
+from tests.oracles import (
+    complex_kron_reference,
+    degree_reference,
+    det_reference,
+    hermitian_det_reference,
+    hermitian_inverse_reference,
+    inverse_reference,
+    kron_reference,
+    random_pd_fraction_gram,
+    sampler_bundles,
+)
 
 FIELDS = ["Q", "Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{2})", "Q(sqrt{5})"]
 
@@ -222,6 +232,52 @@ def test_scale_law():
         scale(trivial_bundle(make_field("Q"), 1), 0.0)
 
 
+def frozen(m):
+    return tuple(tuple(row) for row in m)
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["Q", "Q(sqrt{5})", "Q(sqrt{-1})", "Q(sqrt{-3})"])
+def test_functors_match_pair_form_references(descriptor):
+    # tensor, dual, determinant, scale and degree against the (re, im)
+    # formulas, entry by entry and exactly
+    K = make_field(descriptor)
+    rng = random.Random(53)
+    bundles = list(sampler_bundles(K, (2, 3), 8, 53))
+    for E, F in zip(bundles, bundles[1:] + bundles[:1]):
+        T = tensor(E, F)
+        assert T.gram_real == tuple(
+            frozen(kron_reference(a, b))
+            for a, b in zip(E.gram_real, F.gram_real))
+        assert T.gram_complex == tuple(
+            tuple(map(frozen, complex_kron_reference(a, b)))
+            for a, b in zip(E.gram_complex, F.gram_complex))
+        V = dual(E)
+        assert V.gram_real == tuple(frozen(inverse_reference(g))
+                                    for g in E.gram_real)
+        assert V.gram_complex == tuple(
+            tuple(map(frozen, hermitian_inverse_reference(g)))
+            for g in E.gram_complex)
+        D = determinant(E)
+        assert D.gram_real == tuple(((det_reference(g),),)
+                                    for g in E.gram_real)
+        assert D.gram_complex == tuple(
+            (((hermitian_det_reference(g),),), ((Fraction(0),),))
+            for g in E.gram_complex)
+        t = math.exp(rng.uniform(-1.0, 1.0))
+        c = Fraction(t) ** 2
+        S = scale(E, t)
+        assert S.gram_real == tuple(frozen([[c * x for x in row]
+                                            for row in g])
+                                    for g in E.gram_real)
+        assert S.gram_complex == tuple(
+            tuple(frozen([[c * x for x in row] for row in part])
+                  for part in g)
+            for g in E.gram_complex)
+        for X in (E, T, V, D, S):
+            assert degree(X) == degree_reference(X)
+
+
 def test_covolume_identity():
     rng = random.Random(53)
     for name in FIELDS:
@@ -391,6 +447,57 @@ def test_saturate_subbundle_gaussian():
     assert K.divide(sub.basis[0][1], u) == K.element(2)
     # |1|^2 + |2|^2 = 5 at the single complex place
     assert abs(degree(sub.bundle) + math.log(5.0)) <= 1e-12
+
+
+def place_value_floats(view, b):
+    """The squared norm of the module vector b at each place, from the
+    exact restricted-scalars forms, rounded once (float(QSurd) would
+    cancel catastrophically at a conjugate real place)."""
+    z = [int(c) for x in b for c in (x.a, x.b)]
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        return [float(dec(q.a) + dec(q.b) * Decimal(q.delta).sqrt())
+                for q in view.place_values(z)]
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{5})", "Q(sqrt{-3})"])
+def test_saturate_subbundle_quadratic_degree_is_exact(descriptor):
+    # The restricted metric conj(e) G e^T is taken in floats, e the
+    # saturated basis vector embedded at each place.  Each place adds a
+    # relative error of at most (2n + 4) eps s|G|s / value, with
+    # s_a = |a| + |b| |w| for e_a = a + b w; saturated bases are not
+    # reduced, so at a conjugate real place that can exceed 1e-12.
+    K = make_field(descriptor)
+    rng = random.Random(59)
+    places = K.infinite_places()
+    eps = 2.0 ** -52
+    for E in sampler_bundles(K, (2, 3), 12, 59):
+        v = [K.element(rng.randint(-3, 3), rng.randint(-3, 3))
+             for _ in range(E.rank)]
+        if all(K.is_zero(x) for x in v):
+            continue
+        sub = saturate_subbundle(E, [v])
+        assert sub.bundle.rank == 1
+        b = sub.basis[0]
+        values = place_value_floats(restrict_scalars(E), b)
+        expected, bound = 0.0, 1e-12
+        grams = [[[abs(float(x)) for x in row] for row in g]
+                 for g in E.gram_real]
+        grams += [[[abs(complex(float(x), float(y))) for x, y in zip(*rows)]
+                   for rows in zip(*g)] for g in E.gram_complex]
+        for p, w, G, value in zip(places, K.omega_embeddings(), grams,
+                                  values):
+            weight = 0.5 if p.kind == "real" else 1.0
+            s = [abs(float(x.a)) + abs(float(x.b)) * abs(w) for x in b]
+            size = math.fsum(s[i] * G[i][j] * s[j]
+                             for i in range(E.rank) for j in range(E.rank))
+            expected -= weight * math.log(value)
+            bound += weight * (2 * E.rank + 4) * eps * size / value
+        assert abs(degree(sub.bundle) - expected) <= bound
 
 
 def test_subbundle_slope_bounds_ambient_shortest():

@@ -266,6 +266,17 @@ def test_usage_errors(capsys, tmp_path, monkeypatch, identity2):
                              "--l", "1", "--s", "200", "--cutoff", "1")
     assert code == 2 and out == ""
     assert "s = 200, degree = 4.60517" in err
+    # exp factors and radii beyond the float range, refused up front
+    for argv, named in [
+            (("bounds", "--kind", "theorem", "--n", "3",
+              "--det-degree", "1000"), "det_degree = 1000"),
+            (("search", "--n", "3", "--slope", "300"), "det_degree = 900"),
+            (("search", "--n", "3", "--slope", "-1000"), "slope -1000"),
+            (("sections", "--gram", identity2, "--radius", "1e160"),
+             "radius 1e+160")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert named in err and "not a" in err and "finite float" in err
     # csv is refused before any work is done
 
     def never(*args, **kwargs):

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from arakelov.bundle import (
-    _hermitian_det,
+    _det,
     _surds,
     make_bundle,
     restrict_scalars,
@@ -36,7 +36,6 @@ from arakelov.intlinalg import (
     saturation_rows,
 )
 from arakelov.numberfield import make_field
-from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from tests.oracles import (
     det_reference,
     inverse_reference,
@@ -44,6 +43,7 @@ from tests.oracles import (
     positive_definite_reference,
     random_pd_fraction_gram,
     rank_reference,
+    sampler_bundles,
 )
 
 
@@ -343,15 +343,6 @@ def adjoint(x):
     return parts(x)
 
 
-def sampler_bundles(field, ranks, count, seed):
-    rng = random.Random(seed)
-    for j in range(count):
-        n = rng.choice(ranks)
-        spec = RandomLatticeSpec(n, rng.choice([101, 997, 100003]), j, field)
-        yield random_bundle(field, n, rng.uniform(-1.0, 1.0), spec,
-                            trial_rng(seed, j))
-
-
 def test_bareiss_matches_reference_on_float_read_grams():
     # hecke_unimodular scales by the float p^(-2/n) and random_bundle by a
     # float t^2, so the exact Grams carry dyadic denominators above 2^64
@@ -388,7 +379,7 @@ def test_bareiss_matches_reference_on_hermitian_grams(descriptor):
         assert is_positive_definite(H)
         d = det(H)
         assert d.b == 0 and d.a > 0  # a Hermitian determinant is real
-        assert _hermitian_det(g) == det_reference(H).a
+        assert _det(H) == det_reference(H).a
 
 
 def psd_singular(rng, n, k, delta=None):

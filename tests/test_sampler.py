@@ -6,18 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from arakelov.bundle import degree, restrict_scalars, slope
+from arakelov.bundle import degree, make_bundle, restrict_scalars, slope
 from arakelov.errors import InvalidCosetError
 from arakelov.intlinalg import rat_det
 from arakelov.numberfield import make_field
 from arakelov.sampler import (
     DEFAULT_PRIME,
     RandomLatticeSpec,
+    _congruence_rows,
+    _draw_coset,
+    _quadratic_congruence_bundle,
+    _split_prime_generator,
     hecke_integer_gram,
     hecke_unimodular,
     random_bundle,
     trial_rng,
 )
+from tests.oracles import congruence_grams_reference
 
 Q = make_field("Q")
 
@@ -113,3 +118,38 @@ def test_quadratic_sampler_covolume_identity():
         expected = K.discriminant ** 1.0 * math.exp(-degree(E))
         assert restrict_scalars(E).covolume() == pytest.approx(expected,
                                                                rel=1e-6)
+
+
+def test_sampler_refuses_slopes_beyond_the_float_range():
+    spec = RandomLatticeSpec(n=3, p=100003, seed=42, field=Q)
+    for target in (-1000.0, 1000.0):
+        with pytest.raises(ValueError, match=f"slope {target:g} is out"):
+            random_bundle(Q, 3, target, spec)
+
+
+def congruence_basis(field, n, rng):
+    """The sampler's congruence submodule basis for one draw from rng:
+    pi e_j for the pivot j, e_i - c_i e_j for the others."""
+    q, pi = _split_prime_generator(field)
+    pivot, mults = _congruence_rows(n, _draw_coset(rng, n, q), q)
+    one, zero = field.element(1), field.element(0)
+    rows = []
+    for i in range(n):
+        row = [one if j == i else zero for j in range(n)]
+        row[pivot] = pi if i == pivot else field.element(-mults[i])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, -1, -2, -3, -7])
+def test_quadratic_congruence_bundle_matches_reference_grams(D):
+    # the trivial metric restricted to the congruence submodule equals,
+    # bit for bit, the embedded Grams of the basis computed directly
+    K = make_field(f"Q(sqrt{{{D}}})")
+    seeds = random.Random(61)
+    for n in range(2, 7):
+        for _ in range(6):
+            seed, trial = seeds.randrange(10 ** 6), seeds.randrange(100)
+            E = _quadratic_congruence_bundle(K, n, trial_rng(seed, trial))
+            rows = congruence_basis(K, n, trial_rng(seed, trial))
+            assert E == make_bundle(K, congruence_grams_reference(K, rows))
