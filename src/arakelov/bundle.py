@@ -14,9 +14,18 @@ at a complex one), runs the same matrix operation on each, and stores the
 result back.  The stored form stays the (re, im) Fraction pair, which
 reports print as it is.
 
-restrict_scalars exposes the module as a Z-lattice of rank d*n.  Its
-per-place norm forms are kept as integer symmetric matrices A, B over one
-common denominator den, meaning (z A z^T + (z B z^T) sqrt(|D|)) / den.  A
+restrict_scalars exposes the module as a Z-lattice of rank d*n, with
+coordinates z over the basis p_a e_i, p = (1, w) the integral basis.  At a
+place v the squared norm of sum z_ia p_a e_i is sum z_ia z_jb G_ij
+conj(p_a) p_b, so the restricted form is the Gram G_v tensored with the
+table P_ab = conj(p_a) p_b at v (Neukirch, Algebraic Number Theory, I 5).
+With w = s/2 + (y/2) sqrt(D), 2P is TA + TB sqrt(D) at a real place, and
+at the complex place 2 Re P = TA and 2 Im P = -TB sqrt|D|, for integer 2x2
+tables TA, TB.  The form is (z A z^T + (z B z^T) sqrt|D|) / den with
+A = G (x) TA and B = H (x) TB, where den is twice the Grams' common
+denominator: H = G at a real place, and G, H are the real and imaginary
+parts of the Hermitian Gram at the complex place, since
+Re(P G) = Re P Re G - Im P Im G.  Over Q the form is the Gram itself.  A
 form's value at an integer vector is a QSurd, summed on Python ints and
 normalised once, which lets downstream enumeration filters decide boundary
 membership exactly even for quadratic fields.
@@ -40,8 +49,7 @@ from .intlinalg import (
     inverse,
     is_positive_definite,
     ok_saturation_rows,
-    rat_rank,
-    saturation_rows,
+    rank,
 )
 from .lattice import apply_transform, form_value
 from .numberfield import NumberField, QuadElement
@@ -114,12 +122,7 @@ def _mat_scale(A, c):
 
 
 def _kron(A, B):
-    ma, mb = len(A), len(B)
-    out = []
-    for i in range(ma):
-        for k in range(mb):
-            out.append([A[i][j] * B[k][l] for j in range(ma) for l in range(mb)])
-    return out
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def _surds(A, B, delta: int) -> list[list[QSurd]]:
@@ -202,7 +205,9 @@ def _validate(m, rank: int):
 def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     """Build a bundle from one Gram matrix per infinite place, real places
     first.  For fields with a single infinite place a bare matrix is accepted.
-    Entries may be int, float, Fraction, or (at complex places) complex."""
+    Entries may be int, float or Fraction; at complex places also complex,
+    read exactly from its float parts, or a Gaussian QSurd re + im sqrt(-1)
+    with rational parts, read exactly."""
     places = field.real_places + field.complex_places
     mats = list(grams)
     if mats and mats[0] and not isinstance(mats[0][0], (list, tuple)):
@@ -285,65 +290,35 @@ class SaturatedSubbundle:
     basis: tuple[tuple, ...]
 
 
-def _module_to_zrows(field: NumberField, vectors) -> list[list[int]]:
-    """Integer rows for the Z-span of the given module vectors (and, over a
-    quadratic field, of w times each vector), after clearing denominators."""
-    rows = []
-    for v in vectors:
-        if field.is_rational():
-            elems = [field.coerce(x) for x in v]
-            den = 1
-            for x in elems:
-                den = math.lcm(den, x.denominator)
-            rows.append([int(x * den) for x in elems])
-        else:
-            scaled = _clear_vector(field, v)
-            for mult in (False, True):
-                row = []
-                for x in scaled:
-                    y = field.mul(field.element(0, 1), x) if mult else x
-                    row.append((int(y.a), int(y.b)))
-                rows.append([c for ab in row for c in ab])
-    return rows
-
-
-def _clear_vector(field: NumberField, v) -> list[QuadElement]:
-    """Scale a quadratic-field vector to integral coordinates (same K-span)."""
+def _clear_vector(field: NumberField, v) -> list:
+    """Scale a module vector to integral coordinates (same K-span)."""
     elems = [field.coerce(x) for x in v]
-    den = 1
-    for x in elems:
-        den = math.lcm(den, x.a.denominator, x.b.denominator)
-    return [QuadElement(x.a * den, x.b * den) for x in elems]
+    den = math.lcm(*(c.denominator for x in elems for c in _coords(x)))
+    return [field.mul(den, x) for x in elems]
+
+
+def _coords(x) -> tuple[Fraction, ...]:
+    """Coordinates of a field element over the integral basis."""
+    return (x.a, x.b) if isinstance(x, QuadElement) else (x,)
 
 
 def saturate_subbundle(E: ArakelovBundle, generators) -> SaturatedSubbundle:
     """The unique subbundle whose generic fibre is the span of the given
     module vectors: saturated basis plus restricted metrics."""
-    gens = list(generators)
+    field = E.field
+    gens = [_clear_vector(field, v) for v in generators]
     if not gens:
         raise DependentGeneratorsError("no generators given")
-    field = E.field
-    n = E.rank
-    if field.is_rational():
-        rows = _module_to_zrows(field, gens)
-        if len(rows) != rat_rank(rows, n):
-            raise DependentGeneratorsError("generators are K-linearly dependent")
-        sat = saturation_rows(rows, n)
-        basis = tuple(tuple(Fraction(x) for x in row) for row in sat)
-    else:
-        coerced = [_clear_vector(field, v) for v in gens]
-        if len(coerced) != _ok_rank(field, coerced, n):
-            raise DependentGeneratorsError("generators are K-linearly dependent")
-        sat = ok_saturation_rows(field, coerced, n)
-        basis = tuple(tuple(row) for row in sat)
-    sub = _restricted_bundle(E, basis)
-    return SaturatedSubbundle(bundle=sub, basis=basis)
-
-
-def _ok_rank(field: NumberField, rows, ncols: int) -> int:
-    # rank over K: clear to the rational 2x rows and halve
-    zrows = _module_to_zrows(field, rows)
-    return rat_rank(zrows, 2 * ncols) // 2
+    if any(len(v) != E.rank for v in gens):
+        raise ValueError(f"generators must have {E.rank} coordinates")
+    # k vectors are K-independent when their multiples by the integral
+    # basis have Q-rank d k
+    rows = [[c for x in v for c in _coords(field.mul(w, x))]
+            for v in gens for w in field.integral_basis()]
+    if rank(rows, field.degree * E.rank) != field.degree * len(gens):
+        raise DependentGeneratorsError("generators are K-linearly dependent")
+    basis = tuple(map(tuple, ok_saturation_rows(field, gens, E.rank)))
+    return SaturatedSubbundle(bundle=_restricted_bundle(E, basis), basis=basis)
 
 
 def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
@@ -479,55 +454,30 @@ def _trace_gram(forms) -> tuple[tuple[float, ...], ...]:
 
 
 def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
+    """The module as a Z-lattice of rank d*n with one exact form per place,
+    G_v (x) TA + (H_v (x) TB) sqrt|D| over 2 den (see the module
+    docstring)."""
     field = E.field
-    n = E.rank
     if field.is_rational():
-        (A,), den = _to_int_matrices(E.gram_real)
-        forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
-                           den=den, delta=0),)
-        return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
-                            trace_gram=_trace_gram(forms))
-
-    D = field.D
-    delta = abs(D)
-    # w = s/2 + y0 sqrt(D) with y0 = 1/2 or 1; with every coefficient
-    # doubled (y2 = 2 y0) the forms are integral over den = 2 * den(G).
+        (G,), den = _to_int_matrices(E.gram_real)
+        forms = (PlaceForm("real", tuple(map(tuple, G)), None, den, 0),)
+        return ZLatticeView(E, E.rank, 0, forms, _trace_gram(forms))
+    # each place's kind and tables TA, TB, real places first: w^2 = s w - q
+    # and w = s/2 +- (y/2) sqrt(D) at the two real places
     s, q = field.omega_minpoly()
-    y2 = 1 if field.omega_is_half else 2
-    N = 2 * n
-    parts = []  # (kind, A, B) per place
-
-    def zeros():
-        return [[0] * N for _ in range(N)]
-
-    if D > 0:
-        grams, den = _to_int_matrices(E.gram_real)
-        for sign, G in zip((1, -1), grams):
-            A, B = zeros(), zeros()
-            for i in range(n):
-                for j in range(n):
-                    g = G[i][j]
-                    A[2 * i][2 * j] = 2 * g
-                    A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * g
-                    A[2 * i + 1][2 * j + 1] = (s * s - 2 * q) * g
-                    B[2 * i][2 * j + 1] = B[2 * i + 1][2 * j] = sign * y2 * g
-                    B[2 * i + 1][2 * j + 1] = sign * s * y2 * g
-            parts.append(("real", A, B))
-    else:
-        (R, I), den = _to_int_matrices(E.gram_complex[0])
-        A, B = zeros(), zeros()
-        for i in range(n):
-            for j in range(n):
-                r, im = R[i][j], I[i][j]
-                A[2 * i][2 * j] = 2 * r
-                A[2 * i + 1][2 * j + 1] = 2 * q * r
-                # Re(w * H_ij) and Re(conj(w) * H_ji) entries
-                A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * r
-                B[2 * i][2 * j + 1] = -y2 * im
-                B[2 * i + 1][2 * j] = y2 * im
-        parts.append(("complex", A, B))
-    forms = tuple(PlaceForm(kind=kind, A=tuple(map(tuple, A)),
-                            B=tuple(map(tuple, B)), den=2 * den, delta=delta)
-                  for kind, A, B in parts)
-    return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
-                        trace_gram=_trace_gram(forms))
+    y = 1 if field.omega_is_half else 2
+    r1 = field.real_places
+    real = [[2, s], [s, s * s - 2 * q]]
+    tables = ([("real", real, [[0, y], [y, s * y]]),
+               ("real", real, [[0, -y], [-y, -s * y]])][:r1]
+              + [("complex", [[2, s], [s, 2 * q]], [[0, -y], [y, 0]])]
+              * field.complex_places)
+    mats, den = _to_int_matrices(
+        [*E.gram_real, *(m for pair in E.gram_complex for m in pair)])
+    pairs = [(g, g) for g in mats[:r1]] + list(zip(mats[r1::2], mats[r1 + 1::2]))
+    delta = abs(field.D)
+    forms = tuple(
+        PlaceForm(kind, tuple(map(tuple, _kron(G, TA))),
+                  tuple(map(tuple, _kron(H, TB))), 2 * den, delta)
+        for (kind, TA, TB), (G, H) in zip(tables, pairs))
+    return ZLatticeView(E, 2 * E.rank, delta, forms, _trace_gram(forms))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .bundle import ArakelovBundle, make_bundle
 from .errors import ArakelovError, GramFileError
+from .intlinalg import QSurd
 from .numberfield import NumberField, make_field
 
 __all__ = [
@@ -36,7 +37,7 @@ def _parse_real(token: str, lineno: int) -> Fraction:
         raise GramFileError(lineno, f"bad matrix entry {token!r}") from None
 
 
-def _parse_complex(token: str, lineno: int) -> complex | Fraction:
+def _parse_complex(token: str, lineno: int) -> QSurd | Fraction:
     if not token.endswith("i"):
         return _parse_real(token, lineno)
     body = token[:-1]
@@ -61,7 +62,7 @@ def _parse_complex(token: str, lineno: int) -> complex | Fraction:
         im_val = Fraction(im_part)
     except (ValueError, ZeroDivisionError):
         raise GramFileError(lineno, f"bad matrix entry {token!r}") from None
-    return complex(float(re_val), float(im_val)) if im_val else re_val
+    return QSurd(re_val, im_val, -1) if im_val else re_val
 
 
 def parse_gram_text(text: str) -> ArakelovBundle:

@@ -45,7 +45,6 @@ __all__ = [
     "ok_saturation_rows",
     "rat_det",
     "rat_inverse",
-    "rat_rank",
     "right_kernel_rows",
     "saturation_rows",
     "transpose",
@@ -381,10 +380,6 @@ def rat_det(rows) -> Fraction:
 
 def rat_inverse(rows) -> list[list[Fraction]]:
     return inverse(rows)
-
-
-def rat_rank(rows, ncols: int) -> int:
-    return rank(rows, ncols)
 
 
 # ----------------------------------------------------------------------

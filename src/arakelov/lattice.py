@@ -9,8 +9,10 @@ was given in, one representative per +-x pair.
 Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
 at whatever radius the caller asks for, with each vector mapped back to the
-caller's coordinates.  DEFAULT_NODE_CAP is the one enumeration budget every
-module defaults to.
+caller's coordinates.  The one exception is mvt._count_tuples, which calls
+enumerate_short_vectors on its Hecke Gram directly: hecke_integer_gram has
+already LLL-reduced it, and the counts need no map back.  DEFAULT_NODE_CAP
+is the one enumeration budget every module defaults to.
 """
 
 from __future__ import annotations

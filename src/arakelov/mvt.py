@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import EnumerationCapError, MonteCarloDiscardError, UnsupportedFieldError
-from .intlinalg import rat_rank
+from .intlinalg import rank
 from .lattice import DEFAULT_NODE_CAP, enumerate_short_vectors, form_value
-from .numberfield import NumberField, adelic_ball_volume, make_field
+from .numberfield import NumberField, adelic_ball_volume
 from .sampler import RandomLatticeSpec, _draw_coset, hecke_integer_gram, trial_rng
 
 __all__ = [
@@ -136,20 +136,18 @@ def _count_tuples(gram: list[list[int]], p: int, n: int, l: int,
               for j in range(l)]
     count = 0
     for tup in product(*signed):
-        if rat_rank(tup, n) == l:
+        if rank(tup, n) == l:
             count += 1
     return count
 
 
 def _one_trial(args) -> int | None:
     """Count for one trial, or None when the enumeration budget was hit."""
-    n, l, radii, p, seed, trial, node_cap = args
-    rng = trial_rng(seed, trial)
-    a = _draw_coset(rng, n, p)
-    spec = RandomLatticeSpec(n=n, p=p, seed=seed, field=make_field("Q"))
+    spec, l, radii, trial, node_cap = args
+    a = _draw_coset(trial_rng(spec.seed, trial), spec.n, spec.p)
     gram = hecke_integer_gram(spec, a)
     try:
-        return _count_tuples(gram, p, n, l, radii, node_cap)
+        return _count_tuples(gram, spec.p, spec.n, l, radii, node_cap)
     except EnumerationCapError:
         return None
 
@@ -173,8 +171,7 @@ def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
 
-    jobs = [(n, l, radii, spec.p, spec.seed, t, node_cap)
-            for t in range(trials)]
+    jobs = [(spec, l, radii, t, node_cap) for t in range(trials)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_one_trial, jobs, chunksize=16))

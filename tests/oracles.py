@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from arakelov.bundle import (PlaceForm, ZLatticeView, _to_int_matrices,
+                             _trace_gram)
 from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
@@ -398,6 +400,63 @@ def _positive(x) -> bool:
 
 
 # ------------------------------------------------ per-place bundle functors
+
+def restrict_scalars_reference(E) -> ZLatticeView:
+    """The restricted-scalars view entry by entry: over Q the integer Gram
+    itself; over Q(sqrt D) the 2x2 block of each Gram entry written out,
+    with one index loop for the two real places (D > 0) and one for the
+    complex place (D < 0), over den = 2 den(G)."""
+    field = E.field
+    n = E.rank
+    if field.is_rational():
+        (A,), den = _to_int_matrices(E.gram_real)
+        forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
+                           den=den, delta=0),)
+        return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
+                            trace_gram=_trace_gram(forms))
+
+    D = field.D
+    delta = abs(D)
+    s, q = field.omega_minpoly()
+    y2 = 1 if field.omega_is_half else 2
+    N = 2 * n
+    parts = []  # (kind, A, B) per place
+
+    def zeros():
+        return [[0] * N for _ in range(N)]
+
+    if D > 0:
+        grams, den = _to_int_matrices(E.gram_real)
+        for sign, G in zip((1, -1), grams):
+            A, B = zeros(), zeros()
+            for i in range(n):
+                for j in range(n):
+                    g = G[i][j]
+                    A[2 * i][2 * j] = 2 * g
+                    A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * g
+                    A[2 * i + 1][2 * j + 1] = (s * s - 2 * q) * g
+                    B[2 * i][2 * j + 1] = B[2 * i + 1][2 * j] = sign * y2 * g
+                    B[2 * i + 1][2 * j + 1] = sign * s * y2 * g
+            parts.append(("real", A, B))
+    else:
+        (R, I), den = _to_int_matrices(E.gram_complex[0])
+        A, B = zeros(), zeros()
+        for i in range(n):
+            for j in range(n):
+                r, im = R[i][j], I[i][j]
+                A[2 * i][2 * j] = 2 * r
+                A[2 * i + 1][2 * j + 1] = 2 * q * r
+                # Re(w * H_ij) and Re(conj(w) * H_ji) entries
+                A[2 * i][2 * j + 1] = A[2 * i + 1][2 * j] = s * r
+                B[2 * i][2 * j + 1] = -y2 * im
+                B[2 * i + 1][2 * j] = y2 * im
+        parts.append(("complex", A, B))
+    forms = tuple(PlaceForm(kind=kind, A=tuple(map(tuple, A)),
+                            B=tuple(map(tuple, B)), den=2 * den, delta=delta)
+                  for kind, A, B in parts)
+    return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
+                        trace_gram=_trace_gram(forms))
+
 
 def kron_reference(A, B) -> list[list]:
     """Kronecker product: entry ((i, k), (j, l)) is A[i][j] B[k][l]."""

@@ -37,6 +37,7 @@ from tests.oracles import (
     inverse_reference,
     kron_reference,
     random_pd_fraction_gram,
+    restrict_scalars_reference,
     sampler_bundles,
 )
 
@@ -290,6 +291,21 @@ def test_covolume_identity():
             assert view.covolume() == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("descriptor", ["Q", "Q(sqrt{2})", "Q(sqrt{5})",
+                                        "Q(sqrt{-1})", "Q(sqrt{-3})",
+                                        "Q(sqrt{-7})"])
+def test_restrict_scalars_matches_reference(descriptor):
+    # G (x) T per place against the entry-by-entry index loops, for ranks
+    # 1-4 and tensor products
+    K = make_field(descriptor)
+    rng = random.Random(67)
+    bundles = [random_bundle(rng, K, 1), *sampler_bundles(K, (2, 3, 4), 6, 67)]
+    bundles += [tensor(E, F) for E, F in zip(bundles, bundles[1:4])]
+    assert {E.rank for E in bundles} >= {1, 2, 3, 4}
+    for E in bundles:
+        assert restrict_scalars(E) == restrict_scalars_reference(E)
+
+
 def test_restrict_scalars_rational_is_identity_view():
     Q = make_field("Q")
     G = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
@@ -447,6 +463,26 @@ def test_saturate_subbundle_gaussian():
     assert K.divide(sub.basis[0][1], u) == K.element(2)
     # |1|^2 + |2|^2 = 5 at the single complex place
     assert abs(degree(sub.bundle) + math.log(5.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{-1})", "Q(sqrt{5})"])
+def test_saturate_subbundle_quadratic_generators(descriptor):
+    K = make_field(descriptor)
+    E = trivial_bundle(K, 3)
+    w = K.element(0, 1)
+    v = (K.element(1, 2), K.element(0), K.element(-3, 1))
+    with pytest.raises(DependentGeneratorsError):
+        saturate_subbundle(E, [v, tuple(K.mul(w, x) for x in v)])
+    with pytest.raises(DependentGeneratorsError):
+        saturate_subbundle(E, [])
+    # a generator of the wrong length is refused, not truncated or padded
+    for bad in (v[:2], (*v, K.element(1))):
+        with pytest.raises(ValueError):
+            saturate_subbundle(E, [bad])
+    # fractional coordinates are cleared first
+    frac = tuple(K.divide(x, K.element(6)) for x in v)
+    assert saturate_subbundle(E, [frac]).basis == \
+        saturate_subbundle(E, [v]).basis
 
 
 def place_value_floats(view, b):

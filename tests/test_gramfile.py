@@ -13,6 +13,7 @@ from arakelov.gramfile import (
     parse_gram_text,
     write_gram_file,
 )
+from arakelov.intlinalg import QSurd
 from arakelov.numberfield import make_field
 from tests.oracles import random_pd_fraction_gram
 from tests.test_bundle import random_bundle
@@ -61,6 +62,11 @@ def test_parse_complex_token_shapes():
     text3 = "Q(sqrt{-1})\n2\n3 3/2+1/4i\n3/2-1/4i 3\n"
     re3, im3 = parse_gram_text(text3).gram_complex[0]
     assert re3[0][1] == Fraction(3, 2) and im3[0][1] == Fraction(1, 4)
+    # rationals without power-of-two denominators stay exact
+    text4 = "Q(sqrt{-1})\n2\n3 1/3+1/7i\n1/3-1/7i 3\n"
+    re4, im4 = parse_gram_text(text4).gram_complex[0]
+    assert re4[0][1] == Fraction(1, 3) and im4[0][1] == Fraction(1, 7)
+    assert re4[1][0] == Fraction(1, 3) and im4[1][0] == Fraction(-1, 7)
 
 
 def test_two_place_field_needs_two_blocks():
@@ -104,6 +110,23 @@ def test_round_trip_exact():
             assert F.gram_real == E.gram_real
             assert F.gram_complex == E.gram_complex
             assert degree(F) == degree(E)
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{-1})", "Q(sqrt{-3})"])
+def test_round_trip_gaussian_rational_hermitian(descriptor):
+    # entries whose denominators are not powers of two survive exactly
+    def z(re, im):
+        return QSurd(Fraction(re), Fraction(im), -1)
+
+    K = make_field(descriptor)
+    H = [[z(2, 0), z("1/3", "1/7"), z("-2/5", "3/11")],
+         [z("1/3", "-1/7"), z("5/3", 0), z("1/9", "-1/6")],
+         [z("-2/5", "-3/11"), z("1/9", "1/6"), z("7/5", 0)]]
+    E = make_bundle(K, H)
+    assert E.gram_complex[0][1][0][1] == Fraction(1, 7)
+    F = parse_gram_text(format_gram_file(E))
+    assert F.gram_complex == E.gram_complex
+    assert degree(F) == degree(E)
 
 
 def test_file_round_trip(tmp_path):
