@@ -8,11 +8,12 @@ pairs.  Degrees therefore come from exact determinants, taken by
 fraction-free elimination on the Gram scaled to integers and rounded only
 at the final logarithm.
 
-Every functor treats all places alike: it reads each place's Gram as one
-exact matrix (Fractions at a real place, Gaussian QSurds re + im sqrt(-1)
-at a complex one), runs the same matrix operation on each, and stores the
-result back.  The stored form stays the (re, im) Fraction pair, which
-reports print as it is.
+Every functor runs on one integer form per bundle: den, the lcm of the
+stored denominators, and each place Gram times den as an integer matrix
+(Gaussian QSurds at a complex place).  _bundle builds it once, through
+intlinalg._scaled, the only step where rationals become integers, and reads
+the stored Fraction Grams, which reports print, off it; a bundle built field
+by field derives it on first use.
 
 restrict_scalars exposes the module as a Z-lattice of rank d*n, with
 coordinates z over the basis p_a e_i, p = (1, w) the integral basis.  At a
@@ -22,9 +23,9 @@ table P_ab = conj(p_a) p_b at v (Neukirch, Algebraic Number Theory, I 5).
 With w = s/2 + (y/2) sqrt(D), 2P is TA + TB sqrt(D) at a real place, and
 at the complex place 2 Re P = TA and 2 Im P = -TB sqrt|D|, for integer 2x2
 tables TA, TB.  The form is (z A z^T + (z B z^T) sqrt|D|) / den with
-A = G (x) TA and B = H (x) TB, where den is twice the Grams' common
-denominator: H = G at a real place, and G, H are the real and imaginary
-parts of the Hermitian Gram at the complex place, since
+A = G (x) TA and B = H (x) TB, where den is twice the bundle's den: H = G
+at a real place, and G, H are the real and imaginary parts of the Hermitian
+integer form at the complex place, since
 Re(P G) = Re P Re G - Im P Im G.  Over Q the form is the Gram itself.  A
 form's value at an integer vector is a QSurd, summed on Python ints and
 normalised once, which lets downstream enumeration filters decide boundary
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -45,6 +47,7 @@ from .errors import (
 )
 from .intlinalg import (
     QSurd,
+    _scaled,
     det,
     inverse,
     is_positive_definite,
@@ -75,38 +78,6 @@ RealGram = tuple[tuple[Fraction, ...], ...]
 ComplexGram = tuple[RealGram, RealGram]
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, complex):
-        raise InvalidMetricError("complex entry where a real one is required")
-    return Fraction(x)
-
-
-def _freeze(rows) -> RealGram:
-    return tuple(tuple(_fr(x) for x in row) for row in rows)
-
-
-_ZERO = Fraction(0)
-
-
-def _parts(x) -> tuple[Fraction, Fraction]:
-    """(real part, imaginary part) of a rational, float, complex or
-    Gaussian QSurd entry, as Fractions."""
-    if x.__class__ is QSurd:  # before isinstance, which is slow on QSurds
-        return _fr(x.a), _fr(x.b)
-    if isinstance(x, (int, float, Fraction)):
-        return _fr(x), _ZERO
-    c = complex(x)
-    return Fraction(c.real), Fraction(c.imag)
-
-
-def _split_complex(rows) -> ComplexGram:
-    pairs = [[_parts(x) for x in row] for row in rows]
-    return (tuple(tuple(a for a, _ in row) for row in pairs),
-            tuple(tuple(b for _, b in row) for row in pairs))
-
-
 def log_fraction(x: Fraction) -> float:
     if x <= 0:
         raise ValueError("log of non-positive value")
@@ -114,12 +85,8 @@ def log_fraction(x: Fraction) -> float:
 
 
 # ----------------------------------------------------------------------
-# rational matrix helpers
+# matrix helpers
 # ----------------------------------------------------------------------
-
-def _mat_scale(A, c):
-    return [[x * c for x in row] for row in A]
-
 
 def _kron(A, B):
     return [[a * b for a in ra for b in rb] for ra in A for rb in B]
@@ -130,6 +97,11 @@ def _surds(A, B, delta: int) -> list[list[QSurd]]:
     Hermitian (real part, imaginary part) pair."""
     return [[QSurd(a, b, delta) for a, b in zip(ra, rb)]
             for ra, rb in zip(A, B)]
+
+
+def _re_im(m) -> tuple[list[list], list[list]]:
+    """The parts of a QSurd matrix: m = re + im sqrt(delta)."""
+    return [[x.a for x in row] for row in m], [[x.b for x in row] for row in m]
 
 
 # ----------------------------------------------------------------------
@@ -151,51 +123,74 @@ class ArakelovBundle:
     def slope(self) -> float:
         return slope(self)
 
+    @cached_property
+    def _form(self) -> tuple[int, list]:
+        """(den, integer place matrices); derived here for a bundle built
+        with ArakelovBundle(...) or dataclasses.replace."""
+        return _bundle(self.field, self.rank, [*self.gram_real, *(
+            _surds(re, im, -1) for re, im in self.gram_complex)])._form
 
-def _places(E: ArakelovBundle) -> list[list[list]]:
-    """Each place's Gram as one exact matrix, real places first: Fractions
-    at a real place, Gaussian QSurds re + im sqrt(-1) at a complex one."""
-    return [*E.gram_real, *(_surds(re, im, -1) for re, im in E.gram_complex)]
 
+def _bundle(field: NumberField, n: int, mats,
+            c: Fraction = Fraction(1)) -> ArakelovBundle:
+    """The rank-n bundle with Grams c mats[v] (QSurds at complex places).
+    One _scaled over all places gives its integer form, den the lcm of the
+    stored denominators; the stored Grams are read off it."""
+    A, s = _scaled([row for m in mats for row in m])
+    s *= c
+    den = s.denominator
+    if s.numerator != 1:
+        A = [[x * s.numerator for x in row] for row in A]
+    forms = [A[k:k + n] for k in range(0, len(A), n)]
 
-def _from_places(field: NumberField, rank: int, mats) -> ArakelovBundle:
-    """The bundle with these place Grams (inverse of _places); complex
-    places go back to stored (re, im) Fraction pairs."""
+    def over(m) -> RealGram:
+        return tuple(tuple(Fraction(x, den) for x in row) for row in m)
+
     r1 = field.real_places
-    return ArakelovBundle(
-        field=field, rank=rank,
-        gram_real=tuple(_freeze(m) for m in mats[:r1]),
-        gram_complex=tuple(_split_complex(m) for m in mats[r1:]))
+    E = ArakelovBundle(
+        field=field, rank=n,
+        gram_real=tuple(over(m) for m in forms[:r1]),
+        gram_complex=tuple(tuple(map(over, _re_im(m))) for m in forms[r1:]))
+    E.__dict__["_form"] = den, forms  # fills the cached_property
+    return E
 
 
-def _det(m) -> Fraction:
-    """det of one place Gram; a Hermitian determinant must come out real."""
-    d = det(m)
-    if not isinstance(d, QSurd):
-        return d
-    if d.b != 0:
+def _dets(E: ArakelovBundle) -> list[Fraction]:
+    """det of each place Gram, real places first; a Hermitian determinant
+    must come out real."""
+    den, forms = E._form
+    dets = [det(m) for m in forms]
+    if any(isinstance(d, QSurd) and d.b != 0 for d in dets):
         raise InvalidMetricError("Hermitian determinant came out non-real")
-    return d.a
+    return [Fraction(d.a if isinstance(d, QSurd) else d, den ** E.rank)
+            for d in dets]
 
 
+@lru_cache(maxsize=None)
 def trivial_bundle(field: NumberField, n: int) -> ArakelovBundle:
     """The bundle O^n: standard scalar products everywhere, degree zero."""
-    if n < 1:
-        raise InvalidMetricError("rank must be at least 1")
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    return _from_places(field, n, [ident] * len(field.infinite_places()))
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return make_bundle(field, [ident] * len(field.infinite_places()))
 
 
-def _validate(m, rank: int):
-    """A place Gram must be rank x rank, Hermitian (symmetric at a real
-    place) and positive definite."""
-    if len(m) != rank or any(len(row) != rank for row in m):
-        raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
-    for i in range(rank):
+def _gaussian(x) -> QSurd:
+    """An entry at a complex place as re + im sqrt(-1)."""
+    if x.__class__ is not QSurd:
+        return QSurd(x.real, x.imag, -1)
+    if x.delta != -1:
+        raise InvalidMetricError(f"QSurd entry over sqrt({x.delta}) at a "
+                                 "complex place; only sqrt(-1) is read")
+    return x
+
+
+def _validate(m):
+    """A place's integer form must be Hermitian (symmetric at a real place)
+    and positive definite."""
+    for i, row in enumerate(m):
         for j in range(i + 1):
-            (a, b), (c, d) = _parts(m[i][j]), _parts(m[j][i])
-            if a != c or b != -d:
+            x, y = row[j], m[j][i]
+            if (x != y if x.__class__ is not QSurd
+                    else (x.a, x.b) != (y.a, -y.b)):
                 raise InvalidMetricError("Gram matrix is not symmetric "
                                          "(Hermitian at complex places)")
     if not is_positive_definite(m):
@@ -205,9 +200,9 @@ def _validate(m, rank: int):
 def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     """Build a bundle from one Gram matrix per infinite place, real places
     first.  For fields with a single infinite place a bare matrix is accepted.
-    Entries may be int, float or Fraction; at complex places also complex,
-    read exactly from its float parts, or a Gaussian QSurd re + im sqrt(-1)
-    with rational parts, read exactly."""
+    Entries may be int, float or Fraction, and must be finite; at complex
+    places also complex, read exactly from its float parts, or a Gaussian
+    QSurd re + im sqrt(-1) with rational parts, read exactly."""
     places = field.real_places + field.complex_places
     mats = list(grams)
     if mats and mats[0] and not isinstance(mats[0][0], (list, tuple)):
@@ -220,9 +215,21 @@ def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     rank = len(mats[0])
     if rank < 1:
         raise InvalidMetricError("rank must be at least 1")
-    E = _from_places(field, rank, mats)
-    for m in _places(E):
-        _validate(m, rank)
+    if any(len(m) != rank or any(len(row) != rank for row in m)
+           for m in mats):
+        raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
+    r1 = field.real_places
+    if any(isinstance(x, (complex, QSurd))
+           for m in mats[:r1] for row in m for x in row):
+        raise InvalidMetricError("complex entry where a real one is required")
+    exact = mats[:r1] + [[[_gaussian(x) for x in row] for row in m]
+                         for m in mats[r1:]]
+    try:
+        E = _bundle(field, rank, exact)
+    except (OverflowError, ValueError):  # inf or nan read exactly
+        raise InvalidMetricError("Gram entries must be finite") from None
+    for m in E._form[1]:
+        _validate(m)
     return E
 
 
@@ -234,8 +241,8 @@ def degree(bundle: ArakelovBundle) -> float:
     """deg = sum over places of -e_v log det G_v, with e_v = 1/2 at real
     places and 1 at complex ones."""
     r1 = bundle.field.real_places
-    return 0.0 - sum((0.5 if v < r1 else 1.0) * log_fraction(_det(m))
-                     for v, m in enumerate(_places(bundle)))
+    return 0.0 - sum((0.5 if v < r1 else 1.0) * log_fraction(d)
+                     for v, d in enumerate(_dets(bundle)))
 
 
 def slope(bundle: ArakelovBundle) -> float:
@@ -252,29 +259,31 @@ def tensor(E: ArakelovBundle, F: ArakelovBundle) -> ArakelovBundle:
     """Tensor product: Kronecker product of the Grams at each place, which
     makes slope additive."""
     _check_same_field(E, F)
-    return _from_places(E.field, E.rank * F.rank,
-                        [_kron(a, b) for a, b in zip(_places(E), _places(F))])
+    (dE, fE), (dF, fF) = E._form, F._form
+    n = E.rank * F.rank
+    return _bundle(E.field, n, [_kron(a, b) for a, b in zip(fE, fF)],
+                   Fraction(1, dE * dF))
 
 
 def determinant(E: ArakelovBundle) -> ArakelovBundle:
     """Top exterior power: the rank-1 bundle whose Gram at each place is the
     scalar det of E's Gram there; same degree as E."""
-    return _from_places(E.field, 1, [[[_det(m)]] for m in _places(E)])
+    return make_bundle(E.field, [[[d]] for d in _dets(E)])
 
 
 def dual(E: ArakelovBundle) -> ArakelovBundle:
     """Dual bundle: inverse Gram at every place; negates the degree."""
-    return _from_places(E.field, E.rank, [inverse(m) for m in _places(E)])
+    den, forms = E._form
+    return _bundle(E.field, E.rank, [inverse(m) for m in forms], Fraction(den))
 
 
 def scale(E: ArakelovBundle, t: float) -> ArakelovBundle:
     """Multiply every norm by t (complex-place values, being squared norms,
     by t^2).  Slope decreases by d * log t."""
-    if t <= 0:
-        raise InvalidMetricError("scaling factor must be positive")
-    c = Fraction(t) * Fraction(t)
-    return _from_places(E.field, E.rank,
-                        [_mat_scale(m, c) for m in _places(E)])
+    if not 0 < t < math.inf:
+        raise InvalidMetricError("scaling factor must be positive and finite")
+    den, forms = E._form
+    return _bundle(E.field, E.rank, forms, Fraction(t) ** 2 / den)
 
 
 # ----------------------------------------------------------------------
@@ -331,15 +340,18 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     """
     field = E.field
     k, n = len(basis), E.rank
+    den, forms = E._form
     if field.is_rational():
-        return _from_places(field, k, [apply_transform(basis, g)
-                                       for g in _places(E)])
+        return _bundle(field, k, [apply_transform(basis, forms[0])],
+                       Fraction(1, den))
     r1 = field.real_places
     grams = []
-    for v, (g, w) in enumerate(zip(_places(E), field.omega_embeddings())):
+    for v, (g, w) in enumerate(zip(forms, field.omega_embeddings())):
         num, total = (float, math.fsum) if v < r1 else (complex, sum)
+        # x / den is correctly rounded, as float(Fraction(x, den)) is
+        G = [[x / den if v < r1 else complex(x.a / den, x.b / den)
+              for x in row] for row in g]
         emb = [[float(x.a) + float(x.b) * w for x in row] for row in basis]
-        G = [[num(x) for x in row] for row in g]
         T = [[total(G[a][b] * e[b] for b in range(n)) for e in emb]
              for a in range(n)]
         sub = [[total(e[a].conjugate() * T[a][j] for a in range(n))
@@ -358,14 +370,6 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
 # ----------------------------------------------------------------------
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _to_int_matrices(mats) -> tuple[list[list[list[int]]], int]:
-    """The rational matrices times den, as int matrices, where den is the
-    lcm of all their entries' denominators."""
-    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-    return ([[[x.numerator * (den // x.denominator) for x in row]
-              for row in m] for m in mats], den)
 
 
 @dataclass(frozen=True)
@@ -458,9 +462,9 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
     G_v (x) TA + (H_v (x) TB) sqrt|D| over 2 den (see the module
     docstring)."""
     field = E.field
+    den, mats = E._form
     if field.is_rational():
-        (G,), den = _to_int_matrices(E.gram_real)
-        forms = (PlaceForm("real", tuple(map(tuple, G)), None, den, 0),)
+        forms = (PlaceForm("real", tuple(map(tuple, mats[0])), None, den, 0),)
         return ZLatticeView(E, E.rank, 0, forms, _trace_gram(forms))
     # each place's kind and tables TA, TB, real places first: w^2 = s w - q
     # and w = s/2 +- (y/2) sqrt(D) at the two real places
@@ -472,9 +476,7 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
                ("real", real, [[0, -y], [-y, -s * y]])][:r1]
               + [("complex", [[2, s], [s, 2 * q]], [[0, -y], [y, 0]])]
               * field.complex_places)
-    mats, den = _to_int_matrices(
-        [*E.gram_real, *(m for pair in E.gram_complex for m in pair)])
-    pairs = [(g, g) for g in mats[:r1]] + list(zip(mats[r1::2], mats[r1 + 1::2]))
+    pairs = [(g, g) for g in mats[:r1]] + [_re_im(m) for m in mats[r1:]]
     delta = abs(field.D)
     forms = tuple(
         PlaceForm(kind, tuple(map(tuple, _kron(G, TA))),

@@ -29,8 +29,8 @@ from typing import Iterator, Sequence
 from .bundle import (
     ArakelovBundle,
     ZLatticeView,
-    _to_int_matrices,
     degree as bundle_degree,
+    dual,
     log_fraction,
     restrict_scalars,
     slope as bundle_slope,
@@ -45,7 +45,6 @@ from .intlinalg import (
     hnf,
     is_primitive_vector,
     rat_det,
-    rat_inverse,
     right_kernel_rows,
     saturation_rows,
 )
@@ -217,17 +216,16 @@ def _line_records(E: ArakelovBundle, min_degree: float,
 
 def _hyperplane_records(E: ArakelovBundle, min_degree: float,
                         node_cap: int) -> list[SubbundleRecord]:
-    G = E.gram_real[0]
     n = E.rank
     deg_e = bundle_degree(E)
     cap = _exp_cap(2.0 * (deg_e - min_degree))
-    ginv = rat_inverse(G)
-    (int_ginv,), den = _to_int_matrices([ginv])
-    lattice = ReducedLattice(ginv, node_cap)
+    V = dual(E)
+    form = restrict_scalars(V).place_forms[0]  # the inverse Gram on ints
+    lattice = ReducedLattice(V.gram_real[0], node_cap)
     primitive = (wv for wv, _ in lattice.short_vectors(
         float(cap) * (1.0 + 1e-9) + 1e-12) if is_primitive_vector(wv))
     kept = [(deg_e - 0.5 * log, hnf(right_kernel_rows([list(wv)], n), n))
-            for log, wv in _capped_logs(int_ginv, den, cap, primitive)]
+            for log, wv in _capped_logs(form.A, form.den, cap, primitive)]
     kept.sort(key=lambda t: (-t[0], t[1]))
     return [SubbundleRecord(
                 rank=n - 1, degree=deg,

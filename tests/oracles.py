@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from arakelov.bundle import (PlaceForm, ZLatticeView, _to_int_matrices,
-                             _trace_gram)
+from arakelov.bundle import PlaceForm, ZLatticeView
 from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
@@ -401,6 +400,32 @@ def _positive(x) -> bool:
 
 # ------------------------------------------------ per-place bundle functors
 
+def int_matrices_reference(mats) -> tuple[list[list[list[int]]], int]:
+    """The rational matrices times den, as int matrices, where den is the
+    lcm of all their entries' denominators."""
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return ([[[x.numerator * (den // x.denominator) for x in row]
+              for row in m] for m in mats], den)
+
+
+def trace_gram_reference(forms) -> tuple[tuple[float, ...], ...]:
+    """Float trace form: at each entry, the sum over places of
+    float(A/den) + float(B/den) sqrt(delta), complex places twice, added
+    place by place."""
+    N = len(forms[0].A)
+    root = math.sqrt(forms[0].delta)
+    rows = [[0.0] * N for _ in range(N)]
+    for f in forms:
+        weight = 2.0 if f.kind == "complex" else 1.0
+        for i in range(N):
+            for j in range(N):
+                val = float(Fraction(f.A[i][j], f.den))
+                if f.B is not None:
+                    val += float(Fraction(f.B[i][j], f.den)) * root
+                rows[i][j] += weight * val
+    return tuple(tuple(row) for row in rows)
+
+
 def restrict_scalars_reference(E) -> ZLatticeView:
     """The restricted-scalars view entry by entry: over Q the integer Gram
     itself; over Q(sqrt D) the 2x2 block of each Gram entry written out,
@@ -409,11 +434,11 @@ def restrict_scalars_reference(E) -> ZLatticeView:
     field = E.field
     n = E.rank
     if field.is_rational():
-        (A,), den = _to_int_matrices(E.gram_real)
+        (A,), den = int_matrices_reference(E.gram_real)
         forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
                            den=den, delta=0),)
         return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
-                            trace_gram=_trace_gram(forms))
+                            trace_gram=trace_gram_reference(forms))
 
     D = field.D
     delta = abs(D)
@@ -426,7 +451,7 @@ def restrict_scalars_reference(E) -> ZLatticeView:
         return [[0] * N for _ in range(N)]
 
     if D > 0:
-        grams, den = _to_int_matrices(E.gram_real)
+        grams, den = int_matrices_reference(E.gram_real)
         for sign, G in zip((1, -1), grams):
             A, B = zeros(), zeros()
             for i in range(n):
@@ -439,7 +464,7 @@ def restrict_scalars_reference(E) -> ZLatticeView:
                     B[2 * i + 1][2 * j + 1] = sign * s * y2 * g
             parts.append(("real", A, B))
     else:
-        (R, I), den = _to_int_matrices(E.gram_complex[0])
+        (R, I), den = int_matrices_reference(E.gram_complex[0])
         A, B = zeros(), zeros()
         for i in range(n):
             for j in range(n):
@@ -455,7 +480,7 @@ def restrict_scalars_reference(E) -> ZLatticeView:
                             B=tuple(map(tuple, B)), den=2 * den, delta=delta)
                   for kind, A, B in parts)
     return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
-                        trace_gram=_trace_gram(forms))
+                        trace_gram=trace_gram_reference(forms))
 
 
 def kron_reference(A, B) -> list[list]:

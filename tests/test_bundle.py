@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from arakelov.bundle import (
+    ArakelovBundle,
     degree,
     determinant,
     dual,
@@ -139,6 +140,12 @@ def test_make_bundle_validation():
         make_bundle(Qi, [[1, 1j], [1j, 1]])  # not hermitian
     with pytest.raises(InvalidMetricError):
         make_bundle(Qi, [[1j]])  # diagonal must be real
+    with pytest.raises(InvalidMetricError):  # sqrt(5) is not i
+        make_bundle(Qi, [[2, QSurd(0, 1, 5)], [QSurd(0, -1, 5), 2]])
+    with pytest.raises(InvalidMetricError):  # a surd at a real place
+        make_bundle(Q, [[QSurd(2, 0, -1)]])
+    with pytest.raises(InvalidMetricError):
+        make_bundle(K2, [[[1]], [[QSurd(3, 1, 2)]]])
     # positive definiteness agrees with Sylvester's criterion on minors
     rng = random.Random(59)
     symmetric = [
@@ -231,6 +238,114 @@ def test_scale_law():
             assert abs(drop - n * d * math.log(t)) <= 1e-9
     with pytest.raises(InvalidMetricError):
         scale(trivial_bundle(make_field("Q"), 1), 0.0)
+
+
+def test_non_finite_values_are_refused():
+    Q = make_field("Q")
+    K5 = make_field("Q(sqrt{5})")
+    Qi = make_field("Q(sqrt{-1})")
+    inf, nan = math.inf, math.nan
+    bad = [
+        (Q, [[inf]]),
+        (Q, [[-inf]]),
+        (Q, [[nan]]),
+        (Q, [[2, inf], [inf, 2]]),
+        (K5, [[[1]], [[nan]]]),
+        (Qi, [[complex(inf, 0)]]),
+        (Qi, [[complex(nan, 0)]]),
+        (Qi, [[2, complex(1, inf)], [complex(1, -inf), 2]]),
+        (Qi, [[2, complex(0, nan)], [complex(0, nan), 2]]),
+        (Qi, [[inf]]),
+    ]
+    for field, gram in bad:
+        with pytest.raises(InvalidMetricError):
+            make_bundle(field, gram)
+    for field in (Q, K5, Qi):
+        E = trivial_bundle(field, 2)
+        for t in (inf, nan, -inf, -1.0, 0.0):
+            with pytest.raises(InvalidMetricError):
+                scale(E, t)
+
+
+def form_entries(E):
+    """E's integer form with Gaussian QSurds read as (re, im) int pairs."""
+    den, forms = E._form
+    for x in (x for m in forms for row in m for x in row):
+        assert (type(x) is int if not isinstance(x, QSurd)
+                else x.delta == -1 and type(x.a) is type(x.b) is int)
+    return den, [[[(x.a, x.b) if isinstance(x, QSurd) else x for x in row]
+                  for row in m] for m in forms]
+
+
+def assert_form_matches_fields(E):
+    """form / den is the stored Grams entry by entry, den is the lcm of
+    their denominators, and a copy built field by field derives the same
+    form."""
+    den, forms = form_entries(E)
+    K, r1 = E.field, E.field.real_places
+    assert len(forms) == len(K.infinite_places())
+    stored = [x for g in E.gram_real for row in g for x in row]
+    stored += [x for g in E.gram_complex for m in g for row in m for x in row]
+    assert den == math.lcm(*(x.denominator for x in stored))
+    for m, g in zip(forms[:r1], E.gram_real):
+        assert [[Fraction(x, den) for x in row] for row in m] == \
+            [list(row) for row in g]
+    for m, (re, im) in zip(forms[r1:], E.gram_complex):
+        assert [[Fraction(a, den) for a, _ in row] for row in m] == \
+            [list(row) for row in re]
+        assert [[Fraction(b, den) for _, b in row] for row in m] == \
+            [list(row) for row in im]
+    copy = ArakelovBundle(K, E.rank, E.gram_real, E.gram_complex)
+    assert "_form" not in copy.__dict__
+    assert form_entries(copy) == (den, forms)
+
+
+def typed_grams(field, kind):
+    """One Gram per place of field with entries of the given kind; the
+    kinds complex and QSurd apply to complex places only."""
+    G = [[3, 1, 0], [1, 2, 1], [0, 1, 4]]
+    H = [[3, 1 + 1j, 0], [1 - 1j, 2, 1j], [0, -1j, 4]]
+    convert = {"int": int, "float": lambda x: x / 3.0,
+               "Fraction": lambda x: Fraction(x, 7)}
+    if kind in convert:
+        real = [[convert[kind](x) for x in row] for row in G]
+        return [real] * len(field.infinite_places())
+    if not field.complex_places:
+        return None
+    if kind == "complex":
+        return [[[x / 3.0 for x in row] for row in H]]
+    return [[[QSurd(Fraction(int(x.real), 5), Fraction(int(x.imag), 5), -1)
+              for x in map(complex, row)] for row in H]]
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["Q", "Q(sqrt{5})", "Q(sqrt{-1})", "Q(sqrt{-3})"])
+def test_integer_form_matches_stored_grams(descriptor):
+    K = make_field(descriptor)
+    bundles = [trivial_bundle(K, n) for n in (1, 2, 3)]
+    for kind in ("int", "float", "Fraction", "complex", "QSurd"):
+        grams = typed_grams(K, kind)
+        if grams is not None:
+            bundles.append(make_bundle(K, grams))
+    if K.complex_places:
+        # (1 + i)/2 (x) (1 + i)/2 = i/2: the product's den is 2, not 4
+        half = Fraction(1, 2)
+        bundles.append(make_bundle(K, [[1, QSurd(half, half, -1)],
+                                       [QSurd(half, -half, -1), 1]]))
+    else:
+        # a scale by t = 2 clears the 4 in 1/4
+        bundles.append(make_bundle(K, [[[Fraction(1, 4)]]] * K.real_places))
+    bundles += sampler_bundles(K, (2, 3), 4, 61)
+    derived = []
+    for E, F in zip(bundles, bundles[1:] + bundles[:1]):
+        derived += [tensor(E, E), tensor(E, F), scale(E, 2.0),
+                    scale(E, 0.37), dual(E), determinant(E)]
+        if E.rank >= 2:
+            v = ([1, 2] if K.is_rational()
+                 else [K.element(1, 1), K.element(0, 2)]) + [0] * (E.rank - 2)
+            derived.append(saturate_subbundle(E, [v]).bundle)
+    for E in bundles + derived:
+        assert_form_matches_fields(E)
 
 
 def frozen(m):
