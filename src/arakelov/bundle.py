@@ -29,7 +29,8 @@ integer form at the complex place, since
 Re(P G) = Re P Re G - Im P Im G.  Over Q the form is the Gram itself.  A
 form's value at an integer vector is a QSurd, summed on Python ints and
 normalised once, which lets downstream enumeration filters decide boundary
-membership exactly even for quadratic fields.
+membership exactly even for quadratic fields.  The trace form, which
+enumeration reduces, is their exact sum, complex places twice.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import (
 )
 from .intlinalg import (
     QSurd,
+    _re_im,
     _scaled,
     det,
     inverse,
@@ -97,11 +99,6 @@ def _surds(A, B, delta: int) -> list[list[QSurd]]:
     Hermitian (real part, imaginary part) pair."""
     return [[QSurd(a, b, delta) for a, b in zip(ra, rb)]
             for ra, rb in zip(A, B)]
-
-
-def _re_im(m) -> tuple[list[list], list[list]]:
-    """The parts of a QSurd matrix: m = re + im sqrt(delta)."""
-    return [[x.a for x in row] for row in m], [[x.b for x in row] for row in m]
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +371,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class PlaceForm:
-    """Quadratic form (z A z^T + (z B z^T) sqrt(delta)) / den of one infinite
-    place on the restricted-scalars coordinates.  A and B are integer
-    matrices; over Q, delta is 0 and B is None."""
+    """Quadratic form (z A z^T + (z B z^T) sqrt(delta)) / den of one place,
+    or the trace form, on the restricted-scalars coordinates.  A and B are
+    integer matrices; over Q, delta is 0 and B is None."""
 
     kind: str
     A: IntMatrix
@@ -389,17 +386,23 @@ class PlaceForm:
         return QSurd(Fraction(form_value(self.A, z), self.den),
                      Fraction(b, self.den), self.delta)
 
+    @property
+    def gram(self) -> list[list]:
+        """den times the form as one exact matrix, of QSurds if B is set."""
+        return self.A if self.B is None else _surds(self.A, self.B, self.delta)
+
 
 @dataclass(frozen=True)
 class ZLatticeView:
-    """The bundle's module seen as a Z-lattice of rank d*n, with the trace
-    form for enumeration and exact per-place forms for filtering."""
+    """The bundle's module seen as a Z-lattice of rank d*n, with exact
+    per-place forms for filtering and their exact sum, complex ones twice,
+    as the trace form for enumeration."""
 
     bundle: ArakelovBundle
     zrank: int
     delta: int  # square under the root in the exact form values; 0 over Q
     place_forms: tuple[PlaceForm, ...]
-    trace_gram: tuple[tuple[float, ...], ...]
+    trace_form: PlaceForm
 
     def place_values(self, z: Sequence[int]) -> tuple[QSurd, ...]:
         return tuple(f.value_pair(z) for f in self.place_forms)
@@ -416,21 +419,9 @@ class ZLatticeView:
 
     def covolume(self) -> float:
         """Covolume under the canonical measure (doubled Lebesgue at complex
-        places), computed from an exact determinant over Q(sqrt(delta)) of
-        the sum of the place forms."""
-        n = self.zrank
-        forms = self.place_forms
-        zero = [[0] * n for _ in range(n)]
-
-        def total(mats):
-            return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
-
-        A = total([f.A for f in forms])
-        B = total([f.B or zero for f in forms])
-        d, q = det(_surds(A, B, self.delta)), forms[0].den ** n
-        d = QSurd(d.a / q, d.b / q, self.delta)
-        r2 = self.bundle.field.complex_places
-        return 2.0 ** (self.bundle.rank * r2) * math.sqrt(float(d))
+        places, as in the trace form): the square root of its determinant."""
+        t = self.trace_form
+        return math.sqrt(float(det(t.gram) * Fraction(1, t.den ** self.zrank)))
 
     def coords_to_module(self, z: Sequence[int]) -> tuple:
         field = self.bundle.field
@@ -440,32 +431,15 @@ class ZLatticeView:
                      for i in range(self.bundle.rank))
 
 
-def _trace_gram(forms) -> tuple[tuple[float, ...], ...]:
-    """Float trace form: the sum of the place forms, complex ones twice.
-    Each entry a/den is correctly rounded, as float(Fraction(a, den)) is."""
-    N = len(forms[0].A)
-    root = math.sqrt(forms[0].delta)
-    rows = [[0.0] * N for _ in range(N)]
-    for f in forms:
-        weight = 2.0 if f.kind == "complex" else 1.0
-        for i in range(N):
-            for j in range(N):
-                val = f.A[i][j] / f.den
-                if f.B is not None:
-                    val += (f.B[i][j] / f.den) * root
-                rows[i][j] += weight * val
-    return tuple(tuple(row) for row in rows)
-
-
 def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
     """The module as a Z-lattice of rank d*n with one exact form per place,
     G_v (x) TA + (H_v (x) TB) sqrt|D| over 2 den (see the module
-    docstring)."""
+    docstring), and their weighted sum as the trace form."""
     field = E.field
     den, mats = E._form
     if field.is_rational():
-        forms = (PlaceForm("real", tuple(map(tuple, mats[0])), None, den, 0),)
-        return ZLatticeView(E, E.rank, 0, forms, _trace_gram(forms))
+        form = PlaceForm("real", tuple(map(tuple, mats[0])), None, den, 0)
+        return ZLatticeView(E, E.rank, 0, (form,), form)
     # each place's kind and tables TA, TB, real places first: w^2 = s w - q
     # and w = s/2 +- (y/2) sqrt(D) at the two real places
     s, q = field.omega_minpoly()
@@ -482,4 +456,9 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
         PlaceForm(kind, tuple(map(tuple, _kron(G, TA))),
                   tuple(map(tuple, _kron(H, TB))), 2 * den, delta)
         for (kind, TA, TB), (G, H) in zip(tables, pairs))
-    return ZLatticeView(E, 2 * E.rank, delta, forms, _trace_gram(forms))
+    # the trace form: the place forms summed, complex ones twice
+    twice = forms + tuple(f for f in forms if f.kind == "complex")
+    A, B = (tuple(tuple(map(sum, zip(*rows))) for rows in zip(*parts))
+            for parts in ([f.A for f in twice], [f.B for f in twice]))
+    return ZLatticeView(E, 2 * E.rank, delta, forms,
+                        PlaceForm("trace", A, B, 2 * den, delta))

@@ -227,6 +227,11 @@ class QSurd:
                      (b * c - a * d) // norm, self.delta)
 
 
+def _re_im(m) -> tuple[list[list], list[list]]:
+    """The parts of a QSurd matrix: m = re + im sqrt(delta)."""
+    return [[x.a for x in row] for row in m], [[x.b for x in row] for row in m]
+
+
 def _bareiss(M: list[list], ncols: int, swap: bool = True,
              reduce_above: bool = False) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination in place on the rows of M.

@@ -2,9 +2,9 @@
 
 All routines work on Gram matrices rather than embedded bases, so the same
 code serves Euclidean lattices of any provenance.  Reduction is exact for
-every input, int, Fraction or float alike; only enumeration works in floats.
-Enumeration returns integer coefficient vectors in the basis the Gram matrix
-was given in, one representative per +-x pair.
+every input, int, Fraction, float or QSurd alike; only enumeration works in
+floats.  Enumeration returns integer coefficient vectors in the basis the
+Gram matrix was given in, one representative per +-x pair.
 
 Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
@@ -18,12 +18,12 @@ is the one enumeration budget every module defaults to.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, sqrt
+from math import floor, inf, sqrt
 from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidMetricError
-from .intlinalg import _bareiss, _scaled
+from .intlinalg import QSurd, _bareiss, _re_im, _scaled
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -43,11 +43,9 @@ LLL_DELTA = Fraction(99, 100)
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
     """Gram of the transformed basis, U G U^T."""
-    n = len(gram)
-    UG = [[sum(U[i][k] * gram[k][j] for k in range(n)) for j in range(n)]
-          for i in range(len(U))]
-    return [[sum(UG[i][k] * U[j][k] for k in range(n)) for j in range(len(U))]
-            for i in range(len(U))]
+    columns = list(zip(*gram))
+    UG = [[sum(map(mul, u, col)) for col in columns] for u in U]
+    return [[sum(map(mul, row, u)) for u in U] for row in UG]
 
 
 def form_value(gram: Sequence[Sequence], x: Sequence[int]):
@@ -133,15 +131,18 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     Range bounds are floating point with a small inflation, so boundary
     membership is decided slightly generously; callers needing exactness
     must recheck Q(x) in their own arithmetic.  Raises EnumerationCapError
-    once the search tree exceeds node_cap nodes.  When node_counter is given
-    its single entry accumulates the nodes visited, cap hit or not.
+    once the search tree exceeds node_cap nodes, and ValueError when the
+    padded radius is not a finite float.  When node_counter is given its
+    single entry accumulates the nodes visited, cap hit or not.
     """
     n = len(gram)
     R = float(radius_sq)
     if R < 0 or n == 0:
         return
-    d, m = _fp_decompose(gram)
     bound = R * (1.0 + 1e-12) + 1e-12
+    if bound == inf:
+        raise ValueError("radius is not a finite float in the Gram's units")
+    d, m = _fp_decompose(gram)
     slack = 1e-9 * (1.0 + bound)
     x = [0] * n
     nodes = 0
@@ -180,31 +181,41 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     yield from walk(n - 1, 0.0, True)
 
 
+def _nearest(a: int, b: int, delta: int) -> float:
+    """a + b sqrt(delta) within 6 * 2^-53 relatively (to first order): with
+    a and b of opposite signs, (a^2 - b^2 delta) / (a - b sqrt(delta))."""
+    if a * b >= 0:
+        return a + b * sqrt(delta)
+    return (a * a - b * b * delta) / (a - b * sqrt(delta))
+
+
 class ReducedLattice:
     """A Gram matrix reduced once, enumerated in the caller's coordinates.
 
-    The constructor runs lll_transform; short_vectors(radius_sq) runs
-    enumerate_short_vectors on the reduced Gram, as often as needed, and
-    yields (x, Q(x)) with x mapped back to the basis the Gram was given in.
-    The radius is passed through untouched, so each caller keeps its own
-    padding.  Each enumeration is capped at node_cap nodes on its own.
-    A float Gram whose reduced Gram floats cannot hold raises
-    InvalidMetricError rather than enumerate the wrong lattice.
+    _scaled writes the Gram once as scale * A, A of ints or of QSurds with
+    int parts.  LLL runs on A, or on its floats for QSurds (any unimodular
+    U reduces A); U A U^T is formed on ints, each entry rounded once:
+    within 2^-53 relatively for an int, 6 * 2^-53 for a QSurd.
+    short_vectors(radius_sq) enumerates it at radius_sq / scale, as often
+    as needed, yielding (x, Q(x)) with x in the caller's basis; callers keep
+    their own padding.  Each enumeration is capped at node_cap nodes.
     """
 
     def __init__(self, gram: Sequence[Sequence],
                  node_cap: int = DEFAULT_NODE_CAP):
-        self.U = lll_transform(gram)
-        self.gram = apply_transform(self.U, gram)
-        if any(isinstance(x, float) for row in gram for x in row):
-            # Float entries carry 2^-52 relative error and U G U^T adds as
-            # much; refuse 1e-10 on a reduced norm, a tenth of the padding.
-            size = [[abs(x) for x in row] for row in gram]
-            eps = 2 * len(gram) * 2.0 ** -52
-            if any(eps * form_value(size, [abs(c) for c in u]) > 1e-10 * g[i]
-                   for i, (u, g) in enumerate(zip(self.U, self.gram))):
-                raise InvalidMetricError(
-                    "float Gram matrix too ill-conditioned to enumerate")
+        A, scale = _scaled(gram)
+        if A and A[0][0].__class__ is QSurd:
+            delta = A[0][0].delta
+            self.U = lll_transform(
+                [[_nearest(x.a, x.b, delta) for x in row] for row in A])
+            P, Q = (apply_transform(self.U, m) for m in _re_im(A))
+            self.gram = [[_nearest(a, b, delta) for a, b in zip(p, q)]
+                         for p, q in zip(P, Q)]
+        else:
+            self.U = lll_transform(A)
+            self.gram = [[float(x) for x in row]
+                         for row in apply_transform(self.U, A)]
+        self.scale = float(scale)
         self.node_cap = node_cap
         self._columns = tuple(zip(*self.U))
         # One counter per enumeration: they may run nested, and each
@@ -220,10 +231,11 @@ class ReducedLattice:
                       ) -> Iterator[tuple[tuple[int, ...], float]]:
         counter = [0]
         self._counters.append(counter)
-        columns = self._columns
+        columns, scale = self._columns, self.scale
         for coeffs, q in enumerate_short_vectors(
-                self.gram, radius_sq, self.node_cap, counter):
-            yield tuple([sum(map(mul, coeffs, col)) for col in columns]), q
+                self.gram, float(radius_sq) / scale, self.node_cap, counter):
+            yield (tuple([sum(map(mul, coeffs, col)) for col in columns]),
+                   q * scale)
 
 
 def shortest_vector(gram: Sequence[Sequence],
@@ -232,9 +244,9 @@ def shortest_vector(gram: Sequence[Sequence],
     squared length, found by reduction followed by enumeration."""
     lattice = ReducedLattice(gram, node_cap)
     g_red = lattice.gram
-    i0 = min(range(len(g_red)), key=lambda t: float(g_red[t][t]))
+    i0 = min(range(len(g_red)), key=lambda t: g_red[t][t])
     best_x = tuple(lattice.U[i0])
-    best_q = float(g_red[i0][i0])
+    best_q = g_red[i0][i0] * lattice.scale
     for x, q in lattice.short_vectors(best_q):
         if q < best_q:
             best_q, best_x = q, x

@@ -4,7 +4,8 @@ place, found by exact lattice-point enumeration.
 The search runs over the restriction of scalars: candidates come from a
 branch-and-bound sweep of the trace-form ellipsoid (norm caps t_v^2 summed
 with weight 2 at complex places), then an exact rational filter keeps the
-vectors inside the product of per-place balls.  The float sweep is slightly
+vectors inside the product of per-place balls.  The trace form and its
+reduction are exact (see ReducedLattice).  The float sweep is slightly
 generous near the boundary, the filter is exact, so boundary vectors are kept
 if and only if they truly satisfy the closed condition.
 """
@@ -80,13 +81,13 @@ def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int):
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
-    lattice = ReducedLattice(view.trace_gram, node_cap)
+    lattice = ReducedLattice(view.trace_form.gram, node_cap)
     state = {"truncated": False, "nodes": 0, "envelope": envelope,
              "view": view}
 
     def gen():
         try:
-            for z, _ in lattice.short_vectors(envelope):
+            for z, _ in lattice.short_vectors(envelope * view.trace_form.den):
                 if view.values_leq(z, caps):
                     yield z
         except EnumerationCapError:

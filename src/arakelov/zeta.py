@@ -94,6 +94,8 @@ class ZetaPartial:
 
     ``tail_bound_estimate`` extrapolates the geometric decay of the last two
     degree shells; it is informational and never added to partial_sum.
+    Below full rank, records filling fewer than two unit-width shells give
+    no decay to extrapolate, and the estimate is inf.
     """
 
     s: float
@@ -116,9 +118,11 @@ class SemistabilityVerdict:
 def _trace_region(view: ZLatticeView, radius: float,
                   node_cap: int) -> Iterator[tuple[int, ...]]:
     """Integer coordinate vectors (one per +-pair) with trace value inside
-    the inflated radius; exactness is restored by the callers' filters."""
-    lattice = ReducedLattice(view.trace_gram, node_cap)
-    for z, _ in lattice.short_vectors(radius * (1.0 + 1e-9) + 1e-12):
+    the inflated radius, enumerated on den times the trace form; exactness
+    is restored by the callers' filters."""
+    lattice = ReducedLattice(view.trace_form.gram, node_cap)
+    envelope = (radius * (1.0 + 1e-9) + 1e-12) * view.trace_form.den
+    for z, _ in lattice.short_vectors(envelope):
         yield z
 
 
@@ -146,11 +150,15 @@ def _omega_times(z: Sequence[int], s: int, q: int) -> list[int]:
     return [c for a, b in zip(z[::2], z[1::2]) for c in (-q * b, a + s * b)]
 
 
-def _capped_logs(A, den: int, cap: Fraction, vectors) -> list[tuple]:
-    """(log(z A z^T / den), z) for each vector whose value is at most cap,
-    decided on ints; the log is log_fraction's, so its bits match."""
+def _capped_logs(view: ZLatticeView, cap: Fraction,
+                 node_cap: int) -> list[tuple]:
+    """(log(z A z^T / den), z) for each primitive z of a view over Q with
+    value at most cap, decided on ints; the log's bits match log_fraction."""
+    A, den = view.place_forms[0].A, view.place_forms[0].den
     kept = []
-    for z in vectors:
+    for z in _trace_region(view, float(cap), node_cap):
+        if not is_primitive_vector(z):
+            continue
         a = form_value(A, z)
         if a * cap.denominator > cap.numerator * den:
             continue
@@ -174,12 +182,8 @@ def _line_records(E: ArakelovBundle, min_degree: float,
     view = restrict_scalars(E)
 
     if field.is_rational():
-        cap = _exp_cap(-2.0 * min_degree)
-        form = view.place_forms[0]
-        primitive = (z for z in _trace_region(view, float(cap), node_cap)
-                     if is_primitive_vector(z))
-        kept = [(-0.5 * log, z)
-                for log, z in _capped_logs(form.A, form.den, cap, primitive)]
+        kept = [(-0.5 * log, z) for log, z in _capped_logs(
+            view, _exp_cap(-2.0 * min_degree), node_cap)]
         kept.sort(key=lambda t: (-t[0], t[1]))
         return [SubbundleRecord(rank=1, degree=deg,
                                 basis=(view.coords_to_module(z),))
@@ -219,13 +223,9 @@ def _hyperplane_records(E: ArakelovBundle, min_degree: float,
     n = E.rank
     deg_e = bundle_degree(E)
     cap = _exp_cap(2.0 * (deg_e - min_degree))
-    V = dual(E)
-    form = restrict_scalars(V).place_forms[0]  # the inverse Gram on ints
-    lattice = ReducedLattice(V.gram_real[0], node_cap)
-    primitive = (wv for wv, _ in lattice.short_vectors(
-        float(cap) * (1.0 + 1e-9) + 1e-12) if is_primitive_vector(wv))
+    view = restrict_scalars(dual(E))  # the inverse Gram on ints
     kept = [(deg_e - 0.5 * log, hnf(right_kernel_rows([list(wv)], n), n))
-            for log, wv in _capped_logs(form.A, form.den, cap, primitive)]
+            for log, wv in _capped_logs(view, cap, node_cap)]
     kept.sort(key=lambda t: (-t[0], t[1]))
     return [SubbundleRecord(
                 rank=n - 1, degree=deg,
@@ -366,7 +366,8 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
         tail = (ordered[-1] * ratio / (1.0 - ratio) if ratio < 1.0
                 else math.inf)
     else:
-        tail = 0.0
+        # one shell shows no decay; at l = rank it is the one exact term
+        tail = 0.0 if l == E.rank or len(ordered) >= 2 else math.inf
     try:
         partial_sum = math.fsum(total)
     except OverflowError:

@@ -157,6 +157,61 @@ def gaussian_sections_brute(re, im, radius_sq=Fraction(1)):
     return hits
 
 
+def real_quadratic_sections_brute(E, radius_sq=Fraction(1)):
+    """Nonzero module vectors of E over a real quadratic field with value at
+    most radius_sq at both real places, both signs, as tuples of coordinate
+    pairs (a_i, b_i) of a_i + b_i w.
+
+    The coordinates z = (a_0, b_0, a_1, ...) run through a box level by
+    level, last coordinate first: given the later ones, z_i ranges over the
+    interval its own float LDL^T term allows inside the trace ellipsoid of
+    radius 2 radius_sq, widened by 1e-6.  Each candidate is decided exactly:
+    at place v, w is s/2 +- (y/2) sqrt(D) (+ at the first place), and the
+    value sum x_i G_ij x_j is summed in Q(sqrt D)."""
+    field = E.field
+    D, n = field.D, E.rank
+    h, k = (1, 1) if D % 4 == 1 else (0, 2)  # w = h/2 + (k/2) sqrt(D)
+    q = [list(row) for row in trace_gram_reference(
+        restrict_scalars_reference(E).place_forms)]
+    N = len(q)
+    for i in range(N):
+        for j in range(i + 1, N):
+            t = q[i][j] / q[i][i]
+            for m in range(j, N):
+                q[j][m] -= t * q[i][m]
+            q[i][j] = t
+    bound = 2.0 * float(radius_sq) * (1.0 + 1e-6)
+    z = [0] * N
+    hits = set()
+
+    def inside(G, sign) -> bool:
+        x = [(Fraction(a) + Fraction(b * h, 2), Fraction(sign * b * k, 2))
+             for a, b in zip(z[::2], z[1::2])]
+        ra = rb = Fraction(0)
+        for (xa, xb), row in zip(x, G):
+            for (ya, yb), g in zip(x, row):
+                ra += g * (xa * ya + D * xb * yb)
+                rb += g * (xa * yb + xb * ya)
+        rest = SurdReference(radius_sq - ra, -rb, D)
+        return not rest or _positive(rest)
+
+    def walk(i, used):
+        if i < 0:
+            if any(z) and inside(E.gram_real[0], 1) and inside(
+                    E.gram_real[1], -1):
+                hits.add(tuple(zip(z[::2], z[1::2])))
+            return
+        c = sum(q[i][j] * z[j] for j in range(i + 1, N))
+        half = math.sqrt(max(bound - used, 0.0) / q[i][i])
+        for zi in range(math.ceil(-c - half), math.floor(-c + half) + 1):
+            z[i] = zi
+            walk(i - 1, used + q[i][i] * (zi + c) ** 2)
+        z[i] = 0
+
+    walk(N - 1, 0.0)
+    return hits
+
+
 def primitive_plane_vectors(max_norm_sq: int):
     """Primitive (x, y) in Z^2 with 0 < x^2 + y^2 <= max_norm_sq, one
     representative per +-pair (y > 0, or y = 0 and x > 0)."""
@@ -426,6 +481,25 @@ def trace_gram_reference(forms) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def trace_form_reference(forms) -> PlaceForm:
+    """The exact trace form: at each entry, the sum over places of the
+    integer parts of A and B, complex places twice, over the common den."""
+    if len(forms) == 1 and forms[0].B is None:
+        return forms[0]
+    N = len(forms[0].A)
+    A = [[0] * N for _ in range(N)]
+    B = [[0] * N for _ in range(N)]
+    for f in forms:
+        weight = 2 if f.kind == "complex" else 1
+        for i in range(N):
+            for j in range(N):
+                A[i][j] += weight * f.A[i][j]
+                B[i][j] += weight * f.B[i][j]
+    return PlaceForm(kind="trace", A=tuple(map(tuple, A)),
+                     B=tuple(map(tuple, B)), den=forms[0].den,
+                     delta=forms[0].delta)
+
+
 def restrict_scalars_reference(E) -> ZLatticeView:
     """The restricted-scalars view entry by entry: over Q the integer Gram
     itself; over Q(sqrt D) the 2x2 block of each Gram entry written out,
@@ -438,7 +512,7 @@ def restrict_scalars_reference(E) -> ZLatticeView:
         forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
                            den=den, delta=0),)
         return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
-                            trace_gram=trace_gram_reference(forms))
+                            trace_form=trace_form_reference(forms))
 
     D = field.D
     delta = abs(D)
@@ -480,7 +554,7 @@ def restrict_scalars_reference(E) -> ZLatticeView:
                             B=tuple(map(tuple, B)), den=2 * den, delta=delta)
                   for kind, A, B in parts)
     return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
-                        trace_gram=trace_gram_reference(forms))
+                        trace_form=trace_form_reference(forms))
 
 
 def kron_reference(A, B) -> list[list]:

@@ -40,6 +40,7 @@ from tests.oracles import (
     random_pd_fraction_gram,
     restrict_scalars_reference,
     sampler_bundles,
+    trace_gram_reference,
 )
 
 FIELDS = ["Q", "Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{2})", "Q(sqrt{5})"]
@@ -59,10 +60,11 @@ def random_hermitian_gram(rng, n):
 
 
 def trace_value(view, z):
-    """Value of the view's float trace form at the coordinate vector z."""
+    """Value of the float trace form of the view's place forms at the
+    coordinate vector z."""
     n = view.zrank
-    return sum(z[i] * view.trace_gram[i][j] * z[j]
-               for i in range(n) for j in range(n))
+    gram = trace_gram_reference(view.place_forms)
+    return sum(z[i] * gram[i][j] * z[j] for i in range(n) for j in range(n))
 
 
 def random_bundle(rng, field, n):

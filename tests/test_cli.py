@@ -84,6 +84,47 @@ def test_sections_e8(capsys, e8):
     validate(doc, "section_report.schema.json")
 
 
+# U = L R for unipotent L, R with entries near 1e3; the Gram file holds
+# U U^T, a skewed copy of Z^3 whose sections are +-e_i U^-1
+SKEWED_U = [[1, 913, -358], [-817, -745920, 293257], [402, 366371, -648920]]
+
+
+@pytest.fixture
+def skewed(tmp_path):
+    path = tmp_path / "skewed.gram"
+    rows = "\n".join(" ".join(str(sum(a * b for a, b in zip(u, v)))
+                               for v in SKEWED_U) for u in SKEWED_U)
+    path.write_text(f"Q\n3\n{rows}\n")
+    return str(path)
+
+
+def test_sections_skewed_gram(capsys, skewed):
+    code, doc = run_json(capsys, "sections", "--gram", skewed)
+    assert code == 0
+    report = doc["report"]
+    assert report["count"] == 6 and report["truncated"] is False
+    images = sorted(tuple(sum(int(x) * u[j] for x, u in zip(vec, SKEWED_U))
+                          for j in range(3))
+                    for vec in report["nonzero_sections"])
+    assert images == sorted(tuple(s * (i == j) for j in range(3))
+                            for i in range(3) for s in (1, -1))
+    validate(doc, "section_report.schema.json")
+
+
+def test_zeta_lines_of_skewed_gram(capsys, skewed):
+    # the three lines +-e_i of Z^3, each of degree 0, and nothing else
+    # above degree -log(2)/2
+    code, doc = run_json(capsys, "zeta", "--gram", skewed, "--l", "1",
+                         "--cutoff", "0.3")
+    assert code == 0
+    assert doc["report"]["terms"] == 3
+    assert doc["report"]["partial_sum"] == 3.0
+    code, doc = run_json(capsys, "zeta", "--gram", skewed, "--l", "1",
+                         "--mode", "shells", "--cutoff", "0.3")
+    assert code == 0
+    assert doc["report"]["shells"] == [[0.0, 3]]
+
+
 def test_sections_radius_count(capsys, e8):
     code, doc = run_json(capsys, "sections", "--gram", e8,
                          "--radius", "3/2")
@@ -201,6 +242,18 @@ def test_bounds_theorem_exits(capsys):
     assert code == 1
     assert doc["report"]["verdict"] == "not guaranteed"
     assert doc["run_config"]["node_cap"] == 5000
+
+
+def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
+    # at cutoff 0.5 the rank-1 records of O^2 fill one degree shell, which
+    # shows no decay; the value 0.95 is below 1, but the count passes 1 at
+    # larger cutoffs, so the run must not certify existence
+    code, doc = run_json(capsys, "bounds", "--kind", "theorem", "--field",
+                         "Q", "--rank", "2", "--n", "3", "--det-degree",
+                         "-1.696542", "--cutoff", "0.5")
+    assert code == 3
+    assert doc["report"]["values"]["tail_uncertain"] is True
+    validate(doc, "bound_report.schema.json")
 
 
 def test_density(capsys, e8):

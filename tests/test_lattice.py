@@ -25,6 +25,7 @@ from tests.oracles import (
     gram_schmidt,
     lll_reference,
     random_pd_fraction_gram,
+    trace_gram_reference,
 )
 
 
@@ -150,8 +151,8 @@ def test_lll_matches_reference_on_rational_and_float_grams():
         K = make_field(name)
         for trial in range(4):
             spec = RandomLatticeSpec(2, 10007, trial, K)
-            grams.append(restrict_scalars(
-                random_bundle(K, 2, 0.3 * trial, spec)).trace_gram)
+            grams.append(trace_gram_reference(restrict_scalars(
+                random_bundle(K, 2, 0.3 * trial, spec)).place_forms))
     assert all(isinstance(x, float) for G in grams[exact:] for row in G
                for x in row)
     for G in grams:

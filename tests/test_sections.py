@@ -3,13 +3,15 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from arakelov.bundle import make_bundle, scale, trivial_bundle
-from arakelov.errors import EnumerationCapError, InvalidMetricError
+from arakelov.bundle import make_bundle, scale, tensor, trivial_bundle
+from arakelov.errors import EnumerationCapError
 from arakelov.lattice import ReducedLattice
 from arakelov.numberfield import make_field
+from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.sections import (
     count_in_region,
     global_sections,
@@ -21,6 +23,7 @@ from tests.oracles import (
     gaussian_sections_brute,
     random_pd_fraction_gram,
     rational_sections_brute,
+    real_quadratic_sections_brute,
 )
 
 
@@ -101,6 +104,18 @@ def test_real_quadratic_unit_needs_wider_region():
         count_in_region(E, -1)
 
 
+def test_radius_beyond_float_range_is_refused():
+    # a sampler bundle's Gram has denominators near 2^64, and enumeration
+    # runs on its integer form: there the radius 1e150 is no finite float
+    Q = make_field("Q")
+    E = random_bundle(Q, 3, 0.0, RandomLatticeSpec(3, 100003, 0, Q),
+                      trial_rng(0, 0))
+    with pytest.raises(EnumerationCapError):
+        count_in_region(E, 1e100, node_cap=50)
+    with pytest.raises(ValueError, match="not a finite float"):
+        count_in_region(E, 1e150)
+
+
 def test_count_caps_are_squared_radii():
     Q = make_field("Q")
     E = make_bundle(Q, [[4]])  # vector k has norm 2|k|
@@ -153,19 +168,80 @@ def test_node_cap_is_loud():
     assert report.truncated
 
 
-def test_skewed_gram_raises_instead_of_partial_sections():
-    # a skewed copy U U^T of Z^3 (U unimodular): six unit sections.  Its
-    # float trace Gram cannot hold the reduced Gram, so the section search
-    # must refuse rather than return some of the six.
+def bilinear(G, u, v):
+    return sum(a * g * b for a, row in zip(u, G) for g, b in zip(row, v))
+
+
+def skewed_unimodular(rng, n, shear):
+    """L R for unipotent lower and upper triangular L, R whose entries
+    below (above) the diagonal are drawn from [-shear, shear]."""
+    def unipotent(lower):
+        return [[1 if i == j else rng.randint(-shear, shear)
+                 if (j < i) == lower else 0 for j in range(n)]
+                for i in range(n)]
+
+    L, R = unipotent(True), unipotent(False)
+    return [[sum(L[i][k] * R[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_skewed_gram_gives_the_unit_sections():
+    # a skewed copy U U^T of Z^3 (U unimodular) whose reduced Gram a float
+    # trace form cannot hold: the six sections are the vectors +-e_i U^-1,
+    # three pairs whose Gram is the identity
     G = [[5828877, 115180088, 379309023],
          [115180088, 2275991630, 7494901859],
          [379309023, 7494901859, 24713137886]]
     assert [q for _, q in ReducedLattice(G).short_vectors(1)] == [1, 1, 1]
     E = make_bundle(make_field("Q"), G)
-    with pytest.raises(InvalidMetricError):
-        global_sections(E)
-    with pytest.raises(InvalidMetricError):
-        has_nonzero_section(E)
+    report = global_sections(E)
+    assert not report.truncated
+    sections = report.nonzero_sections
+    assert len(sections) == 6
+    assert set(sections) == {tuple(-x for x in v) for v in sections}
+    reps = sections[::2]
+    assert [[bilinear(G, u, v) for v in reps] for u in reps] == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert has_nonzero_section(E)
+
+
+def test_skewed_unimodular_fuzz():
+    # 60 skewed copies U U^T of Z^n, n = 3..7, shears 1e2..1e7: mapped by
+    # U, the sections are exactly the 2n vectors +-e_i
+    rng = random.Random(2023)
+    Q = make_field("Q")
+    for n in range(3, 8):
+        units = sorted(tuple(s * (i == j) for j in range(n))
+                       for i in range(n) for s in (1, -1))
+        for shear in (10 ** e for e in range(2, 8)):
+            for _ in range(2):
+                U = skewed_unimodular(rng, n, shear)
+                columns = list(zip(*U))
+                E = make_bundle(Q, [[sum(map(mul, u, v)) for v in U]
+                                    for u in U])
+                report = global_sections(E)
+                assert not report.truncated
+                assert sorted(tuple(sum(map(mul, x, col)) for col in columns)
+                              for x in report.nonzero_sections) == units
+                assert has_nonzero_section(E)
+
+
+def test_real_quadratic_product_matches_box_oracle():
+    # two ordinary sampler bundles over Q(sqrt 5): the trace form of their
+    # product cancels when its two places are summed in floats
+    K = make_field("Q(sqrt{5})")
+    E = random_bundle(K, 2, 0.3, RandomLatticeSpec(2, 1000003, 1, K),
+                      trial_rng(1, 0))
+    F = random_bundle(K, 3, -0.2, RandomLatticeSpec(3, 1000003, 1, K),
+                      trial_rng(1, 1))
+    P = tensor(E, F)
+    brute = real_quadratic_sections_brute(P)
+    assert brute
+    report = global_sections(P)
+    assert not report.truncated
+    got = {tuple((x.a, x.b) for x in v) for v in report.nonzero_sections}
+    assert got == brute
+    assert has_nonzero_section(P)
 
 
 def global_sections_truncation_probe(E):
