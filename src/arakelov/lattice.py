@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_NODE_CAP",
     "ReducedLattice",
     "apply_transform",
+    "as_float",
     "enumerate_short_vectors",
     "form_value",
     "lll_transform",
@@ -39,6 +40,8 @@ DEFAULT_NODE_CAP = 100_000_000
 
 # Lovasz constant of lll_transform
 LLL_DELTA = Fraction(99, 100)
+
+OUT_OF_RANGE = "a Gram entry, scale or radius is outside the float range"
 
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
@@ -181,6 +184,18 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     yield from walk(n - 1, 0.0, True)
 
 
+def as_float(x) -> float:
+    """float(x) for a scale or a radius.  Outside the float range, or for a
+    nonzero x that rounds to 0, a ValueError, not an OverflowError."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f or not x:
+        return f
+    raise ValueError(OUT_OF_RANGE)
+
+
 def _nearest(a: int, b: int, delta: int) -> float:
     """a + b sqrt(delta) within 6 * 2^-53 relatively (to first order): with
     a and b of opposite signs, (a^2 - b^2 delta) / (a - b sqrt(delta))."""
@@ -204,18 +219,21 @@ class ReducedLattice:
     def __init__(self, gram: Sequence[Sequence],
                  node_cap: int = DEFAULT_NODE_CAP):
         A, scale = _scaled(gram)
-        if A and A[0][0].__class__ is QSurd:
-            delta = A[0][0].delta
-            self.U = lll_transform(
-                [[_nearest(x.a, x.b, delta) for x in row] for row in A])
-            P, Q = (apply_transform(self.U, m) for m in _re_im(A))
-            self.gram = [[_nearest(a, b, delta) for a, b in zip(p, q)]
-                         for p, q in zip(P, Q)]
-        else:
-            self.U = lll_transform(A)
-            self.gram = [[float(x) for x in row]
-                         for row in apply_transform(self.U, A)]
-        self.scale = float(scale)
+        try:  # the floats that enumeration reads
+            if A and A[0][0].__class__ is QSurd:
+                delta = A[0][0].delta
+                self.U = lll_transform(
+                    [[_nearest(x.a, x.b, delta) for x in row] for row in A])
+                P, Q = (apply_transform(self.U, m) for m in _re_im(A))
+                self.gram = [[_nearest(a, b, delta) for a, b in zip(p, q)]
+                             for p, q in zip(P, Q)]
+            else:
+                self.U = lll_transform(A)
+                self.gram = [[float(x) for x in row]
+                             for row in apply_transform(self.U, A)]
+        except OverflowError:
+            raise ValueError(OUT_OF_RANGE) from None
+        self.scale = as_float(scale)
         self.node_cap = node_cap
         self._columns = tuple(zip(*self.U))
         # One counter per enumeration: they may run nested, and each

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .bundle import ArakelovBundle, ZLatticeView, restrict_scalars
 from .errors import EnumerationCapError
-from .lattice import DEFAULT_NODE_CAP, ReducedLattice
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
 # Bound here only for tools that patch the enumeration under every name it
 # is imported by (perfbench/tracer.py); the scan reaches it via ReducedLattice.
 from .lattice import enumerate_short_vectors  # noqa: F401
@@ -81,13 +81,14 @@ def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int):
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
+    radius = envelope * as_float(view.trace_form.den)
     lattice = ReducedLattice(view.trace_form.gram, node_cap)
     state = {"truncated": False, "nodes": 0, "envelope": envelope,
              "view": view}
 
     def gen():
         try:
-            for z, _ in lattice.short_vectors(envelope * view.trace_form.den):
+            for z, _ in lattice.short_vectors(radius):
                 if view.values_leq(z, caps):
                     yield z
         except EnumerationCapError:

@@ -1,21 +1,24 @@
 """Saturated subbundles ordered by degree: enumeration, maximal slopes,
 partial zeta sums, and a semistability verdict.
 
+Builders yield unsorted (degree, rows) pairs, rows integer vectors in
+restrict_scalars coordinates (over Q, module coordinates).  Records are
+built once, in enumerate_subbundles; zeta_partial and mu_max read degrees.
+
 Rank-1 subbundles correspond to primitive module vectors up to units; their
 degrees come from exact place values, so the min_degree filter is a rational
-comparison.  Corank-1 subbundles over Q come from primitive covectors in the
-inverse Gram: the hyperplane w-perp has degree deg(E) - (1/2) log(w G^{-1}
-w^T).  The middle case l=2 in rank 4 enumerates candidate reduced bases
-(b1, b2) with |b1| |b2| <= (2/sqrt 3) exp(-min_degree), which covers every
-target submodule because a rank-2 reduced basis attains both minima.
+comparison.  Corank-1 subbundles over Q are lines of the dual: a covector w
+of degree d in dual(E) cuts out w-perp, of degree deg(E) + d.  The case l=2
+in rank 4 enumerates candidate reduced bases (b1, b2) with |b1| |b2| <=
+(2/sqrt 3) exp(-min_degree), which covers every target submodule because a
+rank-2 reduced basis attains both minima.  The full rank is the identity.
 
 Over quadratic fields only l = 1 and l = rank are available; a line's unit
 orbit is collapsed by keying on the Pluecker minors of its Z-span (v, w v),
 which also decide primitivity, and for real quadratic fields the trace-form
 search radius (eps + 1/eps) exp(-min_degree) suffices because every line
 has a unit-balanced representative.  Rank-2 planes over Q are keyed on the
-same minors.  Candidates are tested and keyed on Python ints; Fractions and
-field elements are built only for the records that are kept.
+same minors.  Candidates are tested and keyed on Python ints.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .lattice import (
     DEFAULT_NODE_CAP,
     ReducedLattice,
     apply_transform,
+    as_float,
     form_value,
 )
 
@@ -120,9 +124,9 @@ def _trace_region(view: ZLatticeView, radius: float,
     """Integer coordinate vectors (one per +-pair) with trace value inside
     the inflated radius, enumerated on den times the trace form; exactness
     is restored by the callers' filters."""
-    lattice = ReducedLattice(view.trace_form.gram, node_cap)
-    envelope = (radius * (1.0 + 1e-9) + 1e-12) * view.trace_form.den
-    for z, _ in lattice.short_vectors(envelope):
+    form = view.trace_form
+    envelope = (radius * (1.0 + 1e-9) + 1e-12) * as_float(form.den)
+    for z, _ in ReducedLattice(form.gram, node_cap).short_vectors(envelope):
         yield z
 
 
@@ -150,23 +154,6 @@ def _omega_times(z: Sequence[int], s: int, q: int) -> list[int]:
     return [c for a, b in zip(z[::2], z[1::2]) for c in (-q * b, a + s * b)]
 
 
-def _capped_logs(view: ZLatticeView, cap: Fraction,
-                 node_cap: int) -> list[tuple]:
-    """(log(z A z^T / den), z) for each primitive z of a view over Q with
-    value at most cap, decided on ints; the log's bits match log_fraction."""
-    A, den = view.place_forms[0].A, view.place_forms[0].den
-    kept = []
-    for z in _trace_region(view, float(cap), node_cap):
-        if not is_primitive_vector(z):
-            continue
-        a = form_value(A, z)
-        if a * cap.denominator > cap.numerator * den:
-            continue
-        g = math.gcd(a, den)
-        kept.append((math.log(a // g) - math.log(den // g), z))
-    return kept
-
-
 def _exp_cap(exponent: float) -> Fraction:
     """exp(exponent) as the exact cap of a degree filter; ValueError, before
     any enumeration, when the search bound would leave the float range."""
@@ -176,25 +163,30 @@ def _exp_cap(exponent: float) -> Fraction:
     return Fraction(math.exp(exponent))
 
 
-def _line_records(E: ArakelovBundle, min_degree: float,
-                  node_cap: int) -> list[SubbundleRecord]:
-    field = E.field
-    view = restrict_scalars(E)
-
+def _line_rows(view: ZLatticeView, min_degree: float,
+               node_cap: int) -> list[tuple[float, tuple]]:
+    field = view.bundle.field
     if field.is_rational():
-        kept = [(-0.5 * log, z) for log, z in _capped_logs(
-            view, _exp_cap(-2.0 * min_degree), node_cap)]
-        kept.sort(key=lambda t: (-t[0], t[1]))
-        return [SubbundleRecord(rank=1, degree=deg,
-                                basis=(view.coords_to_module(z),))
-                for deg, z in kept]
+        A, den = view.trace_form.A, view.trace_form.den
+        cap = _exp_cap(-2.0 * min_degree)
+        kept = []
+        for z in _trace_region(view, float(cap), node_cap):
+            if not is_primitive_vector(z):
+                continue
+            a = form_value(A, z)
+            if a * cap.denominator > cap.numerator * den:
+                continue
+            g = math.gcd(a, den)  # the log's bits match log_fraction
+            kept.append((-0.5 * (math.log(a // g) - math.log(den // g)),
+                         (z,)))
+        return kept
 
     if field.D < 0:
-        value_cap = _exp_cap(-min_degree)
+        power, value_cap = 1.0, _exp_cap(-min_degree)
         trace_radius = 2.0 * float(value_cap)
     else:
         eps = field.embed(field.fundamental_unit(), 0)
-        value_cap = _exp_cap(-2.0 * min_degree)  # on q0*q1
+        power, value_cap = 0.5, _exp_cap(-2.0 * min_degree)  # on q0*q1
         trace_radius = (eps + 1.0 / eps) * math.exp(-min_degree)
 
     s, q = field.omega_minpoly()
@@ -204,42 +196,21 @@ def _line_records(E: ArakelovBundle, min_degree: float,
         if g != 1 or key in seen:
             continue  # v is not primitive, or its line is already kept
         values = view.place_values(z)
-        if field.D < 0:
-            value, power = values[0], 1.0
-        else:
-            value, power = values[0] * values[1], 0.5
+        value = values[0] if field.D < 0 else values[0] * values[1]
         if not value <= value_cap:
             continue
-        deg = -power * (log_fraction(value.a) if value.b == 0
-                        else math.log(float(value)))
-        seen[key] = SubbundleRecord(rank=1, degree=deg,
-                                    basis=(view.coords_to_module(z),))
-    records = sorted(seen.values(), key=lambda r: (-r.degree, str(r.basis)))
-    return records
+        seen[key] = (-power * (log_fraction(value.a) if value.b == 0
+                               else math.log(float(value))), (z,))
+    return list(seen.values())
 
 
-def _hyperplane_records(E: ArakelovBundle, min_degree: float,
-                        node_cap: int) -> list[SubbundleRecord]:
-    n = E.rank
-    deg_e = bundle_degree(E)
-    cap = _exp_cap(2.0 * (deg_e - min_degree))
-    view = restrict_scalars(dual(E))  # the inverse Gram on ints
-    kept = [(deg_e - 0.5 * log, hnf(right_kernel_rows([list(wv)], n), n))
-            for log, wv in _capped_logs(view, cap, node_cap)]
-    kept.sort(key=lambda t: (-t[0], t[1]))
-    return [SubbundleRecord(
-                rank=n - 1, degree=deg,
-                basis=tuple(tuple(Fraction(x) for x in row) for row in basis))
-            for deg, basis in kept]
-
-
-def _pair_records(E: ArakelovBundle, min_degree: float,
-                  node_cap: int) -> list[SubbundleRecord]:
-    G = E.gram_real[0]
-    n = E.rank
+def _pair_rows(view: ZLatticeView, min_degree: float,
+               node_cap: int) -> list[tuple[float, tuple]]:
+    A, den = view.trace_form.A, view.trace_form.den
     det_cap = _exp_cap(-2.0 * min_degree)
-    product = HERMITE_RANK2 * math.exp(-min_degree)
-    lattice = ReducedLattice(G, node_cap)
+    # b1 and b2 are measured by z A z^T, den times their squared lengths
+    product = HERMITE_RANK2 * math.exp(-min_degree) * as_float(den)
+    lattice = ReducedLattice(A, node_cap)
     seen = {}
     slack = 1.0 + 1e-9
     for b1, q1 in lattice.short_vectors(product * slack):
@@ -247,31 +218,19 @@ def _pair_records(E: ArakelovBundle, min_degree: float,
             continue
         inner = (product / math.sqrt(q1)) ** 2
         for b2, q2 in lattice.short_vectors(inner * slack):
-            if q2 + 1e-12 < q1:
+            if q2 + 1e-12 * den < q1:
                 continue  # enforce |b1| <= |b2| up to float noise
             g, key = _plucker(b1, b2)
             if g == 0 or key in seen:
                 continue  # dependent pair, or its plane was already tested
             # the Gram determinant scales by the index squared
-            det2 = rat_det(apply_transform((b1, b2), G)) / (g * g)
+            det2 = rat_det(apply_transform((b1, b2), A)) / (g * g * den * den)
             if det2 > det_cap:
                 seen[key] = None  # det2 depends only on the plane
                 continue
-            sat = saturation_rows([list(b1), list(b2)], n)
-            seen[key] = SubbundleRecord(
-                rank=2, degree=-0.5 * log_fraction(det2),
-                basis=tuple(tuple(Fraction(x) for x in row) for row in sat))
-    records = sorted((r for r in seen.values() if r is not None),
-                     key=lambda r: (-r.degree, r.basis))
-    return records
-
-
-def _full_rank_record(E: ArakelovBundle) -> SubbundleRecord:
-    field = E.field
-    one, zero = field.element(1), field.element(0)
-    basis = tuple(tuple(one if i == j else zero for j in range(E.rank))
-                  for i in range(E.rank))
-    return SubbundleRecord(rank=E.rank, degree=bundle_degree(E), basis=basis)
+            seen[key] = (-0.5 * log_fraction(det2),
+                         saturation_rows([list(b1), list(b2)], view.zrank))
+    return [pair for pair in seen.values() if pair is not None]
 
 
 def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
@@ -289,6 +248,31 @@ def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
             "l >= 2 enumeration is limited to rank <= 4")
 
 
+def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
+                    node_cap: int) -> tuple[ZLatticeView, list]:
+    """restrict_scalars(E) and the unsorted (degree, rows) pairs of the
+    rank-l subbundles with degree >= min_degree, rows in its coordinates."""
+    check_subbundle_scope(E, l)
+    if not math.isfinite(min_degree):
+        raise ValueError("min_degree must be finite")
+    view = restrict_scalars(E)
+    if l == E.rank:
+        deg, step = bundle_degree(E), view.zrank // l
+        identity = tuple(tuple(int(j == step * i) for j in range(view.zrank))
+                         for i in range(l))
+        return view, [(deg, identity)] if deg >= min_degree else []
+    if l == 1:
+        return view, _line_rows(view, min_degree, node_cap)
+    if l == E.rank - 1:
+        # w-perp has degree deg(E) + d for a line w of degree d in dual(E)
+        deg_e, n = bundle_degree(E), E.rank
+        lines = _line_rows(restrict_scalars(dual(E)), min_degree - deg_e,
+                           node_cap)
+        return view, [(deg_e + d, hnf(right_kernel_rows([list(w)], n), n))
+                      for d, (w,) in lines]
+    return view, _pair_rows(view, min_degree, node_cap)
+
+
 def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
                          node_cap: int = DEFAULT_NODE_CAP,
                          ) -> list[SubbundleRecord]:
@@ -298,18 +282,17 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
     image of the requested bound, so results are deterministic and match a
     brute-force oracle using the same convention.  A min_degree so low that
     the search bound exp(...) is not a finite float raises ValueError.
+
+    Records come by degree, largest first.  Ties are ordered over Q by the
+    integer rows of the basis, over quadratic fields by str(basis).
     """
-    check_subbundle_scope(E, l)
-    if not math.isfinite(min_degree):
-        raise ValueError("min_degree must be finite")
-    if l == E.rank:
-        rec = _full_rank_record(E)
-        return [rec] if rec.degree >= min_degree else []
-    if l == 1:
-        return _line_records(E, min_degree, node_cap)
-    if l == E.rank - 1:
-        return _hyperplane_records(E, min_degree, node_cap)
-    return _pair_records(E, min_degree, node_cap)
+    view, pairs = _subbundle_rows(E, l, min_degree, node_cap)
+    rational = E.field.is_rational()
+    built = [(deg, rows, tuple(map(view.coords_to_module, rows)))
+             for deg, rows in pairs]
+    built.sort(key=lambda t: (-t[0], t[1] if rational else str(t[2])))
+    return [SubbundleRecord(rank=l, degree=deg, basis=basis)
+            for deg, _, basis in built]
 
 
 def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,
@@ -320,10 +303,9 @@ def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,
     one subbundle, the maximizer itself lies above the floor and is covered.
     An empty result returns (-inf, False): the maximum sits below the floor.
     """
-    records = enumerate_subbundles(E, l, min_degree_floor, node_cap)
-    if not records:
-        return (-math.inf, False)
-    return (max(r.degree for r in records) / l, True)
+    _, pairs = _subbundle_rows(E, l, min_degree_floor, node_cap)
+    return ((max(deg for deg, _ in pairs) / l, True) if pairs
+            else (-math.inf, False))
 
 
 def degree_shells(records: Sequence[SubbundleRecord],
@@ -345,17 +327,16 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
     decay and ZetaDivergenceError is raised instead of returning a number.
     A term or a sum that is not a finite float raises ValueError.
     """
-    records = enumerate_subbundles(E, l, -T, node_cap)
+    _, pairs = _subbundle_rows(E, l, -T, node_cap)
     shells: dict[int, float] = {}
     total = []
-    for r in records:
-        if s * r.degree > MAX_EXPONENT:
+    for deg in sorted((deg for deg, _ in pairs), reverse=True):
+        if s * deg > MAX_EXPONENT:
             raise ValueError(f"exp(s * degree) is not a finite float at "
-                             f"s = {s:g}, degree = {r.degree:.6g}")
-        term = math.exp(s * r.degree)
+                             f"s = {s:g}, degree = {deg:.6g}")
+        term = math.exp(s * deg)
         total.append(term)
-        shells[math.floor(-r.degree)] = shells.get(
-            math.floor(-r.degree), 0.0) + term
+        shells[math.floor(-deg)] = shells.get(math.floor(-deg), 0.0) + term
     ordered = [shells[k] for k in sorted(shells)]
     if len(ordered) >= 3 and ordered[-3] < ordered[-2] < ordered[-1]:
         raise ZetaDivergenceError(
@@ -397,9 +378,8 @@ def semistability_verdict(E: ArakelovBundle,
                 EnumerationCapError):
             blocked = True
             continue
-        for r in records:
-            if r.degree / l > mu + 1e-9:
-                return SemistabilityVerdict(status="unstable", witness=r)
+        if records and records[0].degree / l > mu + 1e-9:  # the top degree
+            return SemistabilityVerdict(status="unstable", witness=records[0])
     if blocked:
         return SemistabilityVerdict(status="inconclusive", witness=None)
     return SemistabilityVerdict(status="semistable_up_to_budget", witness=None)

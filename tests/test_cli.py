@@ -319,6 +319,13 @@ def test_usage_errors(capsys, tmp_path, monkeypatch, identity2):
                              "--l", "1", "--s", "200", "--cutoff", "1")
     assert code == 2 and out == ""
     assert "s = 200, degree = 4.60517" in err
+    # Gram entries whose enumeration scale or radius has no float
+    for entry in ("1/1" + "0" * 400, "1" + "0" * 400):
+        huge = tmp_path / "huge.gram"
+        huge.write_text(f"Q\n1\n{entry}\n")
+        code, out, err = run_cli(capsys, "sections", "--gram", str(huge))
+        assert code == 2 and out == ""
+        assert "outside the float range" in err
     # exp factors and radii beyond the float range, refused up front
     for argv, named in [
             (("bounds", "--kind", "theorem", "--n", "3",

@@ -9,7 +9,7 @@ import pytest
 
 from arakelov.bundle import make_bundle, scale, tensor, trivial_bundle
 from arakelov.errors import EnumerationCapError
-from arakelov.lattice import ReducedLattice
+from arakelov.lattice import ReducedLattice, shortest_vector
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.sections import (
@@ -18,6 +18,7 @@ from arakelov.sections import (
     has_nonzero_section,
     minkowski_guarantee,
 )
+from arakelov.zeta import enumerate_subbundles
 from tests.oracles import (
     e8_gram,
     gaussian_sections_brute,
@@ -114,6 +115,24 @@ def test_radius_beyond_float_range_is_refused():
         count_in_region(E, 1e100, node_cap=50)
     with pytest.raises(ValueError, match="not a finite float"):
         count_in_region(E, 1e150)
+
+
+def test_gram_beyond_float_range_is_refused():
+    # a den of 10^400 times the radius, or a scale of 10^400, has no float:
+    # a ValueError from the enumeration, never an OverflowError or a
+    # ZeroDivisionError
+    Q = make_field("Q")
+    for entry in (Fraction(1, 10**400), Fraction(10**400)):
+        with pytest.raises(ValueError, match="outside the float range"):
+            global_sections(make_bundle(Q, [[entry]]))
+    skinny = make_bundle(Q, [[Fraction(1, 10**400), 0], [0, 1]])
+    with pytest.raises(ValueError, match="outside the float range"):
+        has_nonzero_section(skinny)
+    with pytest.raises(ValueError, match="outside the float range"):
+        enumerate_subbundles(skinny, 1, -1.0)
+    for gram in ([[10**400, 0], [0, 1]], [[Fraction(1, 10**400)]]):
+        with pytest.raises(ValueError, match="outside the float range"):
+            shortest_vector(gram)  # a reduced entry, or a scale of 0.0
 
 
 def test_count_caps_are_squared_radii():

@@ -394,6 +394,29 @@ def test_full_rank_record():
     assert enumerate_subbundles(E, 3, 0.5) == []
 
 
+@pytest.mark.parametrize("desc, rank, ls, T", [
+    ("Q", 2, (1, 2), 3.5), ("Q", 3, (1, 2, 3), 2.0),
+    ("Q", 4, (1, 2, 3, 4), 0.5), ("Q(sqrt{-1})", 2, (1, 2), 3.0),
+    ("Q(sqrt{-3})", 2, (1, 2), 3.0), ("Q(sqrt{5})", 2, (1, 2), 2.5)])
+def test_degree_path_matches_records(desc, rank, ls, T):
+    # zeta_partial and mu_max read degrees only; they must see exactly the
+    # degrees of the records enumerate_subbundles builds
+    K = make_field(desc)
+    s = 6.0
+    for seed in range(3):
+        spec = RandomLatticeSpec(rank, 100003, seed, K)
+        E = random_bundle(K, rank, 0.0, spec, trial_rng(seed, rank))
+        for l in ls:
+            records = enumerate_subbundles(E, l, -T)
+            assert records
+            zp = zeta_partial(E, l, s, T)
+            assert zp.terms == len(records)
+            assert zp.partial_sum == math.fsum(math.exp(s * r.degree)
+                                               for r in records)
+            assert mu_max(E, l, -T) == (records[0].degree / l, True)
+            assert records[0].degree == max(r.degree for r in records)
+
+
 def test_mu_max():
     E = trivial_bundle(Q, 2)
     top, exact = mu_max(E, 1, -1.0)
