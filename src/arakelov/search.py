@@ -20,7 +20,7 @@ from .errors import (BudgetExceededError, EnumerationCapError,
 from .lattice import DEFAULT_NODE_CAP
 from .mvt import MIN_TRIALS, MonteCarloEstimate, summarize_trials
 from .sampler import RandomLatticeSpec, random_bundle, trial_rng
-from .sections import SectionReport, global_sections, has_nonzero_section
+from .sections import SectionReport, _empty_report, has_nonzero_section
 from .zeta import mu_max
 
 __all__ = [
@@ -115,7 +115,8 @@ def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
                       allow_large: bool = False) -> SearchOutcome:
     """Draw random slope-mu twists until one has no nonzero section.
 
-    Returns the lowest-index success with a complete empty section report.
+    Returns the lowest-index success with a complete empty section report:
+    the certificate is the sweep that found no section on the product.
     Slopes that land above the converse threshold for some subbundle rank
     return blocked_by_converse instead of burning trials; for twist ranks
     below 16 that verdict is confirmed on one sample first, and if the
@@ -126,9 +127,9 @@ def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
 
     def attempt(trial: int) -> SearchOutcome | None:
         F, product = _draw_twist(E, n, mu, spec, trial)
-        if has_nonzero_section(product, node_cap=node_cap):
+        certificate = _empty_report(product, node_cap)
+        if certificate is None:
             return None
-        certificate = global_sections(product, node_cap=node_cap)
         return SearchOutcome(status="found", witness=F, attempts=trial + 1,
                              expected_count=expected,
                              certificate=certificate)

@@ -1,6 +1,11 @@
 """Global sections: module vectors of norm at most one at every infinite
 place, found by exact lattice-point enumeration.
 
+A basis vector e_i is a section when G_v[i][i] <= 1 at every place, which
+the bundle's integer form decides exactly (den times each diagonal entry,
+against den); has_nonzero_section tries that witness first, before any
+float step, and sweeps only when no basis vector is a section.
+
 The search runs over the restriction of scalars: candidates come from a
 branch-and-bound sweep of the trace-form ellipsoid (norm caps t_v^2 summed
 with weight 2 at complex places), then an exact rational filter keeps the
@@ -21,6 +26,7 @@ from typing import Sequence
 
 from .bundle import ArakelovBundle, ZLatticeView, restrict_scalars
 from .errors import EnumerationCapError
+from .intlinalg import QSurd
 from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
 # Bound here only for tools that patch the enumeration under every name it
 # is imported by (perfbench/tracer.py); the scan reaches it via ReducedLattice.
@@ -122,22 +128,48 @@ def global_sections(E: ArakelovBundle,
     )
 
 
-def has_nonzero_section(E: ArakelovBundle,
-                        node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """Whether a nonzero section exists; exits on the first hit.
+def _basis_section(E: ArakelovBundle) -> bool:
+    """Whether some e_i has norm <= 1 at every place: den G_v[i][i] <= den
+    on the integer form, read off the real part at a complex place."""
+    den, forms = E._form
+    for i in range(E.rank):
+        entries = (m[i][i] for m in forms)
+        if all((x.a if x.__class__ is QSurd else x) <= den for x in entries):
+            return True
+    return False
 
-    A node-cap interruption before any hit raises EnumerationCapError:
-    an indeterminate outcome is never reported as False.
+
+def _empty_report(E: ArakelovBundle, node_cap: int) -> SectionReport | None:
+    """None when E has a nonzero section, else the complete empty report of
+    the sweep that found none, as global_sections gives it.
+
+    A basis vector that is a section answers before any sweep; a node-cap
+    interruption before any hit raises EnumerationCapError.
     """
+    if _basis_section(E):
+        return None
     caps = [Fraction(1)] * len(E.field.infinite_places())
     gen, state = _scan(E, caps, node_cap)
     for _ in gen:
-        return True
+        return None
     if state["truncated"]:
         raise EnumerationCapError(
             f"node cap {node_cap} hit before any section was found",
             nodes=state["nodes"])
-    return False
+    return SectionReport((), False, state["nodes"], state["envelope"])
+
+
+def has_nonzero_section(E: ArakelovBundle,
+                        node_cap: int = DEFAULT_NODE_CAP) -> bool:
+    """Whether a nonzero section exists; exits on the first hit.
+
+    A basis vector of norm <= 1 everywhere is an exact witness, found on
+    the integer form before any float step; only without one does the
+    sweep run.  A node-cap interruption of the sweep before any hit raises
+    EnumerationCapError: an indeterminate outcome is never reported as
+    False.
+    """
+    return _empty_report(E, node_cap) is None
 
 
 def count_in_region(E: ArakelovBundle, radii,

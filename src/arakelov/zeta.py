@@ -8,7 +8,8 @@ built once, in enumerate_subbundles; zeta_partial and mu_max read degrees.
 Rank-1 subbundles correspond to primitive module vectors up to units; their
 degrees come from exact place values, so the min_degree filter is a rational
 comparison.  Corank-1 subbundles over Q are lines of the dual: a covector w
-of degree d in dual(E) cuts out w-perp, of degree deg(E) + d.  The case l=2
+of degree d in dual(E) cuts out w-perp, of degree deg(E) + d; the HNF rows
+of w-perp are built only for records.  The case l=2
 in rank 4 enumerates candidate reduced bases (b1, b2) with |b1| |b2| <=
 (2/sqrt 3) exp(-min_degree), which covers every target submodule because a
 rank-2 reduced basis attains both minima.  The full rank is the identity.
@@ -251,7 +252,9 @@ def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
 def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
                     node_cap: int) -> tuple[ZLatticeView, list]:
     """restrict_scalars(E) and the unsorted (degree, rows) pairs of the
-    rank-l subbundles with degree >= min_degree, rows in its coordinates."""
+    rank-l subbundles with degree >= min_degree, rows in its coordinates.
+    A hyperplane over Q comes as the row w of its dual line; only
+    enumerate_subbundles, which reads rows, maps it to w-perp."""
     check_subbundle_scope(E, l)
     if not math.isfinite(min_degree):
         raise ValueError("min_degree must be finite")
@@ -265,11 +268,10 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
         return view, _line_rows(view, min_degree, node_cap)
     if l == E.rank - 1:
         # w-perp has degree deg(E) + d for a line w of degree d in dual(E)
-        deg_e, n = bundle_degree(E), E.rank
+        deg_e = bundle_degree(E)
         lines = _line_rows(restrict_scalars(dual(E)), min_degree - deg_e,
                            node_cap)
-        return view, [(deg_e + d, hnf(right_kernel_rows([list(w)], n), n))
-                      for d, (w,) in lines]
+        return view, [(deg_e + d, rows) for d, rows in lines]
     return view, _pair_rows(view, min_degree, node_cap)
 
 
@@ -287,6 +289,10 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
     integer rows of the basis, over quadratic fields by str(basis).
     """
     view, pairs = _subbundle_rows(E, l, min_degree, node_cap)
+    if 1 < l == E.rank - 1:  # hyperplanes come as their dual lines (w,)
+        n = E.rank
+        pairs = [(deg, hnf(right_kernel_rows([list(w)], n), n))
+                 for deg, (w,) in pairs]
     rational = E.field.is_rational()
     built = [(deg, rows, tuple(map(view.coords_to_module, rows)))
              for deg, rows in pairs]

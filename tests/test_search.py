@@ -122,3 +122,25 @@ def test_success_rate_extremes():
     bound = thresholds(Q, 4, 1, eps=0.0).values["converse"]
     never = success_rate_experiment(E, 4, bound + 0.5, 40, line_spec(4, 19))
     assert never.mean == 0.0
+
+
+@pytest.mark.parametrize("desc, n", [("Q", 5), ("Q(sqrt{-1})", 4),
+                                     ("Q(sqrt{-3})", 4), ("Q(sqrt{5})", 4)])
+def test_certificate_is_the_full_sweep(desc, n):
+    # the sweep that found no section is the certificate: it equals the
+    # report global_sections gives for the same product, nodes included
+    K = make_field(desc)
+    E = trivial_bundle(K, 1)
+    th = thresholds(K, n, 1, 0.05).values
+    found = 0
+    for frac in (0.0, 0.5):
+        mu = th["corollary"] + frac * (th["converse"] - th["corollary"])
+        for seed in range(5):
+            spec = RandomLatticeSpec(n=n, p=DEFAULT_PRIME, seed=seed, field=K)
+            outcome = find_section_free(E, n, mu, 24, spec)
+            if outcome.status != "found":
+                continue
+            found += 1
+            assert outcome.certificate == global_sections(
+                tensor(E, outcome.witness))
+    assert found

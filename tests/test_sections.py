@@ -13,6 +13,7 @@ from arakelov.lattice import ReducedLattice, shortest_vector
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.sections import (
+    _basis_section,
     count_in_region,
     global_sections,
     has_nonzero_section,
@@ -126,13 +127,59 @@ def test_gram_beyond_float_range_is_refused():
         with pytest.raises(ValueError, match="outside the float range"):
             global_sections(make_bundle(Q, [[entry]]))
     skinny = make_bundle(Q, [[Fraction(1, 10**400), 0], [0, 1]])
-    with pytest.raises(ValueError, match="outside the float range"):
-        has_nonzero_section(skinny)
+    # e_1 has norm 10^-200: the basis pre-check answers before any sweep
+    assert has_nonzero_section(skinny)
+    for gram in ([[10**400, 0], [0, 2]], [[2, 0], [0, 10**400]]):
+        # no basis vector is a section, so the sweep runs and refuses
+        with pytest.raises(ValueError, match="outside the float range"):
+            has_nonzero_section(make_bundle(Q, gram))
     with pytest.raises(ValueError, match="outside the float range"):
         enumerate_subbundles(skinny, 1, -1.0)
     for gram in ([[10**400, 0], [0, 1]], [[Fraction(1, 10**400)]]):
         with pytest.raises(ValueError, match="outside the float range"):
             shortest_vector(gram)  # a reduced entry, or a scale of 0.0
+
+
+@pytest.mark.parametrize("desc, rank, cap", [
+    ("Q", 3, 1), ("Q(sqrt{-1})", 2, 3), ("Q(sqrt{5})", 2, 3)])
+def test_basis_section_needs_no_sweep(desc, rank, cap):
+    # e_1 is a section of O^rank: no node budget is spent to find it
+    assert has_nonzero_section(trivial_bundle(make_field(desc), rank),
+                               node_cap=cap)
+
+
+def test_cap_before_any_hit_is_loud_without_a_basis_section():
+    # the diagonal entries exceed 1; the only sections are +-(e_1 + e_2)
+    Q = make_field("Q")
+    E = make_bundle(Q, [[2, Fraction(-3, 2)], [Fraction(-3, 2), 2]])
+    assert global_sections(E).nonzero_sections == ((1, 1), (-1, -1))
+    with pytest.raises(EnumerationCapError):
+        has_nonzero_section(E, node_cap=1)
+    assert has_nonzero_section(E)
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt{-1})", "Q(sqrt{-3})",
+                                  "Q(sqrt{5})"])
+def test_precheck_agrees_with_full_sweep(desc):
+    # seeded products E (x) F, scaled so that sections appear or vanish; the
+    # skewed copy [[2, 3], [3, 5]] of O^2 has sections off the basis
+    K = make_field(desc)
+    rank_f = 3 if K.is_rational() else 2
+    skew = make_bundle(K, [[[2, 3], [3, 5]]] * len(K.infinite_places()))
+    seen = set()
+    for trial in range(6):
+        E = random_bundle(K, 2, 0.0, RandomLatticeSpec(2, 100003, trial, K),
+                          trial_rng(trial, 0))
+        F = random_bundle(K, rank_f, 0.0,
+                          RandomLatticeSpec(rank_f, 100003, trial, K),
+                          trial_rng(trial, 1))
+        for A in (E, skew):
+            for c in (2, 1, Fraction(1, 2)):
+                P = scale(tensor(A, F), c)
+                found = has_nonzero_section(P)
+                assert found == bool(global_sections(P).nonzero_sections)
+                seen.add("basis" if _basis_section(P) else found)
+    assert seen == {"basis", True, False}  # both paths to a hit, and none
 
 
 def test_count_caps_are_squared_radii():
