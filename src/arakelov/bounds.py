@@ -17,7 +17,7 @@ from functools import lru_cache
 from .bundle import ArakelovBundle
 from .errors import EnumerationCapError, UnsupportedFieldError
 from .intlinalg import rat_det
-from .lattice import DEFAULT_NODE_CAP, form_value, shortest_vector
+from .lattice import DEFAULT_NODE_CAP, shortest_vector
 from .numberfield import NumberField, ball_volume
 from .zeta import (MAX_EXPONENT, ZetaPartial, check_subbundle_scope,
                    zeta_partial)
@@ -119,7 +119,8 @@ def _zeta_term(E: ArakelovBundle, l: int, s: float, cutoff: float | None,
 def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
                     zeta_params: dict | None = None) -> BoundReport:
     """Averaged section-class count for rank-n twists of E with the given
-    determinant degree; a value below one certifies a section-free twist.
+    determinant degree; a value below one certifies a section-free twist,
+    unless a zeta tail is uncertain: then the verdict is indeterminate.
 
     Each subbundle rank l of E contributes
     disc^(-nl/2) * quotient_volume(n l) * zeta_E^(l)(n) * exp(l det_degree).
@@ -155,11 +156,13 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
                              "exact" if exact_q else "upper_bound")
         terms.append(math.exp(exponent) * qv * zp.partial_sum)
     value = math.fsum(terms)
-    if value < 1.0:
+    if value >= 1.0:  # the omitted terms are positive
+        verdict = "not guaranteed"
+    elif tail_uncertain:
+        verdict = "indeterminate (tail uncertain)"
+    else:
         verdict = ("existence guaranteed" if exact_q
                    else "existence guaranteed (via upper bound)")
-    else:
-        verdict = "not guaranteed"
     return BoundReport(
         kind="theorem",
         inputs={"field": field.descriptor, "rank": E.rank, "n": n,
@@ -206,8 +209,7 @@ def packing_density(E: ArakelovBundle,
         raise UnsupportedFieldError("packing density is defined over Q here")
     gram = [list(row) for row in E.gram_real[0]]
     n = E.rank
-    vec, _ = shortest_vector(gram, node_cap=node_cap)
-    min_sq = form_value(gram, vec)
+    _, min_sq = shortest_vector(gram, node_cap=node_cap)
     det = rat_det([[Fraction(x) for x in row] for row in gram])
     return (ball_volume(n) * math.sqrt(float(min_sq ** n))
             / (2.0 ** n * math.sqrt(float(det))))

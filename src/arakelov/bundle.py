@@ -333,7 +333,11 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     Over Q this is exact.  Over a quadratic field each place's Gram G is
     restricted in floats as conj(emb) G emb^T, with emb the basis embedded
     at that place; sums run through math.fsum at real places and plain sum
-    at complex ones.
+    at complex ones.  Each entry is a sum of products of once-rounded
+    embeddings and Gram entries, so (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3) it is within (2n + 4) 2^-52 sum_ab s_ia
+    |G_ab| s_jb of the exact conj(e_i) G e_j^T, where n = E.rank, e_ia =
+    a + b w is entry a of basis row i and s_ia = |a| + |b| |w|.
     """
     field = E.field
     k, n = len(basis), E.rank

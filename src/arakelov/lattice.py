@@ -3,8 +3,10 @@
 All routines work on Gram matrices rather than embedded bases, so the same
 code serves Euclidean lattices of any provenance.  Reduction is exact for
 every input, int, Fraction, float or QSurd alike; only enumeration works in
-floats.  Enumeration returns integer coefficient vectors in the basis the
-Gram matrix was given in, one representative per +-x pair.
+floats.  Enumeration yields integer coefficient vectors in the basis the
+Gram matrix was given in, one representative per +-x pair, and no values.
+Its one relative pad is the library's only float slack: callers pass the
+radius they computed and compare values exactly, on the form they hold.
 
 Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
@@ -18,6 +20,7 @@ is the one enumeration budget every module defaults to.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import floor, inf, sqrt
 from operator import mul
 from typing import Iterator, Sequence
@@ -127,26 +130,29 @@ def _fp_decompose(gram) -> tuple[list[float], list[list[float]]]:
 def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
                             node_cap: int = DEFAULT_NODE_CAP,
                             node_counter: list[int] | None = None,
-                            ) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Yield (x, Q(x)) for nonzero integer x with Q(x) <= radius_sq, one
+                            ) -> Iterator[tuple[int, ...]]:
+    """Yield each nonzero integer x with Q(x) <= radius_sq, one
     representative per +-x pair (highest-index nonzero coordinate positive).
 
-    Range bounds are floating point with a small inflation, so boundary
-    membership is decided slightly generously; callers needing exactness
-    must recheck Q(x) in their own arithmetic.  Raises EnumerationCapError
-    once the search tree exceeds node_cap nodes, and ValueError when the
-    padded radius is not a finite float.  When node_counter is given its
-    single entry accumulates the nodes visited, cap hit or not.
+    The float walk, its ranges and its leaves alike, runs on the ball of
+    radius_sq * (1 + 1e-8), the one pad.  It covers the rounding of the
+    LDL^T walk, of a ReducedLattice's once-rounded Gram and scale, and of
+    radii that callers compute in a few float operations (HERMITE_RANK2 *
+    exp(...), (eps + 1/eps) * exp(...), p ** (2/n)): a fixed margin, not
+    yet derived from an error bound.  No vector inside is missed, and
+    callers decide membership exactly.  Raises EnumerationCapError once
+    the search tree exceeds node_cap nodes, and ValueError when the padded
+    radius is not a finite float.  When node_counter is given its single
+    entry accumulates the nodes visited, cap hit or not.
     """
     n = len(gram)
     R = float(radius_sq)
     if R < 0 or n == 0:
         return
-    bound = R * (1.0 + 1e-12) + 1e-12
+    bound = R * (1.0 + 1e-8)
     if bound == inf:
         raise ValueError("radius is not a finite float in the Gram's units")
     d, m = _fp_decompose(gram)
-    slack = 1e-9 * (1.0 + bound)
     x = [0] * n
     nodes = 0
 
@@ -161,7 +167,7 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
 
     def walk(i: int, used: float, sign_free: bool):
         if i < 0:
-            yield tuple(x), used
+            yield tuple(x)
             return
         c = 0.0
         for j in range(i + 1, n):
@@ -173,7 +179,7 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
             count()
             t = xi + c
             step = d[i] * t * t
-            if used + step > bound + slack:
+            if used + step > bound:
                 continue
             if i == 0 and sign_free and xi == 0:
                 continue  # skip the zero vector
@@ -212,8 +218,9 @@ class ReducedLattice:
     U reduces A); U A U^T is formed on ints, each entry rounded once:
     within 2^-53 relatively for an int, 6 * 2^-53 for a QSurd.
     short_vectors(radius_sq) enumerates it at radius_sq / scale, as often
-    as needed, yielding (x, Q(x)) with x in the caller's basis; callers keep
-    their own padding.  Each enumeration is capped at node_cap nodes.
+    as needed, yielding vectors in the caller's basis; the radius is padded
+    only inside enumerate_short_vectors.  Each enumeration is capped at
+    node_cap nodes.
     """
 
     def __init__(self, gram: Sequence[Sequence],
@@ -245,27 +252,24 @@ class ReducedLattice:
         """Nodes visited so far by every enumeration, cap hit or not."""
         return sum(c[0] for c in self._counters)
 
-    def short_vectors(self, radius_sq,
-                      ) -> Iterator[tuple[tuple[int, ...], float]]:
+    def short_vectors(self, radius_sq) -> Iterator[tuple[int, ...]]:
         counter = [0]
         self._counters.append(counter)
-        columns, scale = self._columns, self.scale
-        for coeffs, q in enumerate_short_vectors(
-                self.gram, float(radius_sq) / scale, self.node_cap, counter):
-            yield (tuple([sum(map(mul, coeffs, col)) for col in columns]),
-                   q * scale)
+        for coeffs in enumerate_short_vectors(
+                self.gram, float(radius_sq) / self.scale, self.node_cap,
+                counter):
+            yield tuple([sum(map(mul, coeffs, col)) for col in self._columns])
 
 
 def shortest_vector(gram: Sequence[Sequence],
-                    node_cap: int = DEFAULT_NODE_CAP) -> tuple[tuple[int, ...], float]:
+                    node_cap: int = DEFAULT_NODE_CAP,
+                    ) -> tuple[tuple[int, ...], Fraction]:
     """A shortest nonzero vector (coefficients in the given basis) and its
-    squared length, found by reduction followed by enumeration."""
-    lattice = ReducedLattice(gram, node_cap)
-    g_red = lattice.gram
-    i0 = min(range(len(g_red)), key=lambda t: g_red[t][t])
-    best_x = tuple(lattice.U[i0])
-    best_q = g_red[i0][i0] * lattice.scale
-    for x, q in lattice.short_vectors(best_q):
-        if q < best_q:
-            best_q, best_x = q, x
-    return best_x, best_q
+    exact squared length, compared on the integer form A of gram = scale *
+    A, so the scale never passes through a float."""
+    A, scale = _scaled(gram)
+    lattice = ReducedLattice(A, node_cap)
+    value = partial(form_value, A)
+    best = tuple(min(lattice.U, key=value))
+    best = min(lattice.short_vectors(value(best)), key=value, default=best)
+    return best, value(best) * scale

@@ -4,8 +4,9 @@ For a random unimodular lattice the expected number of ordered l-tuples of
 rationally independent lattice vectors with |v_j| <= t_j equals the product
 of the ball volumes.  The left side is estimated by averaging exact counts
 over Hecke points mod p; the right side is the closed-form volume product.
-Counts are exact integers: the enumeration envelope is slightly padded and
-every candidate is re-checked via the integer comparison
+Counts are exact integers: the enumeration, padded only inside
+enumerate_short_vectors, runs at the float radius t^2 p^(2/n), and every
+candidate is re-checked via the integer comparison
 (|v|^2_int)^n <= t^(2n) p^2, which sidesteps the irrational scaling p^(1/n).
 """
 
@@ -109,10 +110,9 @@ def _count_tuples(gram: list[list[int]], p: int, n: int, l: int,
     lattice with |v_j| <= t_j; the j-th ball in integer coordinates is
     Q(x)^n <= t_j^(2n) p^2."""
     caps = [t ** (2 * n) * p * p for t in radii]
-    tmax = max(radii)
-    envelope = float(tmax * tmax) * p ** (2.0 / n) * (1.0 + 1e-9) + 1e-9
+    radius = float(max(radii) ** 2) * p ** (2.0 / n)
     members: list[list[tuple[int, ...]]] = [[] for _ in range(l)]
-    for x, _ in enumerate_short_vectors(gram, envelope, node_cap=node_cap):
+    for x in enumerate_short_vectors(gram, radius, node_cap=node_cap):
         qn = form_value(gram, x) ** n
         for j in range(l):
             if qn <= caps[j]:

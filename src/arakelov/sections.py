@@ -10,9 +10,10 @@ The search runs over the restriction of scalars: candidates come from a
 branch-and-bound sweep of the trace-form ellipsoid (norm caps t_v^2 summed
 with weight 2 at complex places), then an exact rational filter keeps the
 vectors inside the product of per-place balls.  The trace form and its
-reduction are exact (see ReducedLattice).  The float sweep is slightly
-generous near the boundary, the filter is exact, so boundary vectors are kept
-if and only if they truly satisfy the closed condition.
+reduction are exact (see ReducedLattice).  The sweep, padded only inside
+enumerate_short_vectors, is slightly generous near the boundary; the filter
+is exact, so boundary vectors are kept if and only if they truly satisfy
+the closed condition.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from numbers import Number
 from typing import Sequence
 
-from .bundle import ArakelovBundle, ZLatticeView, restrict_scalars
+from .bundle import ArakelovBundle, restrict_scalars
 from .errors import EnumerationCapError
 from .intlinalg import QSurd
 from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
@@ -80,29 +81,27 @@ def _norm_caps(E: ArakelovBundle, radii) -> list[Fraction]:
     return caps
 
 
-def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int):
-    """Exact region scan; yields representatives (one per +-pair) and finally
-    reports (truncated, nodes, envelope) through the returned state dict."""
+def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int,
+          first: bool = False):
+    """Exact region scan: the view, the representatives found (one per
+    +-pair; with first set, at most one), whether the node cap cut the
+    sweep short, the nodes visited, and the trace-form envelope radius."""
     view = restrict_scalars(E)
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
     radius = envelope * as_float(view.trace_form.den)
     lattice = ReducedLattice(view.trace_form.gram, node_cap)
-    state = {"truncated": False, "nodes": 0, "envelope": envelope,
-             "view": view}
-
-    def gen():
-        try:
-            for z, _ in lattice.short_vectors(radius):
-                if view.values_leq(z, caps):
-                    yield z
-        except EnumerationCapError:
-            state["truncated"] = True
-        finally:
-            state["nodes"] = lattice.nodes
-
-    return gen(), state
+    reps, truncated = [], False
+    try:
+        for z in lattice.short_vectors(radius):
+            if view.values_leq(z, caps):
+                reps.append(z)
+                if first:
+                    break
+    except EnumerationCapError:
+        truncated = True
+    return view, reps, truncated, lattice.nodes, envelope
 
 
 def global_sections(E: ArakelovBundle,
@@ -113,19 +112,11 @@ def global_sections(E: ArakelovBundle,
     report is marked truncated rather than silently incomplete.
     """
     caps = [Fraction(1)] * len(E.field.infinite_places())
-    gen, state = _scan(E, caps, node_cap)
-    reps = sorted(gen)
-    view: ZLatticeView = state["view"]
-    listed = []
-    for z in reps:
-        listed.append(view.coords_to_module(z))
-        listed.append(view.coords_to_module(tuple(-c for c in z)))
-    return SectionReport(
-        nonzero_sections=tuple(listed),
-        truncated=state["truncated"],
-        nodes_visited=state["nodes"],
-        certificate=state["envelope"],
-    )
+    view, reps, truncated, nodes, envelope = _scan(E, caps, node_cap)
+    listed = tuple(view.coords_to_module(y) for z in sorted(reps)
+                   for y in (z, tuple(-c for c in z)))
+    return SectionReport(nonzero_sections=listed, truncated=truncated,
+                         nodes_visited=nodes, certificate=envelope)
 
 
 def _basis_section(E: ArakelovBundle) -> bool:
@@ -149,14 +140,14 @@ def _empty_report(E: ArakelovBundle, node_cap: int) -> SectionReport | None:
     if _basis_section(E):
         return None
     caps = [Fraction(1)] * len(E.field.infinite_places())
-    gen, state = _scan(E, caps, node_cap)
-    for _ in gen:
+    _, reps, truncated, nodes, envelope = _scan(E, caps, node_cap, first=True)
+    if reps:
         return None
-    if state["truncated"]:
+    if truncated:
         raise EnumerationCapError(
             f"node cap {node_cap} hit before any section was found",
-            nodes=state["nodes"])
-    return SectionReport((), False, state["nodes"], state["envelope"])
+            nodes=nodes)
+    return SectionReport((), False, nodes, envelope)
 
 
 def has_nonzero_section(E: ArakelovBundle,
@@ -177,13 +168,12 @@ def count_in_region(E: ArakelovBundle, radii,
     """Number of nonzero module vectors with ||e||_v <= t_v everywhere;
     radii is one scaling per infinite place, or a single common one."""
     caps = _norm_caps(E, radii)
-    gen, state = _scan(E, caps, node_cap)
-    count = sum(2 for _ in gen)
-    if state["truncated"]:
+    _, reps, truncated, nodes, _ = _scan(E, caps, node_cap)
+    if truncated:
         raise EnumerationCapError(
-            f"node cap {node_cap} hit after {count} vectors",
-            nodes=state["nodes"])
-    return count
+            f"node cap {node_cap} hit after {2 * len(reps)} vectors",
+            nodes=nodes)
+    return 2 * len(reps)
 
 
 def minkowski_guarantee(E: ArakelovBundle) -> bool:

@@ -19,7 +19,9 @@ orbit is collapsed by keying on the Pluecker minors of its Z-span (v, w v),
 which also decide primitivity, and for real quadratic fields the trace-form
 search radius (eps + 1/eps) exp(-min_degree) suffices because every line
 has a unit-balanced representative.  Rank-2 planes over Q are keyed on the
-same minors.  Candidates are tested and keyed on Python ints.
+same minors.  Candidates come from den times the trace form at the radius
+itself (enumerate_short_vectors alone pads it) and are tested, ordered and
+keyed exactly, on Python ints.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .bundle import (
     ArakelovBundle,
@@ -120,17 +122,6 @@ class SemistabilityVerdict:
     witness: SubbundleRecord | None
 
 
-def _trace_region(view: ZLatticeView, radius: float,
-                  node_cap: int) -> Iterator[tuple[int, ...]]:
-    """Integer coordinate vectors (one per +-pair) with trace value inside
-    the inflated radius, enumerated on den times the trace form; exactness
-    is restored by the callers' filters."""
-    form = view.trace_form
-    envelope = (radius * (1.0 + 1e-9) + 1e-12) * as_float(form.den)
-    for z, _ in ReducedLattice(form.gram, node_cap).short_vectors(envelope):
-        yield z
-
-
 def _plucker(u: Sequence[int], v: Sequence[int]) -> tuple[int, tuple]:
     """The gcd g of the 2x2 minors of the rows u, v, and the minors over g
     with the first nonzero one made positive.
@@ -167,11 +158,25 @@ def _exp_cap(exponent: float) -> Fraction:
 def _line_rows(view: ZLatticeView, min_degree: float,
                node_cap: int) -> list[tuple[float, tuple]]:
     field = view.bundle.field
+    form = view.trace_form
     if field.is_rational():
-        A, den = view.trace_form.A, view.trace_form.den
         cap = _exp_cap(-2.0 * min_degree)
+        radius = float(cap)
+    elif field.D < 0:
+        power, value_cap = 1.0, _exp_cap(-min_degree)
+        radius = 2.0 * float(value_cap)
+    else:
+        eps = field.embed(field.fundamental_unit(), 0)
+        power, value_cap = 0.5, _exp_cap(-2.0 * min_degree)  # on q0*q1
+        radius = (eps + 1.0 / eps) * math.exp(-min_degree)
+    # the trace-form ball, on den times the trace form
+    candidates = ReducedLattice(form.gram, node_cap).short_vectors(
+        radius * as_float(form.den))
+
+    if field.is_rational():
+        A, den = form.A, form.den
         kept = []
-        for z in _trace_region(view, float(cap), node_cap):
+        for z in candidates:
             if not is_primitive_vector(z):
                 continue
             a = form_value(A, z)
@@ -182,17 +187,9 @@ def _line_rows(view: ZLatticeView, min_degree: float,
                          (z,)))
         return kept
 
-    if field.D < 0:
-        power, value_cap = 1.0, _exp_cap(-min_degree)
-        trace_radius = 2.0 * float(value_cap)
-    else:
-        eps = field.embed(field.fundamental_unit(), 0)
-        power, value_cap = 0.5, _exp_cap(-2.0 * min_degree)  # on q0*q1
-        trace_radius = (eps + 1.0 / eps) * math.exp(-min_degree)
-
     s, q = field.omega_minpoly()
     seen = {}
-    for z in _trace_region(view, trace_radius, node_cap):
+    for z in candidates:
         g, key = _plucker(z, _omega_times(z, s, q))
         if g != 1 or key in seen:
             continue  # v is not primitive, or its line is already kept
@@ -213,14 +210,13 @@ def _pair_rows(view: ZLatticeView, min_degree: float,
     product = HERMITE_RANK2 * math.exp(-min_degree) * as_float(den)
     lattice = ReducedLattice(A, node_cap)
     seen = {}
-    slack = 1.0 + 1e-9
-    for b1, q1 in lattice.short_vectors(product * slack):
-        if not is_primitive_vector(b1) or q1 <= 0:
+    for b1 in lattice.short_vectors(product):
+        if not is_primitive_vector(b1):
             continue
-        inner = (product / math.sqrt(q1)) ** 2
-        for b2, q2 in lattice.short_vectors(inner * slack):
-            if q2 + 1e-12 * den < q1:
-                continue  # enforce |b1| <= |b2| up to float noise
+        q1 = form_value(A, b1)
+        for b2 in lattice.short_vectors((product / math.sqrt(q1)) ** 2):
+            if form_value(A, b2) < q1:
+                continue  # |b1| <= |b2|
             g, key = _plucker(b1, b2)
             if g == 0 or key in seen:
                 continue  # dependent pair, or its plane was already tested

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from arakelov.bundle import PlaceForm, ZLatticeView
+from arakelov.bundle import PlaceForm, ZLatticeView, restrict_scalars
 from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
@@ -227,6 +228,19 @@ def primitive_plane_vectors(max_norm_sq: int):
                 continue
             out.append((x, y))
     return out
+
+
+def skewed_unimodular(rng, n, shear):
+    """L R for unipotent lower and upper triangular L, R whose entries
+    below (above) the diagonal are drawn from [-shear, shear]."""
+    def unipotent(lower):
+        return [[1 if i == j else rng.randint(-shear, shear)
+                 if (j < i) == lower else 0 for j in range(n)]
+                for i in range(n)]
+
+    L, R = unipotent(True), unipotent(False)
+    return [[sum(L[i][k] * R[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def random_pd_fraction_gram(rng: random.Random, n: int,
@@ -635,3 +649,72 @@ def congruence_grams_reference(field, rows) -> list[list]:
             herm[i][i] = complex(herm[i][i].real, 0.0)
         grams.append(herm)
     return grams
+
+
+# ------------------------------------------------- restricted metrics
+
+def restriction_deviations(E, basis, F):
+    """Per place and entry i <= j of F, the restriction of E to the span of
+    the basis rows, the pair (|F_ij - x_ij|, bound): x_ij = conj(e_i) G e_j^T
+    exactly, and bound = (2n + 4) 2^-52 sum_ab s_ia |G_ab| s_jb with
+    s_ia = |a| + |b| |w| for e_ia = a + b w, the bound _restricted_bundle
+    states for its float branch.
+
+    x_ij comes from E's exact place values P by polarisation: Re x_ij =
+    (P(e_i + e_j) - P(e_i) - P(e_j)) / 2, and at a complex place also
+    Re(w x_ij) = (P(e_i + w e_j) - P(e_i) - N(w) P(e_j)) / 2, which gives
+    Im x_ij = (Re(w) Re x_ij - Re(w x_ij)) / Im(w); each value a + b sqrt
+    delta is evaluated to 60 digits."""
+    field = E.field
+    view = restrict_scalars(E)
+    s, q = field.omega_minpoly()
+    w = field.element(0, 1)
+    n, k = E.rank, len(basis)
+    grams = ([[[complex(float(x)) for x in row] for row in g]
+              for g in E.gram_real]
+             + [[[complex(float(x), float(y)) for x, y in zip(*rows)]
+                 for rows in zip(*g)] for g in E.gram_complex])
+    subs = ([[[(Fraction(x), Fraction(0)) for x in row] for row in g]
+             for g in F.gram_real]
+            + [[[(Fraction(x), Fraction(y)) for x, y in zip(*rows)]
+                for rows in zip(*g)] for g in F.gram_complex])
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        def values(u):
+            z = [int(c) for x in u for c in (x.a, x.b)]
+            return [dec(v.a) + dec(v.b) * Decimal(v.delta).sqrt()
+                    for v in view.place_values(z)]
+
+        def plus(u, v):
+            return [field.add(x, y) for x, y in zip(u, v)]
+
+        for p, (place, wv) in enumerate(zip(field.infinite_places(),
+                                            field.omega_embeddings())):
+            G = grams[p]
+            size = [[abs(float(x.a)) + abs(float(x.b)) * abs(wv)
+                     for x in row] for row in basis]
+            if place.kind == "complex":
+                im_w = (Decimal(4 * q - s * s).sqrt() / 2).copy_sign(
+                    Decimal(complex(wv).imag))
+            for i in range(k):
+                for j in range(i, k):
+                    Pi, Pj = values(basis[i])[p], values(basis[j])[p]
+                    re = (values(plus(basis[i], basis[j]))[p] - Pi - Pj) / 2
+                    im = Decimal(0)
+                    if place.kind == "complex":
+                        wej = [field.mul(w, x) for x in basis[j]]
+                        re_w = (values(plus(basis[i], wej))[p] - Pi
+                                - q * Pj) / 2
+                        im = (Decimal(s) / 2 * re - re_w) / im_w
+                    fa, fb = subs[p][i][j]
+                    dev = math.hypot(float(dec(fa) - re), float(dec(fb) - im))
+                    bound = (2 * n + 4) * 2.0 ** -52 * math.fsum(
+                        size[i][a] * abs(G[a][b]) * size[j][b]
+                        for a in range(n) for b in range(n))
+                    out.append((dev, bound))
+    return out

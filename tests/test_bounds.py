@@ -75,6 +75,13 @@ def test_main_inequality_verdicts():
     F = trivial_bundle(K, 1)
     report = main_inequality(F, 6, -8.0)
     assert report.verdict == "existence guaranteed (via upper bound)"
+    # one degree shell at cutoff 0.5 leaves the tail unknown: a value of
+    # 0.95 is no certificate
+    unsure = main_inequality(trivial_bundle(Q, 2), 3, -1.696542,
+                             {"cutoff": 0.5})
+    assert unsure.values["tail_uncertain"]
+    assert unsure.values["value"] == pytest.approx(0.95, abs=0.005)
+    assert unsure.verdict == "indeterminate (tail uncertain)"
 
 
 def test_main_inequality_terms_per_subbundle_rank():

@@ -39,6 +39,7 @@ from tests.oracles import (
     kron_reference,
     random_pd_fraction_gram,
     restrict_scalars_reference,
+    restriction_deviations,
     sampler_bundles,
     trace_gram_reference,
 )
@@ -651,6 +652,30 @@ def test_saturate_subbundle_quadratic_degree_is_exact(descriptor):
             expected -= weight * math.log(value)
             bound += weight * (2 * E.rank + 4) * eps * size / value
         assert abs(degree(sub.bundle) - expected) <= bound
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{2})", "Q(sqrt{5})",
+                                        "Q(sqrt{-3})"])
+def test_saturated_metric_is_within_the_stated_bound(descriptor):
+    # every entry of a saturated line's or plane's float Gram lies within
+    # the bound _restricted_bundle states of the exact restricted metric,
+    # read off restrict_scalars(E).place_values
+    K = make_field(descriptor)
+    rng = random.Random(67)
+    checked = 0
+    for E in sampler_bundles(K, (2, 3), 10, 67):
+        gens = [[K.element(rng.randint(-3, 3), rng.randint(-3, 3))
+                 for _ in range(E.rank)] for _ in range(E.rank - 1)]
+        for count in range(1, E.rank):
+            try:
+                sub = saturate_subbundle(E, gens[:count])
+            except DependentGeneratorsError:
+                continue
+            for dev, bound in restriction_deviations(E, sub.basis,
+                                                     sub.bundle):
+                assert dev <= bound
+            checked += 1
+    assert checked >= 10
 
 
 def test_subbundle_slope_bounds_ambient_shortest():

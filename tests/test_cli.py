@@ -253,6 +253,8 @@ def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
                          "-1.696542", "--cutoff", "0.5")
     assert code == 3
     assert doc["report"]["values"]["tail_uncertain"] is True
+    assert doc["report"]["values"]["value"] < 1.0
+    assert doc["report"]["verdict"] == "indeterminate (tail uncertain)"
     validate(doc, "bound_report.schema.json")
 
 

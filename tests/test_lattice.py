@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -25,6 +26,8 @@ from tests.oracles import (
     gram_schmidt,
     lll_reference,
     random_pd_fraction_gram,
+    rational_sections_brute,
+    skewed_unimodular,
     trace_gram_reference,
 )
 
@@ -234,7 +237,7 @@ def test_enumeration_matches_brute_force():
                 (ReducedLattice(G).short_vectors(radius_sq), True),
                 (ReducedLattice(floats).short_vectors(radius_sq), True)):
             found = {}
-            for x, _ in vectors:
+            for x in vectors:
                 if flip and next(v for v in reversed(x) if v) < 0:
                     x = tuple(-v for v in x)  # the oracle's sign convention
                 exact = quadratic_value(G, x)
@@ -245,9 +248,47 @@ def test_enumeration_matches_brute_force():
         checked += 1
 
 
+def test_radius_on_a_lattice_value_matches_brute_force():
+    # the radius is the exact value of a lattice vector, so points lie on
+    # the sphere; the enumeration, given that radius unpadded, must keep all
+    # of them, on integer Grams and on skewed copies U G U^T, whose vector x
+    # is x U in G's basis
+    rng = random.Random(37)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(2, 4)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        G = gram_matrix(B)
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        if not any(v) or rat_det(G) == 0:
+            continue
+        radius = quadratic_value(G, v)
+        work = 1
+        for b in box_bound(G, radius):
+            work *= 2 * b + 1
+        if work > 100_000:
+            continue
+        brute = rational_sections_brute(G, radius)
+        assert v in brute
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        sweeps = [(identity, enumerate_short_vectors(G, radius))]
+        for shear in (1, 10 ** 3, 10 ** 6):
+            U = skewed_unimodular(rng, n, shear)
+            lattice = ReducedLattice(apply_transform(U, G))
+            sweeps.append((U, lattice.short_vectors(radius)))
+        for U, vectors in sweeps:
+            found = set()
+            for x in vectors:
+                y = tuple(sum(map(mul, x, col)) for col in zip(*U))  # x U
+                if quadratic_value(G, y) <= radius:
+                    found.update((y, tuple(-c for c in y)))
+            assert found == brute
+        checked += 1
+
+
 def test_enumeration_sign_convention():
     G = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    reps = [x for x, _ in enumerate_short_vectors(G, 1)]
+    reps = list(enumerate_short_vectors(G, 1))
     assert sorted(reps) == [(0, 1), (1, 0)]
     for x in reps:
         lead = next(v for v in reversed(x) if v)
@@ -297,7 +338,7 @@ def test_shortest_vector_brute_force():
         x, q = shortest_vector(G)
         assert any(x)
         exact = quadratic_value(G, x)
-        assert abs(float(exact) - q) <= 1e-9 * (1 + abs(q))
+        assert q == exact
         best = min(brute_short_vectors(G, exact).values(), default=None)
         assert best is not None and best == exact
 

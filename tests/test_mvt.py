@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from arakelov.errors import MonteCarloDiscardError, UnsupportedFieldError
+from arakelov.intlinalg import rat_det
 from arakelov.mvt import (
     MIN_TRIALS,
     _count_tuples,
@@ -16,7 +19,7 @@ from arakelov.mvt import (
 )
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, hecke_integer_gram
-from tests.oracles import BALL_VOLUME_TABLE
+from tests.oracles import BALL_VOLUME_TABLE, box_bound, rational_sections_brute
 
 Q = make_field("Q")
 
@@ -97,6 +100,40 @@ def test_exact_count_against_box_oracle(n, l, radii, p, coset):
     got = _count_tuples(gram, p, n, l, tuple(Fraction(t) for t in radii),
                         node_cap=10 ** 8)
     assert got == brute_count(gram, p, n, l, radii)
+
+
+@pytest.mark.parametrize("n, c", [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_count_on_lattice_values_matches_brute_force(n, c):
+    # p = c^n puts each ball on an exact lattice value, up to the rounding
+    # of p ** (2/n) (27 ** (2/3) < 9 in floats): on the Gram q G, with q the
+    # value of v under G, radius q / c reaches v and radius 2q / c reaches
+    # 2v, so vectors lie on both spheres and the counts must still be exact
+    rng = random.Random(43 + 10 * n + c)
+    checked = 0
+    while checked < 4:
+        B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        G = [[sum(map(mul, u, w)) for w in B] for u in B]
+        v = [rng.randint(-1, 1) for _ in range(n)]
+        if not any(v) or rat_det(G) == 0:
+            continue
+        q = sum(G[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+        work = math.prod(2 * b + 1 for b in box_bound(G, 4 * q))
+        if work > 50_000:
+            continue
+        inner = rational_sections_brute(G, q)
+        outer = rational_sections_brute(G, 4 * q)
+        assert tuple(v) in inner and tuple(2 * x for x in v) in outer
+        gram = [[q * g for g in row] for row in G]
+        radii = (Fraction(q, c), Fraction(2 * q, c))
+        assert _count_tuples(gram, c ** n, n, 1, radii[:1],
+                             node_cap=10 ** 8) == len(inner)
+        independent = sum(
+            1 for x in inner for y in outer
+            if any(x[i] * y[j] != x[j] * y[i]
+                   for i in range(n) for j in range(i + 1, n)))
+        assert _count_tuples(gram, c ** n, n, 2, radii,
+                             node_cap=10 ** 8) == independent
+        checked += 1
 
 
 def test_estimate_is_unbiased_at_small_prime():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from arakelov.bundle import degree, make_bundle, restrict_scalars, slope
+from arakelov.bundle import (degree, make_bundle, restrict_scalars, slope,
+                             trivial_bundle)
 from arakelov.errors import InvalidCosetError
 from arakelov.intlinalg import rat_det
 from arakelov.numberfield import make_field
@@ -22,7 +23,7 @@ from arakelov.sampler import (
     random_bundle,
     trial_rng,
 )
-from tests.oracles import congruence_grams_reference
+from tests.oracles import congruence_grams_reference, restriction_deviations
 
 Q = make_field("Q")
 
@@ -139,6 +140,22 @@ def congruence_basis(field, n, rng):
         row[pivot] = pi if i == pivot else field.element(-mults[i])
         rows.append(row)
     return rows
+
+
+@pytest.mark.parametrize("D", [2, 5, -3])
+def test_congruence_metric_is_within_the_stated_bound(D):
+    # the float Grams of sampler draws lie within the bound
+    # _restricted_bundle states of the exact restricted trivial metric
+    K = make_field(f"Q(sqrt{{{D}}})")
+    seeds = random.Random(73)
+    for n in range(2, 6):
+        for _ in range(4):
+            seed, trial = seeds.randrange(10 ** 6), seeds.randrange(100)
+            F = _quadratic_congruence_bundle(K, n, trial_rng(seed, trial))
+            rows = congruence_basis(K, n, trial_rng(seed, trial))
+            for dev, bound in restriction_deviations(trivial_bundle(K, n),
+                                                     rows, F):
+                assert dev <= bound
 
 
 @pytest.mark.parametrize("D", [2, 3, 5, -1, -2, -3, -7])

@@ -9,7 +9,7 @@ import pytest
 
 from arakelov.bundle import make_bundle, scale, tensor, trivial_bundle
 from arakelov.errors import EnumerationCapError
-from arakelov.lattice import ReducedLattice, shortest_vector
+from arakelov.lattice import ReducedLattice, form_value, shortest_vector
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.sections import (
@@ -26,6 +26,7 @@ from tests.oracles import (
     random_pd_fraction_gram,
     rational_sections_brute,
     real_quadratic_sections_brute,
+    skewed_unimodular,
 )
 
 
@@ -135,9 +136,11 @@ def test_gram_beyond_float_range_is_refused():
             has_nonzero_section(make_bundle(Q, gram))
     with pytest.raises(ValueError, match="outside the float range"):
         enumerate_subbundles(skinny, 1, -1.0)
-    for gram in ([[10**400, 0], [0, 1]], [[Fraction(1, 10**400)]]):
-        with pytest.raises(ValueError, match="outside the float range"):
-            shortest_vector(gram)  # a reduced entry, or a scale of 0.0
+    with pytest.raises(ValueError, match="outside the float range"):
+        shortest_vector([[10**400, 0], [0, 1]])  # a reduced entry
+    # the scale 10^-400 stays exact: lengths are compared on the integer form
+    assert shortest_vector([[Fraction(1, 10**400)]]) == (
+        (1,), Fraction(1, 10**400))
 
 
 @pytest.mark.parametrize("desc, rank, cap", [
@@ -238,19 +241,6 @@ def bilinear(G, u, v):
     return sum(a * g * b for a, row in zip(u, G) for g, b in zip(row, v))
 
 
-def skewed_unimodular(rng, n, shear):
-    """L R for unipotent lower and upper triangular L, R whose entries
-    below (above) the diagonal are drawn from [-shear, shear]."""
-    def unipotent(lower):
-        return [[1 if i == j else rng.randint(-shear, shear)
-                 if (j < i) == lower else 0 for j in range(n)]
-                for i in range(n)]
-
-    L, R = unipotent(True), unipotent(False)
-    return [[sum(L[i][k] * R[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def test_skewed_gram_gives_the_unit_sections():
     # a skewed copy U U^T of Z^3 (U unimodular) whose reduced Gram a float
     # trace form cannot hold: the six sections are the vectors +-e_i U^-1,
@@ -258,7 +248,8 @@ def test_skewed_gram_gives_the_unit_sections():
     G = [[5828877, 115180088, 379309023],
          [115180088, 2275991630, 7494901859],
          [379309023, 7494901859, 24713137886]]
-    assert [q for _, q in ReducedLattice(G).short_vectors(1)] == [1, 1, 1]
+    assert [form_value(G, x) for x in ReducedLattice(G).short_vectors(1)] == [
+        1, 1, 1]
     E = make_bundle(make_field("Q"), G)
     report = global_sections(E)
     assert not report.truncated
