@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import ArakelovBundle
 from .errors import EnumerationCapError, UnsupportedFieldError
-from .intlinalg import rat_det
 from .lattice import DEFAULT_NODE_CAP, shortest_vector
 from .numberfield import NumberField, ball_volume
 from .zeta import (MAX_EXPONENT, ZetaPartial, check_subbundle_scope,
@@ -207,11 +205,12 @@ def packing_density(E: ArakelovBundle,
     half the minimum distance, volume ratio per fundamental domain."""
     if not E.field.is_rational():
         raise UnsupportedFieldError("packing density is defined over Q here")
-    gram = [list(row) for row in E.gram_real[0]]
+    # the Gram is c A with A primitive, and E carries its determinant
+    c, (A,) = E._content
     n = E.rank
-    _, min_sq = shortest_vector(gram, node_cap=node_cap)
-    det = rat_det([[Fraction(x) for x in row] for row in gram])
-    return (ball_volume(n) * math.sqrt(float(min_sq ** n))
+    _, min_sq = shortest_vector(A, node_cap=node_cap)
+    (det,) = E._dets
+    return (ball_volume(n) * math.sqrt(float((c * min_sq) ** n))
             / (2.0 ** n * math.sqrt(float(det))))
 
 

@@ -8,12 +8,19 @@ pairs.  Degrees therefore come from exact determinants, taken by
 fraction-free elimination on the Gram scaled to integers and rounded only
 at the final logarithm.
 
-Every functor runs on one integer form per bundle: den, the lcm of the
-stored denominators, and each place Gram times den as an integer matrix
-(Gaussian QSurds at a complex place).  _bundle builds it once, through
-intlinalg._scaled, the only step where rationals become integers, and reads
-the stored Fraction Grams, which reports print, off it; a bundle built field
-by field derives it on first use.
+Every functor runs on one content form per bundle: a rational c > 0 and
+integer place matrices A_v with no common factor (Gaussian QSurds at a
+complex place), Gram_v = c A_v, together with the place determinants.
+_bundle builds a bundle from these alone; the stored Fraction Grams, which
+reports print, and the integer form (den, den Gram_v) with den the lcm of
+their denominators, which restrict_scalars reads, are derived on first read.
+The functors carry the data through: tensor takes Kronecker products of the
+A_v, primitive over Q by Gauss's lemma, with content c_E c_F and
+determinants det_E^m det_F^n; scale keeps the A_v and multiplies c by t^2
+and the determinants by t^(2n); dual inverts; make_bundle's Sylvester check
+gives each determinant.  intlinalg._scaled, the only step where rationals
+become integers, runs where a content is not known, and a bundle built
+field by field derives its content form on first use.
 
 restrict_scalars exposes the module as a Z-lattice of rank d*n, with
 coordinates z over the basis p_a e_i, p = (1, w) the integral basis.  At a
@@ -48,11 +55,11 @@ from .errors import (
 )
 from .intlinalg import (
     QSurd,
+    _definite_det,
     _re_im,
     _scaled,
     det,
     inverse,
-    is_positive_definite,
     ok_saturation_rows,
     rank,
 )
@@ -107,7 +114,10 @@ def _surds(A, B, delta: int) -> list[list[QSurd]]:
 
 @dataclass(frozen=True)
 class ArakelovBundle:
-    """Free module O_K^rank with one exact Gram matrix per infinite place."""
+    """Free module O_K^rank with one exact Gram matrix per infinite place.
+
+    A bundle the functors build holds its content form and place
+    determinants only; its Gram fields are derived on first read."""
 
     field: NumberField
     rank: int
@@ -120,47 +130,76 @@ class ArakelovBundle:
     def slope(self) -> float:
         return slope(self)
 
+    def __getattr__(self, name):
+        """The Gram fields of a bundle that _bundle built, read off its
+        content form on first use; only reached when the instance holds no
+        such attribute."""
+        if name not in ("gram_real", "gram_complex"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        c, forms = self._content
+        r1 = self.field.real_places
+
+        def over(m) -> RealGram:
+            return tuple(tuple(c * x for x in row) for row in m)
+
+        self.__dict__.update(
+            gram_real=tuple(map(over, forms[:r1])),
+            gram_complex=tuple(tuple(map(over, _re_im(m)))
+                               for m in forms[r1:]))
+        return self.__dict__[name]
+
+    @cached_property
+    def _content(self) -> tuple[Fraction, list]:
+        """(c, [A_v]) with Gram_v = c A_v; derived here for a bundle built
+        with ArakelovBundle(...) or dataclasses.replace."""
+        return _primitive([*self.gram_real, *(
+            _surds(re, im, -1) for re, im in self.gram_complex)], self.rank)
+
     @cached_property
     def _form(self) -> tuple[int, list]:
-        """(den, integer place matrices); derived here for a bundle built
-        with ArakelovBundle(...) or dataclasses.replace."""
-        return _bundle(self.field, self.rank, [*self.gram_real, *(
-            _surds(re, im, -1) for re, im in self.gram_complex)])._form
+        """(den, [c.numerator A_v]) with den = c.denominator, the lcm of the
+        stored denominators: each place Gram times den, as the restriction
+        of scalars reads it."""
+        c, forms = self._content
+        if c.numerator != 1:
+            forms = [[[x * c.numerator for x in row] for row in m]
+                     for m in forms]
+        return c.denominator, forms
+
+    @cached_property
+    def _dets(self) -> tuple[Fraction, ...]:
+        """det of each place Gram, real places first, as c^n det A_v.  The
+        functors carry it; a bundle built field by field, or restricted
+        over Q, computes it here, where a Hermitian determinant must come
+        out real."""
+        c, forms = self._content
+        dets = [det(m) for m in forms]
+        if any(isinstance(d, QSurd) and d.b != 0 for d in dets):
+            raise InvalidMetricError("Hermitian determinant came out non-real")
+        return tuple((d.a if isinstance(d, QSurd) else d) * c ** self.rank
+                     for d in dets)
 
 
-def _bundle(field: NumberField, n: int, mats,
-            c: Fraction = Fraction(1)) -> ArakelovBundle:
-    """The rank-n bundle with Grams c mats[v] (QSurds at complex places).
-    One _scaled over all places gives its integer form, den the lcm of the
-    stored denominators; the stored Grams are read off it."""
+def _primitive(mats, n: int, c: Fraction = Fraction(1)):
+    """(c', [A_v]) with c mats[v] = c' A_v and the A_v jointly primitive
+    integer matrices (Gaussian QSurds at complex places): one _scaled over
+    all places."""
     A, s = _scaled([row for m in mats for row in m])
-    s *= c
-    den = s.denominator
-    if s.numerator != 1:
-        A = [[x * s.numerator for x in row] for row in A]
-    forms = [A[k:k + n] for k in range(0, len(A), n)]
+    return s * c, [A[k:k + n] for k in range(0, len(A), n)]
 
-    def over(m) -> RealGram:
-        return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
-    r1 = field.real_places
-    E = ArakelovBundle(
-        field=field, rank=n,
-        gram_real=tuple(over(m) for m in forms[:r1]),
-        gram_complex=tuple(tuple(map(over, _re_im(m))) for m in forms[r1:]))
-    E.__dict__["_form"] = den, forms  # fills the cached_property
+def _bundle(field: NumberField, n: int, content,
+            dets: tuple[Fraction, ...] | None = None) -> ArakelovBundle:
+    """The rank-n bundle with content form content = (c, [A_v]), Gram_v =
+    c A_v with the A_v jointly primitive, holding that and, when given, its
+    place determinants; its Gram fields and integer form are derived on
+    first read."""
+    E = object.__new__(ArakelovBundle)
+    E.__dict__.update(field=field, rank=n, _content=content)
+    if dets is not None:
+        E.__dict__["_dets"] = dets
     return E
-
-
-def _dets(E: ArakelovBundle) -> list[Fraction]:
-    """det of each place Gram, real places first; a Hermitian determinant
-    must come out real."""
-    den, forms = E._form
-    dets = [det(m) for m in forms]
-    if any(isinstance(d, QSurd) and d.b != 0 for d in dets):
-        raise InvalidMetricError("Hermitian determinant came out non-real")
-    return [Fraction(d.a if isinstance(d, QSurd) else d, den ** E.rank)
-            for d in dets]
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +219,10 @@ def _gaussian(x) -> QSurd:
     return x
 
 
-def _validate(m):
-    """A place's integer form must be Hermitian (symmetric at a real place)
-    and positive definite."""
+def _validated_det(m) -> int:
+    """det of a place's integer matrix, which must be Hermitian
+    (symmetric at a real place) and positive definite: one elimination
+    both checks Sylvester's criterion and gives the determinant."""
     for i, row in enumerate(m):
         for j in range(i + 1):
             x, y = row[j], m[j][i]
@@ -190,8 +230,10 @@ def _validate(m):
                     else (x.a, x.b) != (y.a, -y.b)):
                 raise InvalidMetricError("Gram matrix is not symmetric "
                                          "(Hermitian at complex places)")
-    if not is_positive_definite(m):
+    d = _definite_det(m)
+    if d is None:
         raise InvalidMetricError("Gram matrix is not positive definite")
+    return d.a if d.__class__ is QSurd else d
 
 
 def make_bundle(field: NumberField, grams) -> ArakelovBundle:
@@ -222,12 +264,12 @@ def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     exact = mats[:r1] + [[[_gaussian(x) for x in row] for row in m]
                          for m in mats[r1:]]
     try:
-        E = _bundle(field, rank, exact)
+        c, forms = _primitive(exact, rank)
     except (OverflowError, ValueError):  # inf or nan read exactly
         raise InvalidMetricError("Gram entries must be finite") from None
-    for m in E._form[1]:
-        _validate(m)
-    return E
+    cn = c ** rank
+    return _bundle(field, rank, (c, forms),
+                   tuple(cn * _validated_det(m) for m in forms))
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +281,7 @@ def degree(bundle: ArakelovBundle) -> float:
     places and 1 at complex ones."""
     r1 = bundle.field.real_places
     return 0.0 - sum((0.5 if v < r1 else 1.0) * log_fraction(d)
-                     for v, d in enumerate(_dets(bundle)))
+                     for v, d in enumerate(bundle._dets))
 
 
 def slope(bundle: ArakelovBundle) -> float:
@@ -256,22 +298,30 @@ def tensor(E: ArakelovBundle, F: ArakelovBundle) -> ArakelovBundle:
     """Tensor product: Kronecker product of the Grams at each place, which
     makes slope additive."""
     _check_same_field(E, F)
-    (dE, fE), (dF, fF) = E._form, F._form
-    n = E.rank * F.rank
-    return _bundle(E.field, n, [_kron(a, b) for a, b in zip(fE, fF)],
-                   Fraction(1, dE * dF))
+    (cE, fE), (cF, fF) = E._content, F._content
+    n, m = E.rank, F.rank
+    forms = [_kron(a, b) for a, b in zip(fE, fF)]
+    # Over Q the product of primitive matrices is primitive (Gauss's
+    # lemma); across two places, or over Gaussian integers ((1 + i)^2 =
+    # 2i), it can have a content of its own.
+    content = ((cE * cF, forms) if E.field.is_rational()
+               else _primitive(forms, n * m, cE * cF))
+    return _bundle(E.field, n * m, content,
+                   tuple(a ** m * b ** n for a, b in zip(E._dets, F._dets)))
 
 
 def determinant(E: ArakelovBundle) -> ArakelovBundle:
     """Top exterior power: the rank-1 bundle whose Gram at each place is the
     scalar det of E's Gram there; same degree as E."""
-    return make_bundle(E.field, [[[d]] for d in _dets(E)])
+    return make_bundle(E.field, [[[d]] for d in E._dets])
 
 
 def dual(E: ArakelovBundle) -> ArakelovBundle:
     """Dual bundle: inverse Gram at every place; negates the degree."""
-    den, forms = E._form
-    return _bundle(E.field, E.rank, [inverse(m) for m in forms], Fraction(den))
+    c, forms = E._content
+    return _bundle(E.field, E.rank,
+                   _primitive([inverse(m) for m in forms], E.rank, 1 / c),
+                   tuple(1 / d for d in E._dets))
 
 
 def scale(E: ArakelovBundle, t: float) -> ArakelovBundle:
@@ -279,8 +329,10 @@ def scale(E: ArakelovBundle, t: float) -> ArakelovBundle:
     by t^2).  Slope decreases by d * log t."""
     if not 0 < t < math.inf:
         raise InvalidMetricError("scaling factor must be positive and finite")
-    den, forms = E._form
-    return _bundle(E.field, E.rank, forms, Fraction(t) ** 2 / den)
+    c, forms = E._content
+    t2 = Fraction(t) ** 2
+    return _bundle(E.field, E.rank, (c * t2, forms),
+                   tuple(d * t2 ** E.rank for d in E._dets))
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +393,10 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     """
     field = E.field
     k, n = len(basis), E.rank
-    den, forms = E._form
     if field.is_rational():
-        return _bundle(field, k, [apply_transform(basis, forms[0])],
-                       Fraction(1, den))
+        c, (A,) = E._content
+        return _bundle(field, k, _primitive([apply_transform(basis, A)], k, c))
+    den, forms = E._form
     r1 = field.real_places
     grams = []
     for v, (g, w) in enumerate(zip(forms, field.omega_embeddings())):

@@ -365,18 +365,26 @@ def inverse(M: list[list]) -> list[list]:
             for row in A]
 
 
+def _definite_det(A: list[list]):
+    """det A when the symmetric integer matrix A (Hermitian, of int-part
+    QSurds) is positive definite, else None.  By Sylvester's criterion the
+    Bareiss pivots of a copy of A without row swaps, its leading minors,
+    must all be positive; the last is det A.  Hermitian minors are
+    rational; a non-real one (A is not Hermitian) raises TypeError."""
+    n = len(A)
+    M = [list(row) for row in A]
+    cols, _ = _bareiss(M, n, swap=False)
+    if len(cols) < n or any(
+            (p._sign() if isinstance(p, QSurd) else p) <= 0
+            for p in (M[k][k] for k in range(n))):
+        return None
+    return M[n - 1][n - 1]
+
+
 def is_positive_definite(M: list[list]) -> bool:
     """Sylvester's criterion for a symmetric matrix of rationals or a
-    Hermitian matrix of QSurds.  With M = c A and c > 0, the Bareiss pivots
-    of A without row swaps are its leading minors, which must all be
-    positive.  Hermitian minors are rational; a non-real one (the matrix is
-    not Hermitian) raises TypeError."""
-    n = len(M)
-    A, _ = _scaled(M)
-    cols, _ = _bareiss(A, n, swap=False)
-    return len(cols) == n and all(
-        (p._sign() if isinstance(p, QSurd) else p) > 0
-        for p in (A[k][k] for k in range(n)))
+    Hermitian matrix of QSurds, on M = c A with c > 0 (see _definite_det)."""
+    return _definite_det(_scaled(M)[0]) is not None
 
 
 def rat_det(rows) -> Fraction:

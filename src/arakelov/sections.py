@@ -2,8 +2,8 @@
 place, found by exact lattice-point enumeration.
 
 A basis vector e_i is a section when G_v[i][i] <= 1 at every place, which
-the bundle's integer form decides exactly (den times each diagonal entry,
-against den); has_nonzero_section tries that witness first, before any
+the bundle's content form G_v = c A_v decides exactly (c A_v[i][i] on
+ints, against 1); has_nonzero_section tries that witness first, before any
 float step, and sweeps only when no basis vector is a section.
 
 The search runs over the restriction of scalars: candidates come from a
@@ -120,12 +120,15 @@ def global_sections(E: ArakelovBundle,
 
 
 def _basis_section(E: ArakelovBundle) -> bool:
-    """Whether some e_i has norm <= 1 at every place: den G_v[i][i] <= den
-    on the integer form, read off the real part at a complex place."""
-    den, forms = E._form
+    """Whether some e_i has norm <= 1 at every place: with G_v = (p/q) A_v
+    on the content form, p A_v[i][i] <= q, read off the real part at a
+    complex place."""
+    c, forms = E._content
+    p, q = c.numerator, c.denominator
     for i in range(E.rank):
         entries = (m[i][i] for m in forms)
-        if all((x.a if x.__class__ is QSurd else x) <= den for x in entries):
+        if all((x.a if x.__class__ is QSurd else x) * p <= q
+               for x in entries):
             return True
     return False
 

@@ -1,6 +1,7 @@
 """Existence bounds: zeta values, quotient volumes, thresholds, densities."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ from arakelov.bounds import (
     riemann_zeta_int,
     thresholds,
 )
-from arakelov.bundle import make_bundle, trivial_bundle
+from arakelov.bundle import make_bundle, scale, tensor, trivial_bundle
 from arakelov.errors import BudgetExceededError, UnsupportedFieldError
+from arakelov.intlinalg import rat_det
+from arakelov.lattice import shortest_vector
 from arakelov.numberfield import ball_volume, make_field
-from tests.oracles import BALL_VOLUME_TABLE, E8_DENSITY, ZETA_TABLE, e8_gram
+from tests.oracles import (BALL_VOLUME_TABLE, E8_DENSITY, ZETA_TABLE, e8_gram,
+                           random_pd_fraction_gram, sampler_bundles)
 
 Q = make_field("Q")
 
@@ -146,6 +150,35 @@ def test_packing_density():
     assert packing_density(Z2) == pytest.approx(math.pi / 4, abs=1e-12)
     with pytest.raises(UnsupportedFieldError):
         packing_density(trivial_bundle(make_field("Q(sqrt{-1})"), 2))
+
+
+def stored_gram_density(E) -> float:
+    """The density formula on the stored Fraction Gram: exact shortest
+    vector and rat_det of E.gram_real[0]."""
+    gram = [list(row) for row in E.gram_real[0]]
+    n = E.rank
+    _, min_sq = shortest_vector(gram)
+    return (ball_volume(n) * math.sqrt(float(min_sq ** n))
+            / (2.0 ** n * math.sqrt(float(rat_det(gram)))))
+
+
+def test_packing_density_matches_the_stored_gram_formula():
+    # ranks 2-4: the hexagonal Gram, Fraction Grams, sampler draws, their
+    # scales and a rank-4 product; packing_density reads the integer form
+    # and the carried determinant, builds no Fraction Gram, and gives the
+    # same float as the formula on the stored Gram
+    rng = random.Random(29)
+    bundles = [make_bundle(Q, [[2, 1], [1, 2]])]
+    bundles += [make_bundle(Q, random_pd_fraction_gram(rng, n))
+                for n in (2, 3, 4)]
+    draws = list(sampler_bundles(Q, (2, 3, 4), 9, 29))
+    A, B = sampler_bundles(Q, (2,), 2, 31)
+    bundles += draws + [scale(E, 0.83) for E in draws] + [tensor(A, B)]
+    assert {E.rank for E in bundles} == {2, 3, 4}
+    for E in bundles:
+        density = packing_density(E)
+        assert "gram_real" not in E.__dict__
+        assert density == stored_gram_density(E)
 
 
 def test_mh_bound_and_boundary_identity():

@@ -1,14 +1,18 @@
 """Metrized modules: constructors, invariants, functors, subbundles."""
 
+import dataclasses
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from arakelov import intlinalg
 from arakelov.bundle import (
     ArakelovBundle,
+    _restricted_bundle,
     degree,
     determinant,
     dual,
@@ -25,6 +29,7 @@ from arakelov.errors import (
     FieldMismatchError,
     InvalidMetricError,
 )
+from arakelov.gramfile import format_gram_file
 from arakelov.intlinalg import QSurd, rat_det
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec
@@ -280,10 +285,32 @@ def form_entries(E):
                   for row in m] for m in forms]
 
 
+def assert_content_matches_fields(E):
+    """E's content form (c, [A_v]) has c > 0 and int matrices A_v with no
+    common factor, c A_v is the stored Gram entry by entry, and E's place
+    determinants are the stored Grams' determinants, exactly."""
+    c, forms = E._content
+    ints = [y for m in forms for row in m for x in row
+            for y in ((x.a, x.b) if isinstance(x, QSurd) else (x,))]
+    assert c > 0 and all(type(y) is int for y in ints)
+    assert math.gcd(*ints) == 1
+    r1 = E.field.real_places
+    for m, g in zip(forms[:r1], E.gram_real):
+        assert [[c * x for x in row] for row in m] == [list(r) for r in g]
+    for m, (re, im) in zip(forms[r1:], E.gram_complex):
+        assert [[c * x.a for x in row] for row in m] == [list(r) for r in re]
+        assert [[c * x.b for x in row] for row in m] == [list(r) for r in im]
+    assert E._dets == tuple(
+        [det_reference(g) for g in E.gram_real]
+        + [hermitian_det_reference(g) for g in E.gram_complex])
+
+
 def assert_form_matches_fields(E):
     """form / den is the stored Grams entry by entry, den is the lcm of
-    their denominators, and a copy built field by field derives the same
+    their denominators, the content form and place determinants match the
+    stored Grams, and a copy built field by field derives the same
     form."""
+    assert_content_matches_fields(E)
     den, forms = form_entries(E)
     K, r1 = E.field, E.field.real_places
     assert len(forms) == len(K.infinite_places())
@@ -321,9 +348,26 @@ def typed_grams(field, kind):
               for x in map(complex, row)] for row in H]]
 
 
-@pytest.mark.parametrize("descriptor",
-                         ["Q", "Q(sqrt{5})", "Q(sqrt{-1})", "Q(sqrt{-3})"])
+def unread_functor_outputs(E, F):
+    """Bundles the functors build from E and F, checked to hold their
+    place determinants and to build no Gram field for a degree or a
+    restriction of scalars."""
+    outputs = [tensor(E, E), tensor(E, F), scale(E, 2.0), scale(E, 0.37),
+               dual(E), determinant(E)]
+    for X in outputs:
+        assert "_dets" in X.__dict__
+        degree(X)
+        restrict_scalars(X)
+        assert "gram_real" not in X.__dict__
+        assert "gram_complex" not in X.__dict__
+    return outputs
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
 def test_integer_form_matches_stored_grams(descriptor):
+    # make_bundle, tensor, scale, dual, determinant and _restricted_bundle:
+    # integer form, content form and carried determinants against the
+    # stored Grams
     K = make_field(descriptor)
     bundles = [trivial_bundle(K, n) for n in (1, 2, 3)]
     for kind in ("int", "float", "Fraction", "complex", "QSurd"):
@@ -341,14 +385,99 @@ def test_integer_form_matches_stored_grams(descriptor):
     bundles += sampler_bundles(K, (2, 3), 4, 61)
     derived = []
     for E, F in zip(bundles, bundles[1:] + bundles[:1]):
-        derived += [tensor(E, E), tensor(E, F), scale(E, 2.0),
-                    scale(E, 0.37), dual(E), determinant(E)]
+        derived += unread_functor_outputs(E, F)
         if E.rank >= 2:
             v = ([1, 2] if K.is_rational()
                  else [K.element(1, 1), K.element(0, 2)]) + [0] * (E.rank - 2)
             derived.append(saturate_subbundle(E, [v]).bundle)
+            w = K.element(1) if K.is_rational() else K.element(1, -1)
+            basis = [[K.element(3), w] + [K.element(0)] * (E.rank - 2)]
+            derived.append(_restricted_bundle(E, basis))
     for E in bundles + derived:
         assert_form_matches_fields(E)
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt{-1})", "Q(sqrt{2})"])
+def test_tensor_of_primitive_forms_can_have_content(descriptor):
+    # Over Q the Kronecker product of primitive forms is primitive; over
+    # Gaussian integers (1 + i)^2 = 2i, and across two places contents
+    # 2, 1 and 1, 2 multiply to 2, 2.  tensor divides that content out.
+    K = make_field(descriptor)
+    if K.complex_places:
+        h = Fraction(1, 2)
+        E = F = make_bundle(K, [[1, QSurd(h, h, -1)], [QSurd(h, -h, -1), 1]])
+    else:
+        two, one = [[2, 0], [0, 2]], [[1, 0], [0, 1]]
+        E, F = make_bundle(K, [two, one]), make_bundle(K, [one, two])
+    (cE, fE), (cF, fF) = E._content, F._content
+    kron = [y for a, b in zip(fE, fF) for row in kron_reference(a, b)
+            for x in row for y in ((x.a, x.b) if isinstance(x, QSurd)
+                                   else (x,))]
+    assert math.gcd(*kron) == 2
+    T = tensor(E, F)
+    assert T._content[0] == 2 * cE * cF
+    assert_form_matches_fields(T)
+
+
+def lazy_builders(K):
+    """Zero-argument builders of bundles that hold no Gram field yet: one
+    per functor and sampler path."""
+    E = make_bundle(K, typed_grams(K, "Fraction"))
+    draws = list(sampler_bundles(K, (2, 3), 2, 41))
+    v = ([1, 2, 0] if K.is_rational()
+         else [K.element(1, 1), K.element(0, 2), K.element(0)])
+    return [
+        lambda: make_bundle(K, typed_grams(K, "Fraction")),
+        lambda: tensor(E, draws[0]),
+        lambda: scale(draws[1], 0.61),
+        lambda: dual(E),
+        lambda: determinant(E),
+        lambda: saturate_subbundle(E, [v]).bundle,
+        lambda: next(sampler_bundles(K, (3,), 1, 43)),
+    ]
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
+def test_lazy_bundle_matches_eager(descriptor):
+    # a bundle whose Gram fields are derived on first read equals one built
+    # field by field, by ==, hash, repr, a pickle round trip,
+    # dataclasses.replace and its Gram file text
+    K = make_field(descriptor)
+    for build in lazy_builders(K):
+        E = build()
+        assert "gram_real" not in E.__dict__
+        restored = pickle.loads(pickle.dumps(E))
+        assert "gram_real" not in restored.__dict__
+        eager = ArakelovBundle(K, E.rank, E.gram_real, E.gram_complex)
+        text = format_gram_file(eager)
+        for X in (E, restored, build(), dataclasses.replace(build()),
+                  pickle.loads(pickle.dumps(eager))):
+            assert X == eager and eager == X
+            assert hash(X) == hash(eager)
+            assert repr(X) == repr(eager)
+            assert format_gram_file(X) == text
+            assert X.degree() == eager.degree()
+
+
+def test_make_bundle_then_degree_eliminates_once_per_place(monkeypatch):
+    # make_bundle's Sylvester check gives each place determinant; degree,
+    # and the degrees of scales and tensor products, eliminate nothing more
+    calls = []
+    eliminate = intlinalg._bareiss
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_bareiss", counted)
+    for descriptor in FIELDS:
+        K = make_field(descriptor)
+        grams = typed_grams(K, "int")
+        calls.clear()
+        E = make_bundle(K, grams)
+        for X in (E, scale(E, 0.3), tensor(E, E)):
+            degree(X)
+        assert calls == [3] * len(K.infinite_places())
 
 
 def frozen(m):
