@@ -11,9 +11,8 @@ at the final logarithm.
 Every functor runs on one content form per bundle: a rational c > 0 and
 integer place matrices A_v with no common factor (Gaussian QSurds at a
 complex place), Gram_v = c A_v, together with the place determinants.
-_bundle builds a bundle from these alone; the stored Fraction Grams, which
-reports print, and the integer form (den, den Gram_v) with den the lcm of
-their denominators, which restrict_scalars reads, are derived on first read.
+_bundle builds a bundle from these alone, and restrict_scalars reads them;
+the stored Fraction Grams, which reports print, are derived on first read.
 The functors carry the data through: tensor takes Kronecker products of the
 A_v, primitive over Q by Gauss's lemma, with content c_E c_F and
 determinants det_E^m det_F^n; scale keeps the A_v and multiplies c by t^2
@@ -29,13 +28,14 @@ conj(p_a) p_b, so the restricted form is the Gram G_v tensored with the
 table P_ab = conj(p_a) p_b at v (Neukirch, Algebraic Number Theory, I 5).
 With w = s/2 + (y/2) sqrt(D), 2P is TA + TB sqrt(D) at a real place, and
 at the complex place 2 Re P = TA and 2 Im P = -TB sqrt|D|, for integer 2x2
-tables TA, TB.  The form is (z A z^T + (z B z^T) sqrt|D|) / den with
-A = G (x) TA and B = H (x) TB, where den is twice the bundle's den: H = G
-at a real place, and G, H are the real and imaginary parts of the Hermitian
-integer form at the complex place, since
-Re(P G) = Re P Re G - Im P Im G.  Over Q the form is the Gram itself.  A
-form's value at an integer vector is a QSurd, summed on Python ints and
-normalised once, which lets downstream enumeration filters decide boundary
+tables TA, TB.  With Gram_v = c A_v the form is
+(c/2) (z A z^T + (z B z^T) sqrt|D|) with A = G (x) TA and B = H (x) TB:
+H = G = A_v at a real place, and G, H are the real and imaginary parts of
+the Gaussian integer matrix A_v at the complex place, since
+Re(P G) = Re P Re G - Im P Im G.  Over Q the form is c A_v itself.  Each
+form keeps its rational scale apart from its integer matrices; its value
+at an integer vector is a QSurd, summed on Python ints and normalised
+once, which lets downstream enumeration filters decide boundary
 membership exactly even for quadratic fields.  The trace form, which
 enumeration reduces, is their exact sum, complex places twice.
 """
@@ -63,7 +63,7 @@ from .intlinalg import (
     ok_saturation_rows,
     rank,
 )
-from .lattice import apply_transform, form_value
+from .lattice import apply_transform, as_float, form_value
 from .numberfield import NumberField, QuadElement
 
 __all__ = [
@@ -157,17 +157,6 @@ class ArakelovBundle:
             _surds(re, im, -1) for re, im in self.gram_complex)], self.rank)
 
     @cached_property
-    def _form(self) -> tuple[int, list]:
-        """(den, [c.numerator A_v]) with den = c.denominator, the lcm of the
-        stored denominators: each place Gram times den, as the restriction
-        of scalars reads it."""
-        c, forms = self._content
-        if c.numerator != 1:
-            forms = [[[x * c.numerator for x in row] for row in m]
-                     for m in forms]
-        return c.denominator, forms
-
-    @cached_property
     def _dets(self) -> tuple[Fraction, ...]:
         """det of each place Gram, real places first, as c^n det A_v.  The
         functors carry it; a bundle built field by field, or restricted
@@ -193,8 +182,7 @@ def _bundle(field: NumberField, n: int, content,
             dets: tuple[Fraction, ...] | None = None) -> ArakelovBundle:
     """The rank-n bundle with content form content = (c, [A_v]), Gram_v =
     c A_v with the A_v jointly primitive, holding that and, when given, its
-    place determinants; its Gram fields and integer form are derived on
-    first read."""
+    place determinants; its Gram fields are derived on first read."""
     E = object.__new__(ArakelovBundle)
     E.__dict__.update(field=field, rank=n, _content=content)
     if dets is not None:
@@ -396,13 +384,14 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     if field.is_rational():
         c, (A,) = E._content
         return _bundle(field, k, _primitive([apply_transform(basis, A)], k, c))
-    den, forms = E._form
+    c, forms = E._content
+    p, q = c.numerator, c.denominator
     r1 = field.real_places
     grams = []
     for v, (g, w) in enumerate(zip(forms, field.omega_embeddings())):
         num, total = (float, math.fsum) if v < r1 else (complex, sum)
-        # x / den is correctly rounded, as float(Fraction(x, den)) is
-        G = [[x / den if v < r1 else complex(x.a / den, x.b / den)
+        # p * x / q is correctly rounded, as float(Fraction(p * x, q)) is
+        G = [[p * x / q if v < r1 else complex(p * x.a / q, p * x.b / q)
               for x in row] for row in g]
         emb = [[float(x.a) + float(x.b) * w for x in row] for row in basis]
         T = [[total(G[a][b] * e[b] for b in range(n)) for e in emb]
@@ -427,24 +416,33 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class PlaceForm:
-    """Quadratic form (z A z^T + (z B z^T) sqrt(delta)) / den of one place,
+    """Quadratic form scale (z A z^T + (z B z^T) sqrt(delta)) of one place,
     or the trace form, on the restricted-scalars coordinates.  A and B are
-    integer matrices; over Q, delta is 0 and B is None."""
+    integer matrices and scale is a positive rational; over Q, delta is 0
+    and B is None."""
 
     kind: str
     A: IntMatrix
     B: IntMatrix | None
-    den: int
+    scale: Fraction
     delta: int
 
     def value_pair(self, z: Sequence[int]) -> QSurd:
+        p, q = self.scale.numerator, self.scale.denominator
         b = 0 if self.B is None else form_value(self.B, z)
-        return QSurd(Fraction(form_value(self.A, z), self.den),
-                     Fraction(b, self.den), self.delta)
+        return QSurd(Fraction(p * form_value(self.A, z), q),
+                     Fraction(p * b, q), self.delta)
+
+    def gram_radius(self, radius: float) -> float:
+        """A bound on the form's values as a bound on the values of gram,
+        radius / scale in floats; ValueError when the scale's numerator or
+        denominator has no float."""
+        s = self.scale
+        return radius * as_float(s.denominator) / as_float(s.numerator)
 
     @property
     def gram(self) -> list[list]:
-        """den times the form as one exact matrix, of QSurds if B is set."""
+        """The form over its scale as one matrix, of QSurds if B is set."""
         return self.A if self.B is None else _surds(self.A, self.B, self.delta)
 
 
@@ -456,7 +454,6 @@ class ZLatticeView:
 
     bundle: ArakelovBundle
     zrank: int
-    delta: int  # square under the root in the exact form values; 0 over Q
     place_forms: tuple[PlaceForm, ...]
     trace_form: PlaceForm
 
@@ -477,7 +474,7 @@ class ZLatticeView:
         """Covolume under the canonical measure (doubled Lebesgue at complex
         places, as in the trace form): the square root of its determinant."""
         t = self.trace_form
-        return math.sqrt(float(det(t.gram) * Fraction(1, t.den ** self.zrank)))
+        return math.sqrt(float(det(t.gram) * t.scale ** self.zrank))
 
     def coords_to_module(self, z: Sequence[int]) -> tuple:
         field = self.bundle.field
@@ -489,13 +486,13 @@ class ZLatticeView:
 
 def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
     """The module as a Z-lattice of rank d*n with one exact form per place,
-    G_v (x) TA + (H_v (x) TB) sqrt|D| over 2 den (see the module
-    docstring), and their weighted sum as the trace form."""
+    (c/2) (A_v (x) TA + (H_v (x) TB) sqrt|D|) for E's content form c A_v
+    (see the module docstring), and their weighted sum as the trace form."""
     field = E.field
-    den, mats = E._form
+    c, mats = E._content
     if field.is_rational():
-        form = PlaceForm("real", tuple(map(tuple, mats[0])), None, den, 0)
-        return ZLatticeView(E, E.rank, 0, (form,), form)
+        form = PlaceForm("real", tuple(map(tuple, mats[0])), None, c, 0)
+        return ZLatticeView(E, E.rank, (form,), form)
     # each place's kind and tables TA, TB, real places first: w^2 = s w - q
     # and w = s/2 +- (y/2) sqrt(D) at the two real places
     s, q = field.omega_minpoly()
@@ -507,14 +504,14 @@ def restrict_scalars(E: ArakelovBundle) -> ZLatticeView:
               + [("complex", [[2, s], [s, 2 * q]], [[0, -y], [y, 0]])]
               * field.complex_places)
     pairs = [(g, g) for g in mats[:r1]] + [_re_im(m) for m in mats[r1:]]
-    delta = abs(field.D)
+    delta, half = abs(field.D), c / 2
     forms = tuple(
         PlaceForm(kind, tuple(map(tuple, _kron(G, TA))),
-                  tuple(map(tuple, _kron(H, TB))), 2 * den, delta)
+                  tuple(map(tuple, _kron(H, TB))), half, delta)
         for (kind, TA, TB), (G, H) in zip(tables, pairs))
     # the trace form: the place forms summed, complex ones twice
     twice = forms + tuple(f for f in forms if f.kind == "complex")
     A, B = (tuple(tuple(map(sum, zip(*rows))) for rows in zip(*parts))
             for parts in ([f.A for f in twice], [f.B for f in twice]))
-    return ZLatticeView(E, 2 * E.rank, delta, forms,
-                        PlaceForm("trace", A, B, 2 * den, delta))
+    return ZLatticeView(E, 2 * E.rank, forms,
+                        PlaceForm("trace", A, B, half, delta))

@@ -293,7 +293,7 @@ def _cmd_search(args) -> int:
          else trivial_bundle(field, args.rank))
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed,
                              field=E.field)
-    if args.rate_trials:
+    if args.rate_trials is not None:
         estimate = success_rate_experiment(E, args.n, args.slope,
                                            args.rate_trials, spec,
                                            node_cap=args.node_cap,

@@ -123,6 +123,8 @@ def find_section_free(E: ArakelovBundle, n: int, mu: float, max_trials: int,
     sample itself turns out section-free it is returned as a find.
     """
     _check_search_shape(E, n, mu, allow_large)
+    if max_trials < 1:
+        raise ValueError(f"need at least 1 trial, got {max_trials}")
     expected = expected_section_count(E, n, mu, node_cap)
 
     def attempt(trial: int) -> SearchOutcome | None:

@@ -28,7 +28,7 @@ from typing import Sequence
 from .bundle import ArakelovBundle, restrict_scalars
 from .errors import EnumerationCapError
 from .intlinalg import QSurd
-from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice
 # Bound here only for tools that patch the enumeration under every name it
 # is imported by (perfbench/tracer.py); the scan reaches it via ReducedLattice.
 from .lattice import enumerate_short_vectors  # noqa: F401
@@ -90,7 +90,7 @@ def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int,
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
-    radius = envelope * as_float(view.trace_form.den)
+    radius = view.trace_form.gram_radius(envelope)
     lattice = ReducedLattice(view.trace_form.gram, node_cap)
     reps, truncated = [], False
     try:
@@ -158,7 +158,7 @@ def has_nonzero_section(E: ArakelovBundle,
     """Whether a nonzero section exists; exits on the first hit.
 
     A basis vector of norm <= 1 everywhere is an exact witness, found on
-    the integer form before any float step; only without one does the
+    the content form before any float step; only without one does the
     sweep run.  A node-cap interruption of the sweep before any hit raises
     EnumerationCapError: an indeterminate outcome is never reported as
     False.

@@ -19,9 +19,9 @@ orbit is collapsed by keying on the Pluecker minors of its Z-span (v, w v),
 which also decide primitivity, and for real quadratic fields the trace-form
 search radius (eps + 1/eps) exp(-min_degree) suffices because every line
 has a unit-balanced representative.  Rank-2 planes over Q are keyed on the
-same minors.  Candidates come from den times the trace form at the radius
-itself (enumerate_short_vectors alone pads it) and are tested, ordered and
-keyed exactly, on Python ints.
+same minors.  Candidates come from the trace form's integer matrix at the
+radius over its scale (enumerate_short_vectors alone pads it) and are
+tested, ordered and keyed exactly, on Python ints.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .lattice import (
     DEFAULT_NODE_CAP,
     ReducedLattice,
     apply_transform,
-    as_float,
     form_value,
 )
 
@@ -169,21 +168,22 @@ def _line_rows(view: ZLatticeView, min_degree: float,
         eps = field.embed(field.fundamental_unit(), 0)
         power, value_cap = 0.5, _exp_cap(-2.0 * min_degree)  # on q0*q1
         radius = (eps + 1.0 / eps) * math.exp(-min_degree)
-    # the trace-form ball, on den times the trace form
+    # the trace-form ball, on the trace form over its scale
     candidates = ReducedLattice(form.gram, node_cap).short_vectors(
-        radius * as_float(form.den))
+        form.gram_radius(radius))
 
     if field.is_rational():
-        A, den = form.A, form.den
+        # the value of z is p A[z] / q, compared on ints
+        A, p, q = form.A, form.scale.numerator, form.scale.denominator
         kept = []
         for z in candidates:
             if not is_primitive_vector(z):
                 continue
-            a = form_value(A, z)
-            if a * cap.denominator > cap.numerator * den:
+            a = p * form_value(A, z)
+            if a * cap.denominator > cap.numerator * q:
                 continue
-            g = math.gcd(a, den)  # the log's bits match log_fraction
-            kept.append((-0.5 * (math.log(a // g) - math.log(den // g)),
+            g = math.gcd(a, q)  # the log's bits match log_fraction
+            kept.append((-0.5 * (math.log(a // g) - math.log(q // g)),
                          (z,)))
         return kept
 
@@ -204,10 +204,11 @@ def _line_rows(view: ZLatticeView, min_degree: float,
 
 def _pair_rows(view: ZLatticeView, min_degree: float,
                node_cap: int) -> list[tuple[float, tuple]]:
-    A, den = view.trace_form.A, view.trace_form.den
+    form = view.trace_form
+    A, s2 = form.A, form.scale ** 2
     det_cap = _exp_cap(-2.0 * min_degree)
-    # b1 and b2 are measured by z A z^T, den times their squared lengths
-    product = HERMITE_RANK2 * math.exp(-min_degree) * as_float(den)
+    # b1 and b2 are measured by z A z^T, their squared lengths over the scale
+    product = form.gram_radius(HERMITE_RANK2 * math.exp(-min_degree))
     lattice = ReducedLattice(A, node_cap)
     seen = {}
     for b1 in lattice.short_vectors(product):
@@ -221,7 +222,7 @@ def _pair_rows(view: ZLatticeView, min_degree: float,
             if g == 0 or key in seen:
                 continue  # dependent pair, or its plane was already tested
             # the Gram determinant scales by the index squared
-            det2 = rat_det(apply_transform((b1, b2), A)) / (g * g * den * den)
+            det2 = rat_det(apply_transform((b1, b2), A)) * s2 / (g * g)
             if det2 > det_cap:
                 seen[key] = None  # det2 depends only on the plane
                 continue

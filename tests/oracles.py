@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from arakelov.bundle import PlaceForm, ZLatticeView, restrict_scalars
+from arakelov.bundle import restrict_scalars
 from arakelov.errors import InvalidMetricError
 from arakelov.intlinalg import ok_gcd
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
@@ -477,10 +478,30 @@ def int_matrices_reference(mats) -> tuple[list[list[list[int]]], int]:
               for row in m] for m in mats], den)
 
 
+@dataclass(frozen=True)
+class FormReference:
+    """One place's form, or the trace form, with rational matrices A and B:
+    its value at z is z A z^T + (z B z^T) sqrt(delta); over Q, B is None."""
+
+    kind: str
+    A: tuple[tuple[Fraction, ...], ...]
+    B: tuple[tuple[Fraction, ...], ...] | None
+    delta: int
+
+
+@dataclass(frozen=True)
+class ViewReference:
+    """The restricted-scalars view as the reference builds it."""
+
+    zrank: int
+    place_forms: tuple[FormReference, ...]
+    trace_form: FormReference
+
+
 def trace_gram_reference(forms) -> tuple[tuple[float, ...], ...]:
     """Float trace form: at each entry, the sum over places of
-    float(A/den) + float(B/den) sqrt(delta), complex places twice, added
-    place by place."""
+    float(A) + float(B) sqrt(delta), complex places twice, added place by
+    place."""
     N = len(forms[0].A)
     root = math.sqrt(forms[0].delta)
     rows = [[0.0] * N for _ in range(N)]
@@ -488,45 +509,48 @@ def trace_gram_reference(forms) -> tuple[tuple[float, ...], ...]:
         weight = 2.0 if f.kind == "complex" else 1.0
         for i in range(N):
             for j in range(N):
-                val = float(Fraction(f.A[i][j], f.den))
+                val = float(f.A[i][j])
                 if f.B is not None:
-                    val += float(Fraction(f.B[i][j], f.den)) * root
+                    val += float(f.B[i][j]) * root
                 rows[i][j] += weight * val
     return tuple(tuple(row) for row in rows)
 
 
-def trace_form_reference(forms) -> PlaceForm:
+def trace_form_reference(forms) -> FormReference:
     """The exact trace form: at each entry, the sum over places of the
-    integer parts of A and B, complex places twice, over the common den."""
+    rational entries of A and B, complex places twice."""
     if len(forms) == 1 and forms[0].B is None:
         return forms[0]
     N = len(forms[0].A)
-    A = [[0] * N for _ in range(N)]
-    B = [[0] * N for _ in range(N)]
+    A = [[Fraction(0)] * N for _ in range(N)]
+    B = [[Fraction(0)] * N for _ in range(N)]
     for f in forms:
         weight = 2 if f.kind == "complex" else 1
         for i in range(N):
             for j in range(N):
                 A[i][j] += weight * f.A[i][j]
                 B[i][j] += weight * f.B[i][j]
-    return PlaceForm(kind="trace", A=tuple(map(tuple, A)),
-                     B=tuple(map(tuple, B)), den=forms[0].den,
-                     delta=forms[0].delta)
+    return FormReference(kind="trace", A=tuple(map(tuple, A)),
+                         B=tuple(map(tuple, B)), delta=forms[0].delta)
 
 
-def restrict_scalars_reference(E) -> ZLatticeView:
-    """The restricted-scalars view entry by entry: over Q the integer Gram
-    itself; over Q(sqrt D) the 2x2 block of each Gram entry written out,
-    with one index loop for the two real places (D > 0) and one for the
-    complex place (D < 0), over den = 2 den(G)."""
+def _over(M, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in M)
+
+
+def restrict_scalars_reference(E) -> ViewReference:
+    """The restricted-scalars view entry by entry: over Q the Gram itself;
+    over Q(sqrt D) the 2x2 block of each Gram entry written out on the
+    integer Grams times den(G), with one index loop for the two real places
+    (D > 0) and one for the complex place (D < 0), then divided by 2 den(G)."""
     field = E.field
     n = E.rank
     if field.is_rational():
         (A,), den = int_matrices_reference(E.gram_real)
-        forms = (PlaceForm(kind="real", A=tuple(map(tuple, A)), B=None,
-                           den=den, delta=0),)
-        return ZLatticeView(bundle=E, zrank=n, delta=0, place_forms=forms,
-                            trace_form=trace_form_reference(forms))
+        forms = (FormReference(kind="real", A=_over(A, den), B=None,
+                               delta=0),)
+        return ViewReference(zrank=n, place_forms=forms,
+                             trace_form=trace_form_reference(forms))
 
     D = field.D
     delta = abs(D)
@@ -564,11 +588,11 @@ def restrict_scalars_reference(E) -> ZLatticeView:
                 B[2 * i][2 * j + 1] = -y2 * im
                 B[2 * i + 1][2 * j] = y2 * im
         parts.append(("complex", A, B))
-    forms = tuple(PlaceForm(kind=kind, A=tuple(map(tuple, A)),
-                            B=tuple(map(tuple, B)), den=2 * den, delta=delta)
+    forms = tuple(FormReference(kind=kind, A=_over(A, 2 * den),
+                                B=_over(B, 2 * den), delta=delta)
                   for kind, A, B in parts)
-    return ZLatticeView(bundle=E, zrank=N, delta=delta, place_forms=forms,
-                        trace_form=trace_form_reference(forms))
+    return ViewReference(zrank=N, place_forms=forms,
+                         trace_form=trace_form_reference(forms))
 
 
 def kron_reference(A, B) -> list[list]:

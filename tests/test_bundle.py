@@ -66,10 +66,11 @@ def random_hermitian_gram(rng, n):
 
 
 def trace_value(view, z):
-    """Value of the float trace form of the view's place forms at the
-    coordinate vector z."""
+    """Value of the float trace form of the reference view of the view's
+    bundle at the coordinate vector z."""
     n = view.zrank
-    gram = trace_gram_reference(view.place_forms)
+    gram = trace_gram_reference(
+        restrict_scalars_reference(view.bundle).place_forms)
     return sum(z[i] * gram[i][j] * z[j] for i in range(n) for j in range(n))
 
 
@@ -275,16 +276,6 @@ def test_non_finite_values_are_refused():
                 scale(E, t)
 
 
-def form_entries(E):
-    """E's integer form with Gaussian QSurds read as (re, im) int pairs."""
-    den, forms = E._form
-    for x in (x for m in forms for row in m for x in row):
-        assert (type(x) is int if not isinstance(x, QSurd)
-                else x.delta == -1 and type(x.a) is type(x.b) is int)
-    return den, [[[(x.a, x.b) if isinstance(x, QSurd) else x for x in row]
-                  for row in m] for m in forms]
-
-
 def assert_content_matches_fields(E):
     """E's content form (c, [A_v]) has c > 0 and int matrices A_v with no
     common factor, c A_v is the stored Gram entry by entry, and E's place
@@ -305,29 +296,46 @@ def assert_content_matches_fields(E):
         + [hermitian_det_reference(g) for g in E.gram_complex])
 
 
+def exact_forms(view):
+    """(kind, delta, scale A, scale B) with exact rational entries for each
+    place form of a view and then its trace form; B is None over Q."""
+    def times(M, s):
+        return None if M is None else tuple(tuple(s * x for x in row)
+                                            for row in M)
+    return [(f.kind, f.delta, times(f.A, f.scale), times(f.B, f.scale))
+            for f in (*view.place_forms, view.trace_form)]
+
+
+def reference_forms(ref):
+    """exact_forms for a view that restrict_scalars_reference built."""
+    return [(f.kind, f.delta, f.A, f.B)
+            for f in (*ref.place_forms, ref.trace_form)]
+
+
+def assert_matches_reference(view):
+    """The view's forms have int matrices and a positive scale, and their
+    exact entries are those of restrict_scalars_reference."""
+    ref = restrict_scalars_reference(view.bundle)
+    assert view.zrank == ref.zrank
+    for f in (*view.place_forms, view.trace_form):
+        assert f.scale > 0
+        assert all(type(x) is int for M in (f.A, f.B) if M is not None
+                   for row in M for x in row)
+    assert exact_forms(view) == reference_forms(ref)
+
+
 def assert_form_matches_fields(E):
-    """form / den is the stored Grams entry by entry, den is the lcm of
-    their denominators, the content form and place determinants match the
+    """The content form and place determinants match the stored Grams, the
+    place forms of restrict_scalars(E) match the reference built from the
     stored Grams, and a copy built field by field derives the same
-    form."""
+    forms."""
     assert_content_matches_fields(E)
-    den, forms = form_entries(E)
-    K, r1 = E.field, E.field.real_places
-    assert len(forms) == len(K.infinite_places())
-    stored = [x for g in E.gram_real for row in g for x in row]
-    stored += [x for g in E.gram_complex for m in g for row in m for x in row]
-    assert den == math.lcm(*(x.denominator for x in stored))
-    for m, g in zip(forms[:r1], E.gram_real):
-        assert [[Fraction(x, den) for x in row] for row in m] == \
-            [list(row) for row in g]
-    for m, (re, im) in zip(forms[r1:], E.gram_complex):
-        assert [[Fraction(a, den) for a, _ in row] for row in m] == \
-            [list(row) for row in re]
-        assert [[Fraction(b, den) for _, b in row] for row in m] == \
-            [list(row) for row in im]
-    copy = ArakelovBundle(K, E.rank, E.gram_real, E.gram_complex)
-    assert "_form" not in copy.__dict__
-    assert form_entries(copy) == (den, forms)
+    view = restrict_scalars(E)
+    assert len(view.place_forms) == len(E.field.infinite_places())
+    assert_matches_reference(view)
+    copy = ArakelovBundle(E.field, E.rank, E.gram_real, E.gram_complex)
+    assert "_content" not in copy.__dict__
+    assert exact_forms(restrict_scalars(copy)) == exact_forms(view)
 
 
 def typed_grams(field, kind):
@@ -366,8 +374,8 @@ def unread_functor_outputs(E, F):
 @pytest.mark.parametrize("descriptor", FIELDS)
 def test_integer_form_matches_stored_grams(descriptor):
     # make_bundle, tensor, scale, dual, determinant and _restricted_bundle:
-    # integer form, content form and carried determinants against the
-    # stored Grams
+    # content form, carried determinants and restricted place forms against
+    # the stored Grams
     K = make_field(descriptor)
     bundles = [trivial_bundle(K, n) for n in (1, 2, 3)]
     for kind in ("int", "float", "Fraction", "complex", "QSurd"):
@@ -542,15 +550,34 @@ def test_covolume_identity():
                                         "Q(sqrt{-1})", "Q(sqrt{-3})",
                                         "Q(sqrt{-7})"])
 def test_restrict_scalars_matches_reference(descriptor):
-    # G (x) T per place against the entry-by-entry index loops, for ranks
-    # 1-4 and tensor products
+    # G (x) T per place against the entry-by-entry index loops, exact
+    # entries scale A and scale B, for ranks 1-4 and tensor products
     K = make_field(descriptor)
     rng = random.Random(67)
     bundles = [random_bundle(rng, K, 1), *sampler_bundles(K, (2, 3, 4), 6, 67)]
     bundles += [tensor(E, F) for E, F in zip(bundles, bundles[1:4])]
     assert {E.rank for E in bundles} >= {1, 2, 3, 4}
     for E in bundles:
-        assert restrict_scalars(E) == restrict_scalars_reference(E)
+        assert_matches_reference(restrict_scalars(E))
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
+def test_restricted_forms_keep_the_scale_apart(descriptor):
+    # scaling by t leaves every restricted integer matrix as it is and
+    # multiplies the forms' scale by t^2 exactly
+    K = make_field(descriptor)
+    bundles = [make_bundle(K, typed_grams(K, "Fraction")),
+               *sampler_bundles(K, (2, 3), 2, 73)]
+    for E in bundles:
+        view = restrict_scalars(E)
+        for t in (0.37, 2.0, 1e-3, math.pi, 12345.678):
+            scaled = restrict_scalars(scale(E, t))
+            t2 = Fraction(t) ** 2
+            for f, g in zip((*view.place_forms, view.trace_form),
+                            (*scaled.place_forms, scaled.trace_form)):
+                assert (g.A, g.B) == (f.A, f.B)
+                assert g.scale == t2 * f.scale
+            assert_matches_reference(scaled)
 
 
 def test_restrict_scalars_rational_is_identity_view():
@@ -558,7 +585,7 @@ def test_restrict_scalars_rational_is_identity_view():
     G = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     view = restrict_scalars(make_bundle(Q, G))
     assert view.zrank == 2
-    assert view.delta == 0
+    assert view.trace_form.delta == 0
     assert [(v.a, v.b) for v in view.place_values((1, 1))] == [(7, 0)]
     assert trace_value(view, (1, 1)) == pytest.approx(7.0)
     assert view.coords_to_module((1, -2)) == (Fraction(1), Fraction(-2))
@@ -567,7 +594,7 @@ def test_restrict_scalars_rational_is_identity_view():
 def test_place_values_real_quadratic():
     K = make_field("Q(sqrt{2})")
     view = restrict_scalars(trivial_bundle(K, 1))
-    assert view.delta == 2
+    assert view.trace_form.delta == 2
     # 1 + sqrt(2) has |.|^2 = 3 + 2 sqrt(2) at one place, 3 - 2 sqrt(2) at
     # the conjugate place
     plus, minus = view.place_values((1, 1))
@@ -646,7 +673,7 @@ def test_place_values_match_fraction_oracle():
             spec = RandomLatticeSpec(n=2, p=10007, seed=seed, field=K)
             E = sampled_bundle(K, 2, rng.uniform(-1.0, 1.0), spec)
             view = restrict_scalars(E)
-            delta = view.delta
+            delta = view.trace_form.delta
             root = math.isqrt(delta)
             for _ in range(12):
                 z = [rng.randint(-4, 4) for _ in range(view.zrank)]

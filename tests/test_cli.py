@@ -339,6 +339,14 @@ def test_usage_errors(capsys, tmp_path, monkeypatch, identity2):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert named in err and "not a" in err and "finite float" in err
+    # trial counts that no search or success-rate experiment can run
+    for argv, named in [(("--trials", "-3"), "at least 1 trial"),
+                        (("--trials", "0"), "at least 1 trial"),
+                        (("--rate-trials", "0"), "at least 30 trials")]:
+        code, out, err = run_cli(capsys, "search", "--field", "Q", "--n",
+                                 "5", "--slope", "-0.2", *argv)
+        assert code == 2 and out == "", argv
+        assert named in err
     # csv is refused before any work is done
 
     def never(*args, **kwargs):

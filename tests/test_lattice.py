@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from arakelov.bundle import restrict_scalars, tensor
+from arakelov.bundle import tensor
 from arakelov.errors import EnumerationCapError, InvalidMetricError
 from arakelov.intlinalg import rat_det
 from arakelov.lattice import (
@@ -27,6 +27,7 @@ from tests.oracles import (
     lll_reference,
     random_pd_fraction_gram,
     rational_sections_brute,
+    restrict_scalars_reference,
     skewed_unimodular,
     trace_gram_reference,
 )
@@ -154,7 +155,7 @@ def test_lll_matches_reference_on_rational_and_float_grams():
         K = make_field(name)
         for trial in range(4):
             spec = RandomLatticeSpec(2, 10007, trial, K)
-            grams.append(trace_gram_reference(restrict_scalars(
+            grams.append(trace_gram_reference(restrict_scalars_reference(
                 random_bundle(K, 2, 0.3 * trial, spec)).place_forms))
     assert all(isinstance(x, float) for G in grams[exact:] for row in G
                for x in row)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from arakelov import search
 from arakelov.bounds import quotient_volume, thresholds
 from arakelov.bundle import make_bundle, tensor, trivial_bundle
 from arakelov.errors import BudgetExceededError, EnumerationCapError
@@ -38,7 +39,7 @@ def test_expected_count_closed_form():
         expected_section_count(trivial_bundle(Q, 2), 5, -0.4, node_cap=1)
 
 
-def test_shape_checks():
+def test_shape_checks(monkeypatch):
     E = trivial_bundle(Q, 2)
     spec = line_spec(3, 0)
     with pytest.raises(ValueError):
@@ -48,6 +49,16 @@ def test_shape_checks():
     with pytest.raises(BudgetExceededError):
         # 2 * 18 * 1 = 36 > 32 without the override
         find_section_free(E, 18, -5.0, 5, line_spec(18, 0))
+
+    # a trial count below one is refused before the expected count
+    def never(*args, **kwargs):
+        raise AssertionError("expected_section_count ran")
+
+    monkeypatch.setattr(search, "expected_section_count", never)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            find_section_free(trivial_bundle(Q, 1), 5, -0.2, trials,
+                              line_spec(5, 0))
 
 
 def test_find_section_free_and_reverify():
