@@ -146,10 +146,8 @@ def saturation_rows(rows, ncols: int) -> Matrix:
 
 
 def is_primitive_vector(v) -> bool:
-    g = 0
-    for x in v:
-        g = math.gcd(g, int(x))
-    return g == 1
+    """gcd of the entries is 1; the empty and the zero vector are not."""
+    return math.gcd(*map(int, v)) == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,18 @@ caller's coordinates.  The one exception is mvt._count_tuples, which calls
 enumerate_short_vectors on its Hecke Gram directly: hecke_integer_gram has
 already LLL-reduced it, and the counts need no map back.  DEFAULT_NODE_CAP
 is the one enumeration budget every module defaults to.
+
+The Fincke-Pohst walk (Math. Comp. 44, 1985) is iterative: one loop over
+per-level arrays, with no generator frame per level.  A caller's node
+counter is raised by the walk's own nodes before each vector it yields and
+when the walk ends, so nested walks each count only their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import floor, inf, sqrt
+from math import floor, isfinite, sqrt
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -56,7 +61,7 @@ def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> lis
 
 def form_value(gram: Sequence[Sequence], x: Sequence[int]):
     """Value x G x^T of the quadratic form at one coefficient vector."""
-    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram) if xi)
+    return sum([xi * sum(map(mul, row, x)) for xi, row in zip(x, gram) if xi])
 
 
 def lll_transform(gram: Sequence[Sequence]) -> list[list[int]]:
@@ -142,52 +147,83 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     yet derived from an error bound.  No vector inside is missed, and
     callers decide membership exactly.  Raises EnumerationCapError once
     the search tree exceeds node_cap nodes, and ValueError when the padded
-    radius is not a finite float.  When node_counter is given its single
-    entry accumulates the nodes visited, cap hit or not.
+    radius is not a finite float (inf or nan).
+
+    The walk is one loop over per-level arrays, depth-first from level
+    n-1 down to level 0, whose range is swept in place; a node is one
+    value tried at one level.  When node_counter is given its single entry
+    is raised by this walk's own nodes before each yield and once more
+    when the walk ends, by exhaustion, the cap or an exception, so it holds
+    every node visited so far whenever the caller can read it.
     """
     n = len(gram)
     R = float(radius_sq)
     if R < 0 or n == 0:
         return
     bound = R * (1.0 + 1e-8)
-    if bound == inf:
+    if not isfinite(bound):
         raise ValueError("radius is not a finite float in the Gram's units")
     d, m = _fp_decompose(gram)
+    # level i holds its value x[i], centre, range end, the part of the
+    # bound used above it, and whether every level above it is zero
     x = [0] * n
-    nodes = 0
-
-    def count():
-        nonlocal nodes
-        nodes += 1
+    centre = [0.0] * n
+    stop = [0] * n
+    used = [0.0] * n
+    sign_free = [True] * n
+    nodes = counted = 0
+    capped = f"enumeration exceeded {node_cap} nodes"
+    i = n - 1
+    try:
+        while True:
+            # enter level i: its centre and its range around it
+            row = m[i]
+            c = 0.0
+            for j in range(i + 1, n):
+                c += row[j] * x[j]
+            u = used[i]
+            half = sqrt(max(bound - u, 0.0) / d[i])
+            start = 0 if sign_free[i] else floor(-half - c)
+            if i:
+                centre[i], stop[i], x[i] = c, floor(half - c), start - 1
+            else:  # the leaves: one sweep of level 0's range
+                d0, free = d[0], sign_free[0]
+                for xi in range(start, floor(half - c) + 1):
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise EnumerationCapError(capped, nodes=nodes)
+                    t = xi + c
+                    if u + d0 * t * t > bound or free and xi == 0:
+                        continue  # outside, or the zero vector
+                    x[0] = xi
+                    if node_counter is not None:
+                        node_counter[0] += nodes - counted
+                        counted = nodes
+                    yield tuple(x)
+                i = 1
+            # the next value at level i or above whose partial sum fits
+            while i < n:
+                xi = x[i] + 1
+                if xi > stop[i]:
+                    i += 1
+                    continue
+                x[i] = xi
+                nodes += 1
+                if nodes > node_cap:
+                    raise EnumerationCapError(capped, nodes=nodes)
+                t = xi + centre[i]
+                u = used[i] + d[i] * t * t
+                if u > bound:
+                    continue
+                sign_free[i - 1] = sign_free[i] and xi == 0
+                i -= 1
+                used[i] = u
+                break
+            else:
+                return
+    finally:
         if node_counter is not None:
-            node_counter[0] += 1
-        if nodes > node_cap:
-            raise EnumerationCapError(
-                f"enumeration exceeded {node_cap} nodes", nodes=nodes)
-
-    def walk(i: int, used: float, sign_free: bool):
-        if i < 0:
-            yield tuple(x)
-            return
-        c = 0.0
-        for j in range(i + 1, n):
-            c += m[i][j] * x[j]
-        half = sqrt(max(bound - used, 0.0) / d[i])
-        start = 0 if sign_free else int(floor(-half - c))
-        stop = int(floor(half - c))
-        for xi in range(start, stop + 1):
-            count()
-            t = xi + c
-            step = d[i] * t * t
-            if used + step > bound:
-                continue
-            if i == 0 and sign_free and xi == 0:
-                continue  # skip the zero vector
-            x[i] = xi
-            yield from walk(i - 1, used + step, sign_free and xi == 0)
-            x[i] = 0
-
-    yield from walk(n - 1, 0.0, True)
+            node_counter[0] += nodes - counted
 
 
 def as_float(x) -> float:

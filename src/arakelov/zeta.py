@@ -175,12 +175,13 @@ def _line_rows(view: ZLatticeView, min_degree: float,
     if field.is_rational():
         # the value of z is p A[z] / q, compared on ints
         A, p, q = form.A, form.scale.numerator, form.scale.denominator
+        top, bottom = cap.numerator * q, cap.denominator
         kept = []
         for z in candidates:
             if not is_primitive_vector(z):
                 continue
             a = p * form_value(A, z)
-            if a * cap.denominator > cap.numerator * q:
+            if a * bottom > top:
                 continue
             g = math.gcd(a, q)  # the log's bits match log_fraction
             kept.append((-0.5 * (math.log(a // g) - math.log(q // g)),
@@ -290,12 +291,19 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
         n = E.rank
         pairs = [(deg, hnf(right_kernel_rows([list(w)], n), n))
                  for deg, (w,) in pairs]
-    rational = E.field.is_rational()
-    built = [(deg, rows, tuple(map(view.coords_to_module, rows)))
-             for deg, rows in pairs]
-    built.sort(key=lambda t: (-t[0], t[1] if rational else str(t[2])))
-    return [SubbundleRecord(rank=l, degree=deg, basis=basis)
-            for deg, _, basis in built]
+    if not E.field.is_rational():
+        built = [(deg, tuple(map(view.coords_to_module, rows)))
+                 for deg, rows in pairs]
+        built.sort(key=lambda t: (-t[0], str(t[1])))
+        return [SubbundleRecord(l, deg, basis) for deg, basis in built]
+    # over Q the rows are the tie key; each distinct coordinate becomes a
+    # Fraction once, and the records share it
+    pairs.sort(key=lambda t: (-t[0], t[1]))
+    ints = tuple({x for _, rows in pairs for row in rows for x in row})
+    module = dict(zip(ints, view.coords_to_module(ints))).__getitem__
+    return [SubbundleRecord(l, deg, tuple(tuple(map(module, row))
+                                          for row in rows))
+            for deg, rows in pairs]
 
 
 def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,

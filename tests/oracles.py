@@ -13,13 +13,17 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import floor, inf, sqrt
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from arakelov.bundle import restrict_scalars
-from arakelov.errors import InvalidMetricError
-from arakelov.intlinalg import ok_gcd
+from arakelov.errors import EnumerationCapError, InvalidMetricError
+from arakelov.intlinalg import hnf, ok_gcd, right_kernel_rows
+from arakelov.lattice import DEFAULT_NODE_CAP, _fp_decompose
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
+from arakelov.zeta import SubbundleRecord, _subbundle_rows
 
 # ---------------------------------------------------------------- constants
 
@@ -326,6 +330,72 @@ def lll_reference(gram) -> list[list[int]]:
             B, mu = gram_schmidt(transformed_gram())
             k = max(k - 1, 1)
     return U
+
+
+# The recursive Fincke-Pohst walk the library's iterative one replaced,
+# kept verbatim: the library's walk must visit the same nodes in the same
+# order, yield the same vectors and count the same nodes.
+def enumerate_short_vectors_reference(gram: Sequence[Sequence], radius_sq,
+                                      node_cap: int = DEFAULT_NODE_CAP,
+                                      node_counter: list[int] | None = None,
+                                      ) -> Iterator[tuple[int, ...]]:
+    """Yield each nonzero integer x with Q(x) <= radius_sq, one
+    representative per +-x pair (highest-index nonzero coordinate positive).
+
+    The float walk, its ranges and its leaves alike, runs on the ball of
+    radius_sq * (1 + 1e-8), the one pad.  It covers the rounding of the
+    LDL^T walk, of a ReducedLattice's once-rounded Gram and scale, and of
+    radii that callers compute in a few float operations (HERMITE_RANK2 *
+    exp(...), (eps + 1/eps) * exp(...), p ** (2/n)): a fixed margin, not
+    yet derived from an error bound.  No vector inside is missed, and
+    callers decide membership exactly.  Raises EnumerationCapError once
+    the search tree exceeds node_cap nodes, and ValueError when the padded
+    radius is not a finite float.  When node_counter is given its single
+    entry accumulates the nodes visited, cap hit or not.
+    """
+    n = len(gram)
+    R = float(radius_sq)
+    if R < 0 or n == 0:
+        return
+    bound = R * (1.0 + 1e-8)
+    if bound == inf:
+        raise ValueError("radius is not a finite float in the Gram's units")
+    d, m = _fp_decompose(gram)
+    x = [0] * n
+    nodes = 0
+
+    def count():
+        nonlocal nodes
+        nodes += 1
+        if node_counter is not None:
+            node_counter[0] += 1
+        if nodes > node_cap:
+            raise EnumerationCapError(
+                f"enumeration exceeded {node_cap} nodes", nodes=nodes)
+
+    def walk(i: int, used: float, sign_free: bool):
+        if i < 0:
+            yield tuple(x)
+            return
+        c = 0.0
+        for j in range(i + 1, n):
+            c += m[i][j] * x[j]
+        half = sqrt(max(bound - used, 0.0) / d[i])
+        start = 0 if sign_free else int(floor(-half - c))
+        stop = int(floor(half - c))
+        for xi in range(start, stop + 1):
+            count()
+            t = xi + c
+            step = d[i] * t * t
+            if used + step > bound:
+                continue
+            if i == 0 and sign_free and xi == 0:
+                continue  # skip the zero vector
+            x[i] = xi
+            yield from walk(i - 1, used + step, sign_free and xi == 0)
+            x[i] = 0
+
+    yield from walk(n - 1, 0.0, True)
 
 
 # ---------------------------------------------------------- elimination
@@ -742,3 +812,22 @@ def restriction_deviations(E, basis, F):
                         for a in range(n) for b in range(n))
                     out.append((dev, bound))
     return out
+
+
+# ------------------------------------------------------- subbundle records
+
+def subbundle_records_reference(E, l: int, min_degree: float):
+    """enumerate_subbundles over Q with records built the first way: every
+    record built from its (degree, rows) pair, each coordinate its own
+    Fraction(x), and the records then sorted by (-degree, rows)."""
+    view, pairs = _subbundle_rows(E, l, min_degree, DEFAULT_NODE_CAP)
+    if 1 < l == E.rank - 1:  # hyperplanes come as their dual lines (w,)
+        n = E.rank
+        pairs = [(deg, hnf(right_kernel_rows([list(w)], n), n))
+                 for deg, (w,) in pairs]
+    built = [(deg, rows, tuple(tuple(Fraction(x) for x in row)
+                               for row in rows))
+             for deg, rows in pairs]
+    built.sort(key=lambda t: (-t[0], t[1]))
+    return [SubbundleRecord(rank=l, degree=deg, basis=basis)
+            for deg, _, basis in built]

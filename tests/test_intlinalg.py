@@ -140,6 +140,15 @@ def test_primitivity():
     assert is_primitive_vector([2, 3])
     assert not is_primitive_vector([2, 4])
     assert not is_primitive_vector([0, 0])
+    # the empty and the zero vectors are not primitive; signs do not matter
+    assert not is_primitive_vector(())
+    assert not is_primitive_vector((0,))
+    assert is_primitive_vector((-1,))
+    assert is_primitive_vector((0, 0, -1))
+    assert is_primitive_vector((-6, 10, 15))
+    assert not is_primitive_vector((-6, 0, 9))
+    assert not is_primitive_vector((4, -6, -10))
+    assert is_primitive_vector((Fraction(-3), Fraction(4)))
 
 
 def test_rational_det_and_inverse():

@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from arakelov import lattice as lattice_module
 from arakelov.bundle import tensor
 from arakelov.errors import EnumerationCapError, InvalidMetricError
 from arakelov.intlinalg import rat_det
@@ -15,6 +16,7 @@ from arakelov.lattice import (
     ReducedLattice,
     apply_transform,
     enumerate_short_vectors,
+    form_value,
     lll_transform,
     shortest_vector,
 )
@@ -23,6 +25,7 @@ from arakelov.sampler import DEFAULT_PRIME, RandomLatticeSpec, random_bundle
 from tests.oracles import (
     box_bound,
     e8_gram,
+    enumerate_short_vectors_reference,
     gram_schmidt,
     lll_reference,
     random_pd_fraction_gram,
@@ -350,3 +353,87 @@ def test_shortest_vector_e8():
     assert quadratic_value(G, x) == 2
     count = sum(1 for _ in enumerate_short_vectors(G, 2))
     assert 2 * count == 240  # kissing number, one representative per +-pair
+
+
+def walk(enumerate_fn, G, radius_sq, node_cap):
+    """Every vector a walk yields, in order, its node counter, and the
+    nodes of the cap error that ended it, if one did."""
+    counter, vectors = [0], []
+    try:
+        for x in enumerate_fn(G, radius_sq, node_cap, counter):
+            vectors.append(x)
+    except EnumerationCapError as exc:
+        return vectors, counter[0], exc.nodes
+    return vectors, counter[0], None
+
+
+def skewed_walk_cases(rng, count):
+    """(G, radius) for skewed U U^T Grams of ranks 1 to 6 with radii on
+    lattice values: |y|^2 is the value of y U^-1, an integer vector."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        U = skewed_unimodular(rng, n, rng.choice([1, 2, 3]))
+        G = gram_matrix(U)
+        y = [rng.randint(-1, 1) for _ in range(n)]
+        yield G, (sum(v * v for v in y) or 1) * rng.choice([1, 2])
+
+
+def test_walk_matches_the_recursive_reference():
+    # the same vectors in the same order, the same node count, and a cap
+    # error at the same node; the float decomposition may refuse a skewed
+    # Gram, and then both refuse it
+    rng = random.Random(53)
+    ended = capped = 0
+    for G, radius in skewed_walk_cases(rng, 150):
+        for node_cap in (20_000, rng.randint(1, 300)):
+            try:
+                got = walk(enumerate_short_vectors, G, radius, node_cap)
+            except InvalidMetricError:
+                with pytest.raises(InvalidMetricError):
+                    walk(enumerate_short_vectors_reference, G, radius, node_cap)
+                continue
+            assert got == walk(enumerate_short_vectors_reference, G, radius,
+                               node_cap)
+            if got[2] is None:
+                ended += 1
+            else:
+                capped += 1
+                assert got[1] == got[2] == node_cap + 1
+    assert ended > 150 and capped > 50
+    rng = random.Random(59)
+    for _ in range(20):  # Fraction Grams and radii off the lattice values
+        G = random_pd_fraction_gram(rng, rng.randint(1, 5))
+        radius = Fraction(rng.randint(1, 40), 4)
+        assert (walk(enumerate_short_vectors, G, radius, 10 ** 5)
+                == walk(enumerate_short_vectors_reference, G, radius, 10 ** 5))
+
+
+def test_node_counter_after_early_break_and_nested_walks(monkeypatch):
+    rng = random.Random(61)
+    G = [[Fraction(x) for x in row] for row in e8_gram()]
+    # a counter read after a break holds the nodes up to the vector taken,
+    # as _scan(first=True) reads it
+    for stop in (1, 2, 17, 100):
+        counts = []
+        for fn in (enumerate_short_vectors, enumerate_short_vectors_reference):
+            counter = [0]
+            for k, _ in enumerate(fn(G, 4, node_counter=counter), 1):
+                if k == stop:
+                    break
+            counts.append(counter[0])
+        assert counts[0] == counts[1] > 0
+
+    def pair_nodes(A):
+        # _pair_rows' pattern: a second enumeration per first vector, both
+        # on one ReducedLattice
+        lattice = ReducedLattice(A)
+        pairs = sum(1 for b1 in lattice.short_vectors(2)
+                    for _ in lattice.short_vectors(4 - form_value(A, b1)))
+        return pairs, lattice.nodes
+
+    grams = [gram_matrix(skewed_unimodular(rng, n, 3)) for n in (2, 3, 4, 4)]
+    got = [pair_nodes(A) for A in grams]
+    monkeypatch.setattr(lattice_module, "enumerate_short_vectors",
+                        enumerate_short_vectors_reference)
+    assert got == [pair_nodes(A) for A in grams]
+    assert all(pairs and nodes for pairs, nodes in got)

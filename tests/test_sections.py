@@ -9,7 +9,12 @@ import pytest
 
 from arakelov.bundle import make_bundle, scale, tensor, trivial_bundle
 from arakelov.errors import EnumerationCapError
-from arakelov.lattice import ReducedLattice, form_value, shortest_vector
+from arakelov.lattice import (
+    ReducedLattice,
+    enumerate_short_vectors,
+    form_value,
+    shortest_vector,
+)
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.sections import (
@@ -117,6 +122,13 @@ def test_radius_beyond_float_range_is_refused():
         count_in_region(E, 1e100, node_cap=50)
     with pytest.raises(ValueError, match="not a finite float"):
         count_in_region(E, 1e150)
+    # a nan radius is refused up front with the same message, by the walk
+    # and by the reduce-once path alike
+    nan = float("nan")
+    with pytest.raises(ValueError, match="not a finite float"):
+        list(enumerate_short_vectors([[1]], nan))
+    with pytest.raises(ValueError, match="not a finite float"):
+        list(ReducedLattice([[2, 1], [1, 2]]).short_vectors(nan))
 
 
 def test_gram_beyond_float_range_is_refused():

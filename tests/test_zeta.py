@@ -34,6 +34,8 @@ from tests.oracles import (
     ok_is_primitive_vector,
     primitive_plane_vectors,
     random_pd_fraction_gram,
+    skewed_unimodular,
+    subbundle_records_reference,
 )
 
 Q = make_field("Q")
@@ -392,6 +394,35 @@ def test_full_rank_record():
     assert rec.rank == 3
     assert abs(rec.degree) <= 1e-12
     assert enumerate_subbundles(E, 3, 0.5) == []
+
+
+
+def test_records_match_the_build_then_sort_reference():
+    # records built once from sorted (degree, rows) pairs, sharing their
+    # Fractions, equal records built first and sorted after, in order and
+    # in value; Z^3, Z^4 and skewed copies U U^T of them tie many degrees
+    rng = random.Random(109)
+    cases = []
+    for n, T in ((3, 1.2), (4, 0.6)):
+        U = skewed_unimodular(rng, n, 3)
+        twin = make_bundle(Q, [[sum(a * b for a, b in zip(u, v)) for v in U]
+                               for u in U])
+        cases += [(trivial_bundle(Q, n), T, True), (twin, T, True)]
+    for seed in range(2):
+        for n, T in ((2, 3.0), (3, 1.5), (4, 0.5)):
+            spec = RandomLatticeSpec(n, 100003, seed, Q)
+            cases.append((random_bundle(Q, n, 0.0, spec, trial_rng(seed, n)),
+                          T, False))
+    for E, T, tied in cases:
+        for l in sorted({1, 2, E.rank - 1}):
+            records = enumerate_subbundles(E, l, -T)
+            reference = subbundle_records_reference(E, l, -T)
+            assert records and records == reference
+            assert repr(records) == repr(reference)
+            assert all(x.__class__ is Fraction for r in records
+                       for row in r.basis for x in row)
+            if tied:
+                assert len({r.degree for r in records}) < len(records)
 
 
 @pytest.mark.parametrize("desc, rank, ls, T", [
