@@ -16,10 +16,10 @@ the stored Fraction Grams, which reports print, are derived on first read.
 The functors carry the data through: tensor takes Kronecker products of the
 A_v, primitive over Q by Gauss's lemma, with content c_E c_F and
 determinants det_E^m det_F^n; scale keeps the A_v and multiplies c by t^2
-and the determinants by t^(2n); dual inverts; make_bundle's Sylvester check
-gives each determinant.  intlinalg._scaled, the only step where rationals
-become integers, runs where a content is not known, and a bundle built
-field by field derives its content form on first use.
+and the determinants by t^(2n); dual inverts; make_bundle's Sylvester check,
+which a bundle built field by field also passes, gives each determinant.
+intlinalg._scaled, the only step where rationals become integers, runs
+where a content is not known.
 
 restrict_scalars exposes the module as a Z-lattice of rank d*n, with
 coordinates z over the basis p_a e_i, p = (1, w) the integral basis.  At a
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -116,13 +116,20 @@ def _surds(A, B, delta: int) -> list[list[QSurd]]:
 class ArakelovBundle:
     """Free module O_K^rank with one exact Gram matrix per infinite place.
 
-    A bundle the functors build holds its content form and place
-    determinants only; its Gram fields are derived on first read."""
+    Built field by field (ArakelovBundle(...), dataclasses.replace), it is
+    checked as make_bundle checks, rank included, and keeps the content form
+    and place determinants the check finds.  A bundle the functors build
+    holds only those; its Gram fields are derived on first read."""
 
     field: NumberField
     rank: int
     gram_real: tuple[RealGram, ...]
     gram_complex: tuple[ComplexGram, ...]
+
+    def __post_init__(self):
+        content, dets = _checked(self.field, self.rank, list(self.gram_real),
+                                 list(self.gram_complex))
+        self.__dict__.update(_content=content, _dets=dets)
 
     def degree(self) -> float:
         return degree(self)
@@ -149,26 +156,6 @@ class ArakelovBundle:
                                for m in forms[r1:]))
         return self.__dict__[name]
 
-    @cached_property
-    def _content(self) -> tuple[Fraction, list]:
-        """(c, [A_v]) with Gram_v = c A_v; derived here for a bundle built
-        with ArakelovBundle(...) or dataclasses.replace."""
-        return _primitive([*self.gram_real, *(
-            _surds(re, im, -1) for re, im in self.gram_complex)], self.rank)
-
-    @cached_property
-    def _dets(self) -> tuple[Fraction, ...]:
-        """det of each place Gram, real places first, as c^n det A_v.  The
-        functors carry it; a bundle built field by field, or restricted
-        over Q, computes it here, where a Hermitian determinant must come
-        out real."""
-        c, forms = self._content
-        dets = [det(m) for m in forms]
-        if any(isinstance(d, QSurd) and d.b != 0 for d in dets):
-            raise InvalidMetricError("Hermitian determinant came out non-real")
-        return tuple((d.a if isinstance(d, QSurd) else d) * c ** self.rank
-                     for d in dets)
-
 
 def _primitive(mats, n: int, c: Fraction = Fraction(1)):
     """(c', [A_v]) with c mats[v] = c' A_v and the A_v jointly primitive
@@ -179,14 +166,12 @@ def _primitive(mats, n: int, c: Fraction = Fraction(1)):
 
 
 def _bundle(field: NumberField, n: int, content,
-            dets: tuple[Fraction, ...] | None = None) -> ArakelovBundle:
+            dets: tuple[Fraction, ...]) -> ArakelovBundle:
     """The rank-n bundle with content form content = (c, [A_v]), Gram_v =
-    c A_v with the A_v jointly primitive, holding that and, when given, its
-    place determinants; its Gram fields are derived on first read."""
+    c A_v with the A_v jointly primitive, and place determinants dets,
+    real places first; its Gram fields are derived on first read."""
     E = object.__new__(ArakelovBundle)
-    E.__dict__.update(field=field, rank=n, _content=content)
-    if dets is not None:
-        E.__dict__["_dets"] = dets
+    E.__dict__.update(field=field, rank=n, _content=content, _dets=dets)
     return E
 
 
@@ -224,40 +209,48 @@ def _validated_det(m) -> int:
     return d.a if d.__class__ is QSurd else d
 
 
+def _checked(field: NumberField, rank: int, real: list, pairs: list):
+    """The content form and place determinants of Grams given per real
+    place, and per complex place as a (real part, imaginary part) pair;
+    InvalidMetricError unless each is rank x rank, real, finite, Hermitian
+    (symmetric at a real place) and positive definite."""
+    r1, r2 = field.real_places, field.complex_places
+    if (len(real), len(pairs)) != (r1, r2) or any(len(p) != 2 for p in pairs):
+        raise InvalidMetricError(
+            f"expected {r1} real-place Gram matrices and {r2} complex-place "
+            f"(real part, imaginary part) pairs for {field.descriptor}")
+    if rank < 1:
+        raise InvalidMetricError("rank must be at least 1")
+    parts = real + [m for p in pairs for m in p]
+    if any(len(m) != rank or any(len(row) != rank for row in m)
+           for m in parts):
+        raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
+    if any(isinstance(x, (complex, QSurd))
+           for m in parts for row in m for x in row):
+        raise InvalidMetricError("complex entry where a real one is required")
+    try:
+        c, forms = _primitive(
+            real + [_surds(re, im, -1) for re, im in pairs], rank)
+    except (OverflowError, ValueError):  # inf or nan read exactly
+        raise InvalidMetricError("Gram entries must be finite") from None
+    cn = c ** rank
+    return (c, forms), tuple(cn * _validated_det(m) for m in forms)
+
+
 def make_bundle(field: NumberField, grams) -> ArakelovBundle:
     """Build a bundle from one Gram matrix per infinite place, real places
     first.  For fields with a single infinite place a bare matrix is accepted.
     Entries may be int, float or Fraction, and must be finite; at complex
     places also complex, read exactly from its float parts, or a Gaussian
     QSurd re + im sqrt(-1) with rational parts, read exactly."""
-    places = field.real_places + field.complex_places
     mats = list(grams)
     if mats and mats[0] and not isinstance(mats[0][0], (list, tuple)):
         # a bare matrix rather than a list of matrices
         mats = [mats]
-    if len(mats) != places:
-        raise InvalidMetricError(
-            f"expected {places} Gram matrices for {field.descriptor}, "
-            f"got {len(mats)}")
-    rank = len(mats[0])
-    if rank < 1:
-        raise InvalidMetricError("rank must be at least 1")
-    if any(len(m) != rank or any(len(row) != rank for row in m)
-           for m in mats):
-        raise InvalidMetricError(f"Gram matrix must be {rank}x{rank}")
-    r1 = field.real_places
-    if any(isinstance(x, (complex, QSurd))
-           for m in mats[:r1] for row in m for x in row):
-        raise InvalidMetricError("complex entry where a real one is required")
-    exact = mats[:r1] + [[[_gaussian(x) for x in row] for row in m]
-                         for m in mats[r1:]]
-    try:
-        c, forms = _primitive(exact, rank)
-    except (OverflowError, ValueError):  # inf or nan read exactly
-        raise InvalidMetricError("Gram entries must be finite") from None
-    cn = c ** rank
-    return _bundle(field, rank, (c, forms),
-                   tuple(cn * _validated_det(m) for m in forms))
+    rank, r1 = len(mats[0]) if mats else 0, field.real_places
+    pairs = [_re_im([[_gaussian(x) for x in row] for row in m])
+             for m in mats[r1:]]
+    return _bundle(field, rank, *_checked(field, rank, mats[:r1], pairs))
 
 
 # ----------------------------------------------------------------------
@@ -381,10 +374,10 @@ def _restricted_bundle(E: ArakelovBundle, basis) -> ArakelovBundle:
     """
     field = E.field
     k, n = len(basis), E.rank
-    if field.is_rational():
-        c, (A,) = E._content
-        return _bundle(field, k, _primitive([apply_transform(basis, A)], k, c))
     c, forms = E._content
+    if field.is_rational():
+        return make_bundle(field, [[x * c for x in row] for row in
+                                   apply_transform(basis, forms[0])])
     p, q = c.numerator, c.denominator
     r1 = field.real_places
     grams = []

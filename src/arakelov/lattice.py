@@ -13,13 +13,15 @@ ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
 at whatever radius the caller asks for, with each vector mapped back to the
 caller's coordinates.  The one exception is mvt._count_tuples, which calls
 enumerate_short_vectors on its Hecke Gram directly: hecke_integer_gram has
-already LLL-reduced it, and the counts need no map back.  DEFAULT_NODE_CAP
-is the one enumeration budget every module defaults to.
+already LLL-reduced it, and the counts need no map back.  Walks on one
+lattice run one after another, none inside another, and share its node
+counter.  DEFAULT_NODE_CAP is the one enumeration budget every module
+defaults to.
 
 The Fincke-Pohst walk (Math. Comp. 44, 1985) is iterative: one loop over
 per-level arrays, with no generator frame per level.  A caller's node
 counter is raised by the walk's own nodes before each vector it yields and
-when the walk ends, so nested walks each count only their own.
+when the walk ends.
 """
 
 from __future__ import annotations
@@ -142,12 +144,12 @@ def enumerate_short_vectors(gram: Sequence[Sequence], radius_sq,
     The float walk, its ranges and its leaves alike, runs on the ball of
     radius_sq * (1 + 1e-8), the one pad.  It covers the rounding of the
     LDL^T walk, of a ReducedLattice's once-rounded Gram and scale, and of
-    radii that callers compute in a few float operations (HERMITE_RANK2 *
-    exp(...), (eps + 1/eps) * exp(...), p ** (2/n)): a fixed margin, not
-    yet derived from an error bound.  No vector inside is missed, and
-    callers decide membership exactly.  Raises EnumerationCapError once
-    the search tree exceeds node_cap nodes, and ValueError when the padded
-    radius is not a finite float (inf or nan).
+    radii that callers compute in a few float operations (exp(...) over a
+    scale once or twice, (eps + 1/eps) * exp(...), p ** (2/n)): a fixed
+    margin, not yet derived from an error bound.  No vector inside is
+    missed, and callers decide membership exactly.  Raises
+    EnumerationCapError once the search tree exceeds node_cap nodes, and
+    ValueError when the padded radius is not a finite float (inf or nan).
 
     The walk is one loop over per-level arrays, depth-first from level
     n-1 down to level 0, whose range is swept in place; a node is one
@@ -256,7 +258,7 @@ class ReducedLattice:
     short_vectors(radius_sq) enumerates it at radius_sq / scale, as often
     as needed, yielding vectors in the caller's basis; the radius is padded
     only inside enumerate_short_vectors.  Each enumeration is capped at
-    node_cap nodes.
+    node_cap nodes; they run one after another and share one counter.
     """
 
     def __init__(self, gram: Sequence[Sequence],
@@ -279,21 +281,17 @@ class ReducedLattice:
         self.scale = as_float(scale)
         self.node_cap = node_cap
         self._columns = tuple(zip(*self.U))
-        # One counter per enumeration: they may run nested, and each
-        # counts only its own nodes.
-        self._counters: list[list[int]] = []
+        self._counter = [0]  # each walk raises it by its own nodes
 
     @property
     def nodes(self) -> int:
         """Nodes visited so far by every enumeration, cap hit or not."""
-        return sum(c[0] for c in self._counters)
+        return self._counter[0]
 
     def short_vectors(self, radius_sq) -> Iterator[tuple[int, ...]]:
-        counter = [0]
-        self._counters.append(counter)
         for coeffs in enumerate_short_vectors(
                 self.gram, float(radius_sq) / self.scale, self.node_cap,
-                counter):
+                self._counter):
             yield tuple([sum(map(mul, coeffs, col)) for col in self._columns])
 
 

@@ -70,6 +70,8 @@ def _norm_caps(E: ArakelovBundle, radii) -> list[Fraction]:
     top = sys.float_info.max
     caps = []
     for t in radii:
+        if isinstance(t, float) and not math.isfinite(t):
+            raise ValueError(f"radius {t} is not a finite float")
         t = Fraction(t)
         if t <= 0:
             raise ValueError("radii must be positive")

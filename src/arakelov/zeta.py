@@ -7,21 +7,21 @@ built once, in enumerate_subbundles; zeta_partial and mu_max read degrees.
 
 Rank-1 subbundles correspond to primitive module vectors up to units; their
 degrees come from exact place values, so the min_degree filter is a rational
-comparison.  Corank-1 subbundles over Q are lines of the dual: a covector w
-of degree d in dual(E) cuts out w-perp, of degree deg(E) + d; the HNF rows
-of w-perp are built only for records.  The case l=2
-in rank 4 enumerates candidate reduced bases (b1, b2) with |b1| |b2| <=
-(2/sqrt 3) exp(-min_degree), which covers every target submodule because a
-rank-2 reduced basis attains both minima.  The full rank is the identity.
+comparison.  Over Q every other rank below the full one goes through the
+same line filter.  Corank-1 subbundles are lines of the dual: a covector w
+of degree d in dual(E) cuts out w-perp, of degree deg(E) + d.  A plane in
+rank 4 is a primitive decomposable line P = b1 ^ b2 of Lambda^2 L, its Gram
+determinant the value of P under the second compound of the Gram
+(Cauchy-Binet).  HNF rows of w-perp and of P's plane are built only for
+records.  The full rank is the identity.
 
 Over quadratic fields only l = 1 and l = rank are available; a line's unit
 orbit is collapsed by keying on the Pluecker minors of its Z-span (v, w v),
 which also decide primitivity, and for real quadratic fields the trace-form
 search radius (eps + 1/eps) exp(-min_degree) suffices because every line
-has a unit-balanced representative.  Rank-2 planes over Q are keyed on the
-same minors.  Candidates come from the trace form's integer matrix at the
-radius over its scale (enumerate_short_vectors alone pads it) and are
-tested, ordered and keyed exactly, on Python ints.
+has a unit-balanced representative.  Candidates come from the trace form's
+integer matrix at the radius over its scale (enumerate_short_vectors alone
+pads it) and are tested, ordered and keyed exactly, on Python ints.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .bundle import (
     ArakelovBundle,
+    PlaceForm,
     ZLatticeView,
     degree as bundle_degree,
     dual,
@@ -50,16 +51,13 @@ from .errors import (
 from .intlinalg import (
     hnf,
     is_primitive_vector,
-    rat_det,
     right_kernel_rows,
     saturation_rows,
 )
-from .lattice import (
-    DEFAULT_NODE_CAP,
-    ReducedLattice,
-    apply_transform,
-    form_value,
-)
+# Bound here only for tools that patch rat_det under every name it is
+# imported by (perfbench/tracer.py); zeta computes no determinant.
+from .intlinalg import rat_det  # noqa: F401
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice, form_value
 
 __all__ = [
     "SemistabilityVerdict",
@@ -73,7 +71,8 @@ __all__ = [
     "zeta_partial",
 ]
 
-HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
+# the coordinates (i, j), i < j, of Lambda^2 in rank 4, in _plucker's order
+PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 # degree_shells groups degrees rounded to this many decimals.
 SHELL_DECIMALS = 9
@@ -101,7 +100,8 @@ class ZetaPartial:
     ``tail_bound_estimate`` extrapolates the geometric decay of the last two
     degree shells; it is informational and never added to partial_sum.
     Below full rank, records filling fewer than two unit-width shells give
-    no decay to extrapolate, and the estimate is inf.
+    no decay to extrapolate, and the estimate is inf.  At full rank it is
+    exact: 0.0, or the one term exp(s deg E) when the cutoff leaves it out.
     """
 
     s: float
@@ -154,14 +154,33 @@ def _exp_cap(exponent: float) -> Fraction:
     return Fraction(math.exp(exponent))
 
 
+def _q_rows(form: PlaceForm, cap: Fraction, radius: float,
+            node_cap: int) -> list[tuple[float, tuple]]:
+    """The Q line filter: (-1/2 log form[z], (z,)) for each primitive z, one
+    per +-z, in the ball of the given radius on form.A with form[z] <= cap."""
+    A, p, q = form.A, form.scale.numerator, form.scale.denominator
+    top, bottom = cap.numerator * q, cap.denominator
+    kept = []
+    for z in ReducedLattice(A, node_cap).short_vectors(radius):
+        if not is_primitive_vector(z):
+            continue
+        # the value of z is p A[z] / q, compared on ints
+        a = p * form_value(A, z)
+        if a * bottom > top:
+            continue
+        g = math.gcd(a, q)  # the log's bits match log_fraction
+        kept.append((-0.5 * (math.log(a // g) - math.log(q // g)), (z,)))
+    return kept
+
+
 def _line_rows(view: ZLatticeView, min_degree: float,
                node_cap: int) -> list[tuple[float, tuple]]:
     field = view.bundle.field
     form = view.trace_form
     if field.is_rational():
         cap = _exp_cap(-2.0 * min_degree)
-        radius = float(cap)
-    elif field.D < 0:
+        return _q_rows(form, cap, form.gram_radius(float(cap)), node_cap)
+    if field.D < 0:
         power, value_cap = 1.0, _exp_cap(-min_degree)
         radius = 2.0 * float(value_cap)
     else:
@@ -171,23 +190,6 @@ def _line_rows(view: ZLatticeView, min_degree: float,
     # the trace-form ball, on the trace form over its scale
     candidates = ReducedLattice(form.gram, node_cap).short_vectors(
         form.gram_radius(radius))
-
-    if field.is_rational():
-        # the value of z is p A[z] / q, compared on ints
-        A, p, q = form.A, form.scale.numerator, form.scale.denominator
-        top, bottom = cap.numerator * q, cap.denominator
-        kept = []
-        for z in candidates:
-            if not is_primitive_vector(z):
-                continue
-            a = p * form_value(A, z)
-            if a * bottom > top:
-                continue
-            g = math.gcd(a, q)  # the log's bits match log_fraction
-            kept.append((-0.5 * (math.log(a // g) - math.log(q // g)),
-                         (z,)))
-        return kept
-
     s, q = field.omega_minpoly()
     seen = {}
     for z in candidates:
@@ -203,33 +205,11 @@ def _line_rows(view: ZLatticeView, min_degree: float,
     return list(seen.values())
 
 
-def _pair_rows(view: ZLatticeView, min_degree: float,
-               node_cap: int) -> list[tuple[float, tuple]]:
-    form = view.trace_form
-    A, s2 = form.A, form.scale ** 2
-    det_cap = _exp_cap(-2.0 * min_degree)
-    # b1 and b2 are measured by z A z^T, their squared lengths over the scale
-    product = form.gram_radius(HERMITE_RANK2 * math.exp(-min_degree))
-    lattice = ReducedLattice(A, node_cap)
-    seen = {}
-    for b1 in lattice.short_vectors(product):
-        if not is_primitive_vector(b1):
-            continue
-        q1 = form_value(A, b1)
-        for b2 in lattice.short_vectors((product / math.sqrt(q1)) ** 2):
-            if form_value(A, b2) < q1:
-                continue  # |b1| <= |b2|
-            g, key = _plucker(b1, b2)
-            if g == 0 or key in seen:
-                continue  # dependent pair, or its plane was already tested
-            # the Gram determinant scales by the index squared
-            det2 = rat_det(apply_transform((b1, b2), A)) * s2 / (g * g)
-            if det2 > det_cap:
-                seen[key] = None  # det2 depends only on the plane
-                continue
-            seen[key] = (-0.5 * log_fraction(det2),
-                         saturation_rows([list(b1), list(b2)], view.zrank))
-    return [pair for pair in seen.values() if pair is not None]
+def _plane_span(P: Sequence[int]) -> list[list[int]]:
+    """The rows u_k v - v_k u of P = u ^ v as a matrix: they span its plane."""
+    M = dict(zip(PAIRS, P))
+    return [[M.get((k, j), 0) - M.get((j, k), 0) for j in range(4)]
+            for k in range(4)]
 
 
 def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
@@ -251,8 +231,9 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
                     node_cap: int) -> tuple[ZLatticeView, list]:
     """restrict_scalars(E) and the unsorted (degree, rows) pairs of the
     rank-l subbundles with degree >= min_degree, rows in its coordinates.
-    A hyperplane over Q comes as the row w of its dual line; only
-    enumerate_subbundles, which reads rows, maps it to w-perp."""
+    A hyperplane over Q comes as the row w of its dual line, and a plane
+    in rank 4 as its Lambda^2 vector P; only enumerate_subbundles, which
+    reads rows, maps them to w-perp and to the span of P."""
     check_subbundle_scope(E, l)
     if not math.isfinite(min_degree):
         raise ValueError("min_degree must be finite")
@@ -270,7 +251,18 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
         lines = _line_rows(restrict_scalars(dual(E)), min_degree - deg_e,
                            node_cap)
         return view, [(deg_e + d, rows) for d, rows in lines]
-    return view, _pair_rows(view, min_degree, node_cap)
+    # a plane in rank 4 is a line P of Lambda^2 A, C[(i,j),(k,m)] = A_ik
+    # A_jm - A_im A_jk, on the Pluecker quadric; its value c^2 C[P] is the
+    # plane's Gram determinant.  c^2 alone may have no float, so the radius
+    # divides it out one c at a time.
+    form, cap = view.trace_form, _exp_cap(-2.0 * min_degree)
+    A = form.A
+    C = tuple(tuple(A[i][k] * A[j][m] - A[i][m] * A[j][k] for k, m in PAIRS)
+              for i, j in PAIRS)
+    lines = _q_rows(PlaceForm("real", C, None, form.scale ** 2, 0), cap,
+                    form.gram_radius(form.gram_radius(float(cap))), node_cap)
+    return view, [(d, (P,)) for d, (P,) in lines
+                  if P[0] * P[5] - P[1] * P[4] + P[2] * P[3] == 0]
 
 
 def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
@@ -287,10 +279,13 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
     integer rows of the basis, over quadratic fields by str(basis).
     """
     view, pairs = _subbundle_rows(E, l, min_degree, node_cap)
-    if 1 < l == E.rank - 1:  # hyperplanes come as their dual lines (w,)
-        n = E.rank
+    n = E.rank
+    if 1 < l == n - 1:  # hyperplanes come as their dual lines (w,)
         pairs = [(deg, hnf(right_kernel_rows([list(w)], n), n))
                  for deg, (w,) in pairs]
+    elif 1 < l < n:  # planes in rank 4 come as their Lambda^2 lines (P,)
+        pairs = [(deg, saturation_rows(_plane_span(P), n))
+                 for deg, (P,) in pairs]
     if not E.field.is_rational():
         built = [(deg, tuple(map(view.coords_to_module, rows)))
                  for deg, rows in pairs]
@@ -329,6 +324,14 @@ def degree_shells(records: Sequence[SubbundleRecord],
     return sorted(counts.items(), key=lambda kv: -kv[0])
 
 
+def _term(s: float, deg: float) -> float:
+    """exp(s deg), or ValueError when it is not a finite float."""
+    if s * deg > MAX_EXPONENT:
+        raise ValueError(f"exp(s * degree) is not a finite float at "
+                         f"s = {s:g}, degree = {deg:.6g}")
+    return math.exp(s * deg)
+
+
 def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
                  node_cap: int = DEFAULT_NODE_CAP) -> ZetaPartial:
     """Sum exp(s deg E') over saturated rank-l subbundles with deg >= -T.
@@ -342,10 +345,7 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
     shells: dict[int, float] = {}
     total = []
     for deg in sorted((deg for deg, _ in pairs), reverse=True):
-        if s * deg > MAX_EXPONENT:
-            raise ValueError(f"exp(s * degree) is not a finite float at "
-                             f"s = {s:g}, degree = {deg:.6g}")
-        term = math.exp(s * deg)
+        term = _term(s, deg)
         total.append(term)
         shells[math.floor(-deg)] = shells.get(math.floor(-deg), 0.0) + term
     ordered = [shells[k] for k in sorted(shells)]
@@ -357,9 +357,12 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
         ratio = ordered[-1] / ordered[-2]
         tail = (ordered[-1] * ratio / (1.0 - ratio) if ratio < 1.0
                 else math.inf)
+    elif l == E.rank:
+        # the one term: exact, and omitted only below the cutoff
+        tail = 0.0 if total else _term(s, bundle_degree(E))
     else:
-        # one shell shows no decay; at l = rank it is the one exact term
-        tail = 0.0 if l == E.rank or len(ordered) >= 2 else math.inf
+        # one shell shows no decay
+        tail = 0.0 if len(ordered) >= 2 else math.inf
     try:
         partial_sum = math.fsum(total)
     except OverflowError:

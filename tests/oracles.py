@@ -18,12 +18,30 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from arakelov.bundle import restrict_scalars
+from arakelov.bundle import log_fraction, restrict_scalars
 from arakelov.errors import EnumerationCapError, InvalidMetricError
-from arakelov.intlinalg import hnf, ok_gcd, right_kernel_rows
-from arakelov.lattice import DEFAULT_NODE_CAP, _fp_decompose
+from arakelov.intlinalg import (
+    hnf,
+    is_primitive_vector,
+    ok_gcd,
+    rat_det,
+    right_kernel_rows,
+    saturation_rows,
+)
+from arakelov.lattice import (
+    DEFAULT_NODE_CAP,
+    ReducedLattice,
+    _fp_decompose,
+    apply_transform,
+    form_value,
+)
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
-from arakelov.zeta import SubbundleRecord, _subbundle_rows
+from arakelov.zeta import (
+    SubbundleRecord,
+    _exp_cap,
+    _plucker,
+    _subbundle_rows,
+)
 
 # ---------------------------------------------------------------- constants
 
@@ -816,15 +834,55 @@ def restriction_deviations(E, basis, F):
 
 # ------------------------------------------------------- subbundle records
 
+HERMITE_RANK2 = 2.0 / math.sqrt(3.0)
+
+
+def pair_rows_reference(view, min_degree: float,
+                        node_cap: int) -> list[tuple[float, tuple]]:
+    """The planes of a rank-4 lattice over Q found the first way, by
+    reduced pairs: a walk for b2 nested in the walk for b1, |b1| |b2| <=
+    (2/sqrt 3) exp(-min_degree), which covers every plane because a
+    rank-2 reduced basis attains both minima, and one exact determinant
+    per distinct plane.  (degree, HNF rows) pairs, unsorted."""
+    form = view.trace_form
+    A, s2 = form.A, form.scale ** 2
+    det_cap = _exp_cap(-2.0 * min_degree)
+    # b1 and b2 are measured by z A z^T, their squared lengths over the scale
+    product = form.gram_radius(HERMITE_RANK2 * math.exp(-min_degree))
+    lattice = ReducedLattice(A, node_cap)
+    seen = {}
+    for b1 in lattice.short_vectors(product):
+        if not is_primitive_vector(b1):
+            continue
+        q1 = form_value(A, b1)
+        for b2 in lattice.short_vectors((product / math.sqrt(q1)) ** 2):
+            if form_value(A, b2) < q1:
+                continue  # |b1| <= |b2|
+            g, key = _plucker(b1, b2)
+            if g == 0 or key in seen:
+                continue  # dependent pair, or its plane was already tested
+            # the Gram determinant scales by the index squared
+            det2 = rat_det(apply_transform((b1, b2), A)) * s2 / (g * g)
+            if det2 > det_cap:
+                seen[key] = None  # det2 depends only on the plane
+                continue
+            seen[key] = (-0.5 * log_fraction(det2),
+                         saturation_rows([list(b1), list(b2)], view.zrank))
+    return [pair for pair in seen.values() if pair is not None]
+
+
 def subbundle_records_reference(E, l: int, min_degree: float):
     """enumerate_subbundles over Q with records built the first way: every
     record built from its (degree, rows) pair, each coordinate its own
-    Fraction(x), and the records then sorted by (-degree, rows)."""
+    Fraction(x), and the records then sorted by (-degree, rows).  Planes
+    in rank 4 come from pair_rows_reference."""
     view, pairs = _subbundle_rows(E, l, min_degree, DEFAULT_NODE_CAP)
-    if 1 < l == E.rank - 1:  # hyperplanes come as their dual lines (w,)
-        n = E.rank
+    n = E.rank
+    if 1 < l == n - 1:  # hyperplanes come as their dual lines (w,)
         pairs = [(deg, hnf(right_kernel_rows([list(w)], n), n))
                  for deg, (w,) in pairs]
+    elif 1 < l < n:
+        pairs = pair_rows_reference(view, min_degree, DEFAULT_NODE_CAP)
     built = [(deg, rows, tuple(tuple(Fraction(x) for x in row)
                                for row in rows))
              for deg, rows in pairs]

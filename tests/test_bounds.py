@@ -86,6 +86,17 @@ def test_main_inequality_verdicts():
     assert unsure.values["tail_uncertain"]
     assert unsure.values["value"] == pytest.approx(0.95, abs=0.005)
     assert unsure.verdict == "indeterminate (tail uncertain)"
+    # the one rank-1 term of degree -5 lies below the cutoff 4.5: it is the
+    # tail, not a zero, so no certificate; the auto-cutoff takes it in
+    e10 = make_bundle(Q, [[22026.465794806718]])
+    omitted = main_inequality(e10, 4, 30.0, {"cutoff": 4.5})
+    assert omitted.values["tail_uncertain"]
+    assert omitted.values["value"] == 0.0
+    assert omitted.verdict == "indeterminate (tail uncertain)"
+    auto = main_inequality(e10, 4, 30.0)
+    assert not auto.values["tail_uncertain"]
+    assert auto.values["value"] == pytest.approx(50214.32, rel=1e-6)
+    assert auto.verdict == "not guaranteed"
 
 
 def test_main_inequality_terms_per_subbundle_rank():

@@ -155,6 +155,33 @@ def test_make_bundle_validation():
         make_bundle(Q, [[QSurd(2, 0, -1)]])
     with pytest.raises(InvalidMetricError):
         make_bundle(K2, [[[1]], [[QSurd(3, 1, 2)]]])
+    # a bundle built field by field, or by dataclasses.replace, is checked
+    # the same way, its rank included
+    one = Fraction(1)
+    I2 = ((one, 0), (0, one))
+    E = make_bundle(Q, [[2, 1], [1, 3]])
+    F = make_bundle(Qi, [[2, 1 + 1j], [1 - 1j, 3]])
+    for build in (
+            lambda: ArakelovBundle(Q, 3, (I2,), ()),
+            lambda: ArakelovBundle(Q, 2, (((1, 2), (0, 5)),), ()),
+            lambda: ArakelovBundle(Q, 2, (((1, 2), (2, 1)),), ()),
+            lambda: ArakelovBundle(Q, 0, ((),), ()),
+            lambda: ArakelovBundle(Q, 2, (), ()),
+            lambda: ArakelovBundle(K2, 2, (I2,), ()),
+            lambda: ArakelovBundle(Qi, 2, (I2,), ()),  # at a complex place
+            lambda: ArakelovBundle(Qi, 2, (), ((I2, ((0, 1), (1, 0))),)),
+            lambda: ArakelovBundle(Qi, 2, (), ((I2, ((0,),)),)),
+            lambda: ArakelovBundle(Qi, 2, (), ((I2,),)),
+            lambda: ArakelovBundle(Qi, 2, (), ((I2, ((0, 1j), (-1j, 0))),)),
+            lambda: ArakelovBundle(Q, 1, (((math.inf,),),), ()),
+            lambda: dataclasses.replace(E, rank=3),
+            lambda: dataclasses.replace(E, gram_real=(((1, 2), (2, 1)),)),
+            lambda: dataclasses.replace(F, gram_complex=((I2, I2),))):
+        with pytest.raises(InvalidMetricError):
+            build()
+    G = ArakelovBundle(Qi, 2, (), ((I2, ((0, one / 2), (-one / 2, 0))),))
+    assert G._dets == (Fraction(3, 4),)
+    assert G.degree() == pytest.approx(-math.log(0.75), abs=1e-15)
     # positive definiteness agrees with Sylvester's criterion on minors
     rng = random.Random(59)
     symmetric = [
@@ -296,6 +323,14 @@ def assert_content_matches_fields(E):
         + [hermitian_det_reference(g) for g in E.gram_complex])
 
 
+def exact_content(E):
+    """E's content c, its matrices A_v with a QSurd entry as its (a, b)
+    parts, and its place determinants."""
+    c, forms = E._content
+    return c, [[[(x.a, x.b) if isinstance(x, QSurd) else x for x in row]
+                for row in m] for m in forms], E._dets
+
+
 def exact_forms(view):
     """(kind, delta, scale A, scale B) with exact rational entries for each
     place form of a view and then its trace form; B is None over Q."""
@@ -334,7 +369,7 @@ def assert_form_matches_fields(E):
     assert len(view.place_forms) == len(E.field.infinite_places())
     assert_matches_reference(view)
     copy = ArakelovBundle(E.field, E.rank, E.gram_real, E.gram_complex)
-    assert "_content" not in copy.__dict__
+    assert exact_content(copy) == exact_content(E)
     assert exact_forms(restrict_scalars(copy)) == exact_forms(view)
 
 

@@ -258,6 +258,24 @@ def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
     validate(doc, "bound_report.schema.json")
 
 
+def test_bounds_theorem_omitted_full_rank_term(capsys, tmp_path):
+    # E of degree -5: below the cutoff 4.5 its one full-rank term is
+    # omitted, which must not read as a zero sum
+    path = tmp_path / "e10.gram"
+    path.write_text("Q\n1\n22026.465794806718\n")
+    base = ["bounds", "--kind", "theorem", "--gram", str(path), "--n", "4",
+            "--det-degree", "30"]
+    code, doc = run_json(capsys, *base)
+    assert code == 1
+    assert doc["report"]["verdict"] == "not guaranteed"
+    assert doc["report"]["values"]["value"] == pytest.approx(50214.32,
+                                                             rel=1e-6)
+    code, doc = run_json(capsys, *base, "--cutoff", "4.5")
+    assert code == 3
+    assert doc["report"]["verdict"] == "indeterminate (tail uncertain)"
+    validate(doc, "bound_report.schema.json")
+
+
 def test_density(capsys, e8):
     code, doc = run_json(capsys, "density", "--gram", e8)
     assert code == 0

@@ -424,8 +424,9 @@ def test_node_counter_after_early_break_and_nested_walks(monkeypatch):
         assert counts[0] == counts[1] > 0
 
     def pair_nodes(A):
-        # _pair_rows' pattern: a second enumeration per first vector, both
-        # on one ReducedLattice
+        # a second enumeration per first vector, both on one
+        # ReducedLattice: no caller nests walks any more, but each walk
+        # raises the one counter by its own nodes, so the sum still holds
         lattice = ReducedLattice(A)
         pairs = sum(1 for b1 in lattice.short_vectors(2)
                     for _ in lattice.short_vectors(4 - form_value(A, b1)))

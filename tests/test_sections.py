@@ -129,6 +129,13 @@ def test_radius_beyond_float_range_is_refused():
         list(enumerate_short_vectors([[1]], nan))
     with pytest.raises(ValueError, match="not a finite float"):
         list(ReducedLattice([[2, 1], [1, 2]]).short_vectors(nan))
+    # an inf or nan radius is refused before it is read as a rational
+    inf = float("inf")
+    K = make_field("Q(sqrt{5})")
+    for F, radii in ((E, inf), (E, nan), (E, -inf), (E, [nan]),
+                     (trivial_bundle(K, 1), [1.0, inf])):
+        with pytest.raises(ValueError, match="not a finite float"):
+            count_in_region(F, radii)
 
 
 def test_gram_beyond_float_range_is_refused():

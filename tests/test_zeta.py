@@ -15,7 +15,6 @@ from arakelov.errors import (
     ZetaDivergenceError,
 )
 from arakelov.intlinalg import hnf, rat_det, rat_inverse, saturation_rows
-from arakelov import zeta
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.zeta import (
@@ -364,28 +363,44 @@ def test_pair_records_match_plane_oracle(diag):
     assert sorted(got) == sorted(oracle.values())
 
 
-def test_pair_records_test_each_plane_once(monkeypatch):
-    # det2 depends only on the plane, so each distinct plane costs one
-    # rat_det call whether it is kept or rejected
-    E = random_bundle(Q, 4, 0.0, RandomLatticeSpec(4, 100003, 0, Q),
-                      trial_rng(0, 9))
-    expected = enumerate_subbundles(E, 2, -0.5)
-    keys, tested = [], []
+def test_plane_records_match_the_reduced_pair_reference():
+    # planes in rank 4 as the primitive decomposable lines of Lambda^2,
+    # against the walk for b2 nested in the walk for b1: sampler draws,
+    # skewed U U^T of Z^4, and A4 scaled by 10^+-100 and 10^-160; mu_max
+    # and zeta_partial read the records' degrees
+    rng = random.Random(113)
+    cases = []
+    for seed in range(3):
+        spec = RandomLatticeSpec(4, 100003, seed, Q)
+        E = random_bundle(Q, 4, 0.0, spec, trial_rng(seed, 7))
+        cases += [(E, degree(E) / 2 - T, 6.0) for T in (0.3, 0.8)]
+    for shear in (3, 6):
+        U = skewed_unimodular(rng, 4, shear)
+        G = [[sum(a * b for a, b in zip(u, v)) for v in U] for u in U]
+        cases.append((make_bundle(Q, G), -0.6, 6.0))
+    A4 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
 
-    def plucker(u, v):
-        keys.append(_plucker(u, v))
-        return keys[-1]
+    def scaled(e):
+        f = Fraction(10) ** e
+        return make_bundle(Q, [[f * x for x in row] for row in A4])
 
-    def counting_det(rows):
-        tested.append(keys[-1][1])
-        return rat_det(rows)
-
-    monkeypatch.setattr(zeta, "_plucker", plucker)
-    monkeypatch.setattr(zeta, "rat_det", counting_det)
-    assert enumerate_subbundles(E, 2, -0.5) == expected
-    planes = {key for g, key in keys if g}
-    assert len(tested) == len(set(tested)) == len(planes)
-    assert len(keys) > len(planes) > len(expected) > 0
+    for e in (100, -100, -160):
+        # the planes of det 3 and 4 (times 10^2e), at s = 1.5 so that
+        # exp(s * degree) stays a finite float
+        cases.append((scaled(e), -e * math.log(10) - 0.8, 1.5))
+    for E, min_degree, s in cases:
+        records = enumerate_subbundles(E, 2, min_degree)
+        assert records
+        assert records == subbundle_records_reference(E, 2, min_degree)
+        assert mu_max(E, 2, min_degree) == (records[0].degree / 2, True)
+        zp = zeta_partial(E, 2, s, -min_degree)
+        assert zp.terms == len(records)
+        assert zp.partial_sum == math.fsum(math.exp(s * r.degree)
+                                           for r in records)
+    # at 10^160 the search bound exp(-2 min_degree) is no finite float
+    for builder in (enumerate_subbundles, subbundle_records_reference):
+        with pytest.raises(ValueError, match="min_degree is too low"):
+            builder(scaled(160), 2, -160 * math.log(10) - 0.8)
 
 
 def test_full_rank_record():
@@ -516,6 +531,10 @@ def test_rank_one_zeta_is_single_term():
     assert zp.terms == 1
     assert zp.partial_sum == pytest.approx(0.25, abs=1e-12)
     assert zp.tail_bound_estimate == 0.0
+    # below the cutoff the one term is omitted, and it is the tail
+    zp = zeta_partial(E, 1, 2.0, 0.5)
+    assert zp.terms == 0 and zp.partial_sum == 0.0
+    assert zp.tail_bound_estimate == math.exp(2.0 * degree(E))
 
 
 def test_enumerate_validation():
