@@ -37,7 +37,6 @@ __all__ = [
     "hnf_with_transform",
     "inverse",
     "is_positive_definite",
-    "is_primitive_vector",
     "kernel_rows",
     "ok_divmod",
     "ok_gcd",
@@ -143,11 +142,6 @@ def saturation_rows(rows, ncols: int) -> Matrix:
         return _identity(ncols)
     sat = right_kernel_rows(comp, ncols)
     return [list(row) for row in hnf(sat, ncols)]
-
-
-def is_primitive_vector(v) -> bool:
-    """gcd of the entries is 1; the empty and the zero vector are not."""
-    return math.gcd(*map(int, v)) == 1
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,13 @@ radius they computed and compare values exactly, on the form they hold.
 Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
 at whatever radius the caller asks for, with each vector mapped back to the
-caller's coordinates.  The one exception is mvt._count_tuples, which calls
-enumerate_short_vectors on its Hecke Gram directly: hecke_integer_gram has
-already LLL-reduced it, and the counts need no map back.  Walks on one
-lattice run one after another, none inside another, and share its node
-counter.  DEFAULT_NODE_CAP is the one enumeration budget every module
-defaults to.
+caller's coordinates, or, by its exact line filter, only the primitive ones,
+with their exact values.  The one exception is mvt._count_tuples, which
+calls enumerate_short_vectors on its Hecke Gram directly:
+hecke_integer_gram has already LLL-reduced it, and the counts need no map
+back.  Walks on one lattice run one after another, none inside another,
+and share its node counter.  DEFAULT_NODE_CAP is the one enumeration
+budget every module defaults to.
 
 The Fincke-Pohst walk (Math. Comp. 44, 1985) is iterative: one loop over
 per-level arrays, with no generator frame per level.  A caller's node
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import floor, isfinite, sqrt
+from math import floor, gcd, isfinite, sqrt
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -257,8 +258,11 @@ class ReducedLattice:
     within 2^-53 relatively for an int, 6 * 2^-53 for a QSurd.
     short_vectors(radius_sq) enumerates it at radius_sq / scale, as often
     as needed, yielding vectors in the caller's basis; the radius is padded
-    only inside enumerate_short_vectors.  Each enumeration is capped at
-    node_cap nodes; they run one after another and share one counter.
+    only inside enumerate_short_vectors.  For ints it keeps R = U A U^T
+    too: primitive_values(radius_sq), the exact line filter, tests each
+    vector of the same walk on R and maps back only the primitive ones.
+    Each enumeration is capped at node_cap nodes; they run one after
+    another and share one counter.
     """
 
     def __init__(self, gram: Sequence[Sequence],
@@ -272,13 +276,16 @@ class ReducedLattice:
                 P, Q = (apply_transform(self.U, m) for m in _re_im(A))
                 self.gram = [[_nearest(a, b, delta) for a, b in zip(p, q)]
                              for p, q in zip(P, Q)]
+                self._R = None
             else:
                 self.U = lll_transform(A)
-                self.gram = [[float(x) for x in row]
-                             for row in apply_transform(self.U, A)]
+                R = apply_transform(self.U, A)
+                self.gram = [[float(x) for x in row] for row in R]
+                self._R = R  # kept for primitive_values
         except OverflowError:
             raise ValueError(OUT_OF_RANGE) from None
         self.scale = as_float(scale)
+        self._content = scale
         self.node_cap = node_cap
         self._columns = tuple(zip(*self.U))
         self._counter = [0]  # each walk raises it by its own nodes
@@ -293,6 +300,47 @@ class ReducedLattice:
                 self.gram, float(radius_sq) / self.scale, self.node_cap,
                 self._counter):
             yield tuple([sum(map(mul, coeffs, col)) for col in self._columns])
+
+    def primitive_values(self, radius_sq) -> Iterator[tuple[object, tuple]]:
+        """(gram[z], z), the value exact, for each primitive z that
+        short_vectors(radius_sq) yields, in its order and on the same walk;
+        a rational Gram only.
+
+        The filter runs on the reduced coordinates y of z = y U: U is
+        unimodular, so gcd(z) = gcd(y) and gram[z] = R[y], R the Gram's
+        values in reduced coordinates.  Leaves sharing y[1:] come as one run
+        of consecutive y[0].  Once per run: g = gcd(y[1:]), the cross term
+        b = 2 sum R[0][j] y[j] and c = R[y[1:]]; per leaf: gcd(y[0], g) and
+        (R[0][0] y[0] + b) y[0] + c.  Only kept vectors are mapped back, as
+        y[1:] U[1:], once per run, plus y[0] U[0].
+        """
+        R = self._R
+        if R is None:
+            raise TypeError("exact values need a rational Gram")
+        if not R:
+            return
+        if self._content != 1:  # gram = content * A, and R = U A U^T
+            k = self._content
+            k = k.numerator if k.denominator == 1 else k
+            R = [[k * x for x in row] for row in R]
+        r00, r0, rest_form = R[0][0], R[0][1:], [row[1:] for row in R[1:]]
+        u0, columns = self.U[0], [col[1:] for col in self._columns]
+        run = None
+        for y in enumerate_short_vectors(
+                self.gram, float(radius_sq) / self.scale, self.node_cap,
+                self._counter):
+            y0, rest = y[0], y[1:]
+            if rest != run:
+                run, base = rest, None
+                g = gcd(*rest)
+                b = 2 * sum(map(mul, r0, rest))
+                c = form_value(rest_form, rest)
+            if gcd(y0, g) != 1:
+                continue
+            if base is None:
+                base = [sum(map(mul, rest, col)) for col in columns]
+            yield ((r00 * y0 + b) * y0 + c,
+                   tuple([t + y0 * u for t, u in zip(base, u0)]))
 
 
 def shortest_vector(gram: Sequence[Sequence],

@@ -21,7 +21,12 @@ which also decide primitivity, and for real quadratic fields the trace-form
 search radius (eps + 1/eps) exp(-min_degree) suffices because every line
 has a unit-balanced representative.  Candidates come from the trace form's
 integer matrix at the radius over its scale (enumerate_short_vectors alone
-pads it) and are tested, ordered and keyed exactly, on Python ints.
+pads it) and are tested, ordered and keyed exactly, on Python ints.  Over Q
+the walk's vectors are filtered in its reduced coordinates, by
+ReducedLattice.primitive_values, and only the kept ones are mapped back.
+
+A degree cap exp(-2 min_degree) is exact even where exp underflows, and its
+radius is then divided out exactly, so no cap rounds to 0.
 """
 
 from __future__ import annotations
@@ -49,15 +54,15 @@ from .errors import (
     ZetaDivergenceError,
 )
 from .intlinalg import (
+    QSurd,
     hnf,
-    is_primitive_vector,
     right_kernel_rows,
     saturation_rows,
 )
 # Bound here only for tools that patch rat_det under every name it is
 # imported by (perfbench/tracer.py); zeta computes no determinant.
 from .intlinalg import rat_det  # noqa: F401
-from .lattice import DEFAULT_NODE_CAP, ReducedLattice, form_value
+from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
 
 __all__ = [
     "SemistabilityVerdict",
@@ -82,6 +87,13 @@ MAX_EXPONENT = math.log(sys.float_info.max)
 # Largest exponent of a degree cap: exp of it, padded by any factor below
 # e into a search radius, is still a finite float.
 MAX_CAP_EXPONENT = MAX_EXPONENT - 1.0
+# Below this exponent exp is a subnormal float or 0.0.
+MIN_NORMAL_EXPONENT = math.log(sys.float_info.min)
+# A lower cap exponent is raised to this.  Caps are compared with values
+# of forms whose scale's parts are floats, or of their second compounds,
+# which are at least 2^-2048, so the raised cap keeps the same nothing.
+MIN_CAP_EXPONENT = -4.0 * MAX_EXPONENT
+LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -147,30 +159,64 @@ def _omega_times(z: Sequence[int], s: int, q: int) -> list[int]:
 
 def _exp_cap(exponent: float) -> Fraction:
     """exp(exponent) as the exact cap of a degree filter; ValueError, before
-    any enumeration, when the search bound would leave the float range."""
+    any enumeration, when the search bound would leave the float range.
+
+    Where exp underflows the normal floats, the cap is m 2^k with
+    m = exp(exponent - k log 2) a normal float, so it never rounds to 0."""
     if exponent > MAX_CAP_EXPONENT:
         raise ValueError(f"min_degree is too low: the search bound "
                          f"exp({exponent:.6g}) is not a finite float")
-    return Fraction(math.exp(exponent))
+    if exponent >= MIN_NORMAL_EXPONENT:
+        return Fraction(math.exp(exponent))
+    exponent = max(exponent, MIN_CAP_EXPONENT)
+    k = math.floor(exponent / LOG_2)
+    return Fraction(math.exp(exponent - k * LOG_2)) / 2 ** -k
+
+
+def _cap_radius(form: PlaceForm, cap: Fraction, times: int) -> float:
+    """The cap on values of form, or with times = 2 of its second compound,
+    as a radius on its integer matrix: cap over the scale `times` times.
+    The scale's parts must be floats; a cap below the normal floats is
+    divided exactly, and a radius below 1, where that matrix has no
+    nonzero value, is 0.0."""
+    radius = float(cap)
+    exact = radius < sys.float_info.min
+    for _ in range(times):  # a ValueError unless the scale's parts are floats
+        radius = form.gram_radius(radius)
+    if exact:
+        radius = cap / form.scale ** times
+        return as_float(radius) if radius >= 1 else 0.0
+    return radius
 
 
 def _q_rows(form: PlaceForm, cap: Fraction, radius: float,
             node_cap: int) -> list[tuple[float, tuple]]:
     """The Q line filter: (-1/2 log form[z], (z,)) for each primitive z, one
-    per +-z, in the ball of the given radius on form.A with form[z] <= cap."""
-    A, p, q = form.A, form.scale.numerator, form.scale.denominator
+    per +-z, in the ball of the given radius on form.A with form[z] <= cap.
+    primitive_values tests primitivity and forms A[z] on the walk's
+    reduced coordinates, so only kept z reach the caller's basis."""
+    p, q = form.scale.numerator, form.scale.denominator
     top, bottom = cap.numerator * q, cap.denominator
     kept = []
-    for z in ReducedLattice(A, node_cap).short_vectors(radius):
-        if not is_primitive_vector(z):
-            continue
+    for value, z in ReducedLattice(form.A, node_cap).primitive_values(radius):
         # the value of z is p A[z] / q, compared on ints
-        a = p * form_value(A, z)
+        a = p * value
         if a * bottom > top:
             continue
         g = math.gcd(a, q)  # the log's bits match log_fraction
         kept.append((-0.5 * (math.log(a // g) - math.log(q // g)), (z,)))
     return kept
+
+
+def _log_surd(x: QSurd) -> float:
+    """log x for a positive QSurd; where float(x) is below the normal
+    floats, x is first scaled by a power of 2 that brings its parts near 1."""
+    f = float(x)
+    if f >= sys.float_info.min:
+        return math.log(f)
+    big = max(abs(x.a), abs(x.b))
+    k = big.denominator.bit_length() - big.numerator.bit_length()
+    return math.log(float(x * Fraction(2) ** k)) - k * LOG_2
 
 
 def _line_rows(view: ZLatticeView, min_degree: float,
@@ -179,7 +225,7 @@ def _line_rows(view: ZLatticeView, min_degree: float,
     form = view.trace_form
     if field.is_rational():
         cap = _exp_cap(-2.0 * min_degree)
-        return _q_rows(form, cap, form.gram_radius(float(cap)), node_cap)
+        return _q_rows(form, cap, _cap_radius(form, cap, 1), node_cap)
     if field.D < 0:
         power, value_cap = 1.0, _exp_cap(-min_degree)
         radius = 2.0 * float(value_cap)
@@ -201,7 +247,7 @@ def _line_rows(view: ZLatticeView, min_degree: float,
         if not value <= value_cap:
             continue
         seen[key] = (-power * (log_fraction(value.a) if value.b == 0
-                               else math.log(float(value))), (z,))
+                               else _log_surd(value)), (z,))
     return list(seen.values())
 
 
@@ -260,7 +306,7 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
     C = tuple(tuple(A[i][k] * A[j][m] - A[i][m] * A[j][k] for k, m in PAIRS)
               for i, j in PAIRS)
     lines = _q_rows(PlaceForm("real", C, None, form.scale ** 2, 0), cap,
-                    form.gram_radius(form.gram_radius(float(cap))), node_cap)
+                    _cap_radius(form, cap, 2), node_cap)
     return view, [(d, (P,)) for d, (P,) in lines
                   if P[0] * P[5] - P[1] * P[4] + P[2] * P[3] == 0]
 

@@ -22,7 +22,6 @@ from arakelov.bundle import log_fraction, restrict_scalars
 from arakelov.errors import EnumerationCapError, InvalidMetricError
 from arakelov.intlinalg import (
     hnf,
-    is_primitive_vector,
     ok_gcd,
     rat_det,
     right_kernel_rows,
@@ -95,6 +94,11 @@ def gaussian_gcd(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         r = mul(q, y)
         x, y = y, (x[0] - r[0], x[1] - r[1])
     return x
+
+
+def is_primitive_vector(v) -> bool:
+    """gcd of the entries is 1; the empty and the zero vector are not."""
+    return math.gcd(*map(int, v)) == 1
 
 
 def ok_is_primitive_vector(field, v) -> bool:

@@ -17,7 +17,6 @@ from arakelov.intlinalg import (
     hnf_with_transform,
     inverse,
     is_positive_definite,
-    is_primitive_vector,
     kernel_rows,
     ok_gcd,
     ok_kernel_rows,
@@ -32,6 +31,7 @@ from arakelov.numberfield import make_field
 from tests.oracles import (
     det_reference,
     inverse_reference,
+    is_primitive_vector,
     ok_is_primitive_vector,
     positive_definite_reference,
     random_pd_fraction_gram,

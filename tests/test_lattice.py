@@ -10,7 +10,7 @@ import pytest
 from arakelov import lattice as lattice_module
 from arakelov.bundle import tensor
 from arakelov.errors import EnumerationCapError, InvalidMetricError
-from arakelov.intlinalg import rat_det
+from arakelov.intlinalg import QSurd, rat_det
 from arakelov.lattice import (
     LLL_DELTA,
     ReducedLattice,
@@ -27,6 +27,7 @@ from tests.oracles import (
     e8_gram,
     enumerate_short_vectors_reference,
     gram_schmidt,
+    is_primitive_vector,
     lll_reference,
     random_pd_fraction_gram,
     rational_sections_brute,
@@ -438,3 +439,68 @@ def test_node_counter_after_early_break_and_nested_walks(monkeypatch):
                         enumerate_short_vectors_reference)
     assert got == [pair_nodes(A) for A in grams]
     assert all(pairs and nodes for pairs, nodes in got)
+
+
+def compound(A):
+    """The second compound of a rank-4 Gram: the Gram of Lambda^2, rank 6."""
+    pairs = list(itertools.combinations(range(4), 2))
+    return [[A[i][k] * A[j][m] - A[i][m] * A[j][k] for k, m in pairs]
+            for i, j in pairs]
+
+
+def primitive_walk(G, radius, node_cap, exact):
+    """The primitive vectors of one walk, with their exact values when
+    exact (by primitive_values, else by short_vectors and a gcd), the
+    lattice's node count, and the nodes of the cap error, if one ended it."""
+    lattice = ReducedLattice(G, node_cap)
+    found = []
+    try:
+        if exact:
+            for value, z in lattice.primitive_values(radius):
+                found.append((value, z))
+        else:
+            for z in lattice.short_vectors(radius):
+                if is_primitive_vector(z):
+                    found.append((form_value(G, z), z))
+    except EnumerationCapError as exc:
+        return found, lattice.nodes, exc.nodes
+    return found, lattice.nodes, None
+
+
+def test_primitive_values_match_the_filtered_walk():
+    # the same primitive vectors in the same order, their exact values,
+    # the same node count, and a cap error at the same node: rational
+    # Grams of rank 1 to 4, skewed U U^T, and rank-6 Lambda^2 forms, one
+    # with content 2; radii are values of short lattice vectors, sums of at
+    # most n rows of an LLL basis
+    rng = random.Random(127)
+    grams = [random_pd_fraction_gram(rng, rng.randint(1, 4))
+             for _ in range(25)]
+    grams += [gram_matrix(skewed_unimodular(rng, n, rng.choice([1, 2, 3])))
+              for n in (1, 2, 2, 3, 3, 4, 4, 4)]
+    grams += [compound(gram_matrix(skewed_unimodular(rng, 4, 2))),
+              compound([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
+                        [0, 0, 1, 2]]),
+              compound([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1],
+                        [0, 0, 1, 2]])]
+    ended = capped = 0
+    for G in grams:
+        n, U = len(G), lll_transform(G)
+        for _ in range(3):
+            y = [rng.randint(-1, 1) for _ in range(n)]
+            x = [sum(map(mul, y, col)) for col in zip(*U)]
+            radius = form_value(G, x) or form_value(G, U[0])
+            for node_cap in (10 ** 6, rng.randint(1, 60)):
+                got = primitive_walk(G, radius, node_cap, exact=True)
+                assert got == primitive_walk(G, radius, node_cap, exact=False)
+                if all(type(a) is int for row in G for a in row):
+                    assert all(type(v) is int for v, _ in got[0])
+                if got[2] is None:
+                    ended += 1
+                    assert any(v == radius for v, _ in got[0]) or not (
+                        is_primitive_vector(x))
+                else:
+                    capped += 1
+    assert ended > 60 and capped > 30
+    with pytest.raises(TypeError):
+        next(ReducedLattice([[QSurd(2, 1, 2)]]).primitive_values(4))

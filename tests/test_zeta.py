@@ -403,6 +403,41 @@ def test_plane_records_match_the_reduced_pair_reference():
             builder(scaled(160), 2, -160 * math.log(10) - 0.8)
 
 
+def test_caps_below_the_normal_floats():
+    # Z^4 over 10^200: the plane cap exp(-2 min_degree), about 7.4e-400,
+    # has no float, yet the 266 planes of Z^4 above -1 come out, each
+    # 200 log 10 higher; lines and hyperplanes, whose caps are floats,
+    # shift the same way, and so do the lines of a real quadratic bundle,
+    # whose cap on q0 q1 underflows too
+    shift = 200 * math.log(10)
+    tiny = Fraction(1, 10 ** 200)
+    E = make_bundle(Q, [[tiny * (i == j) for j in range(4)] for i in range(4)])
+    Z4 = trivial_bundle(Q, 4)
+    for l, min_degree in ((2, -1.0), (1, -1.0), (3, -1.5)):
+        plain = enumerate_subbundles(Z4, l, min_degree)
+        got = enumerate_subbundles(E, l, min_degree + l * shift / 2)
+        assert len(got) == len(plain) > 0
+        assert [r.basis for r in got] == [r.basis for r in plain]
+        assert all(math.isclose(r.degree, p.degree + l * shift / 2,
+                                rel_tol=1e-12)
+                   for r, p in zip(got, plain))
+    assert len(enumerate_subbundles(E, 2, shift - 1.0)) == 266
+    assert mu_max(E, 2, shift - 1.0) == pytest.approx((shift / 2, True))
+    # far above every degree the cap is raised, not built, and finds nothing
+    assert enumerate_subbundles(Z4, 2, 1e300) == []
+    assert mu_max(E, 1, 1e300) == (-math.inf, False)
+    K = make_field("Q(sqrt{5})")
+    grams = [[[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 5), 3]],
+             [[Fraction(3, 4), Fraction(-1, 3)], [Fraction(-1, 3), 2]]]
+    plain = enumerate_subbundles(make_bundle(K, grams), 1, -2.0)
+    scaled = make_bundle(K, [[[tiny * x for x in row] for row in G]
+                             for G in grams])
+    got = enumerate_subbundles(scaled, 1, shift - 2.0)
+    assert len(got) == len(plain) > 0
+    assert all(math.isclose(r.degree, p.degree + shift, rel_tol=1e-12)
+               for r, p in zip(got, plain))
+
+
 def test_full_rank_record():
     E = trivial_bundle(Q, 3)
     (rec,) = enumerate_subbundles(E, 3, -0.5)
