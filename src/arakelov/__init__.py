@@ -51,7 +51,6 @@ from .gramfile import (
     format_gram_file,
     load_gram_file,
     parse_gram_text,
-    write_gram_file,
 )
 from .sections import (
     SectionReport,

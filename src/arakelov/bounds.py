@@ -124,8 +124,8 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     disc^(-nl/2) * quotient_volume(n l) * zeta_E^(l)(n) * exp(l det_degree).
     Over Q the quotient volume is exact; otherwise its upper bound stands
     in, which can only weaken (never wrongly assert) the guarantee.  A
-    det_degree whose exp(...) factor is not a finite float raises
-    ValueError before any enumeration.
+    det_degree that is not finite, or whose exp(...) factor is not a finite
+    float, raises ValueError before any enumeration.
     """
     if n <= E.rank:
         raise ValueError("twist rank must exceed the rank of E")
@@ -136,6 +136,8 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
         raise ValueError(f"unknown zeta parameters {sorted(params)}")
     for l in range(1, E.rank + 1):
         check_subbundle_scope(E, l)  # fail before any enumeration
+    if not math.isfinite(det_degree):
+        raise ValueError(f"det_degree must be finite, got {det_degree}")
     field = E.field
     log_disc = math.log(abs(field.discriminant))
     exponents = [-0.5 * n * l * log_disc + l * det_degree
@@ -176,8 +178,11 @@ def thresholds(field: NumberField, n: int, l: int = 1,
 
     Below the corollary threshold they exist; at the converse threshold and
     above they do not (for n large enough); the two differ by exactly
-    d log 2 at eps = 0, independent of n and l.
+    d log 2 at eps = 0, independent of n and l.  A non-finite eps raises
+    ValueError.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if n < 2:
         raise ValueError("n must be at least 2")
     if l < 1:

@@ -22,14 +22,14 @@ outside the option's choices exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .bundle import (ArakelovBundle, degree, determinant, slope,
-                     trivial_bundle)
+from .bundle import degree, determinant, slope, trivial_bundle
 from .bounds import (main_inequality, mh_bound, packing_density,
                      riemann_zeta_int, thresholds)
 from .errors import (ArakelovError, EnumerationCapError, GramFileError,
@@ -138,11 +138,6 @@ def _section_report_payload(report: SectionReport) -> dict:
     }
 
 
-def _bound_report_payload(report) -> dict:
-    return {"kind": report.kind, "inputs": dict(report.inputs),
-            "values": dict(report.values), "verdict": report.verdict}
-
-
 def _parse_radii(text: str) -> list[Fraction]:
     return [Fraction(part.strip()) for part in text.split(",")]
 
@@ -167,12 +162,8 @@ def _cmd_field_info(args) -> int:
     return EXIT_OK
 
 
-def _load_bundle(args) -> ArakelovBundle:
-    return load_gram_file(args.gram)
-
-
 def _cmd_bundle_info(args) -> int:
-    E = _load_bundle(args)
+    E = load_gram_file(args.gram)
     payload = {
         "field": E.field.descriptor,
         "rank": E.rank,
@@ -186,7 +177,7 @@ def _cmd_bundle_info(args) -> int:
 
 
 def _cmd_sections(args) -> int:
-    E = _load_bundle(args)
+    E = load_gram_file(args.gram)
     if args.radius is not None:
         radii = _parse_radii(args.radius)
         count = count_in_region(E, radii if len(radii) > 1 else radii[0],
@@ -199,7 +190,7 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    E = _load_bundle(args)
+    E = load_gram_file(args.gram)
     if args.mode == "semistable":
         verdict = semistability_verdict(E, args.node_cap)
         payload = {"status": verdict.status}
@@ -224,11 +215,8 @@ def _cmd_zeta(args) -> int:
         else:
             _emit(args, {"shells": [[deg, mult] for deg, mult in shells]})
         return EXIT_OK
-    zp = zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap)
-    payload = {"s": zp.s, "l": zp.l, "cutoff": zp.cutoff,
-               "partial_sum": zp.partial_sum, "terms": zp.terms,
-               "tail_bound_estimate": zp.tail_bound_estimate}
-    _emit(args, payload)
+    _emit(args, dataclasses.asdict(
+        zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap)))
     return EXIT_OK
 
 
@@ -240,15 +228,7 @@ def _cmd_mvt_verify(args) -> int:
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed, field=field)
     comparison = mvt_compare(args.n, args.l, radii, args.trials, spec,
                              threads=args.threads, node_cap=args.node_cap)
-    payload = {
-        "lhs": {"mean": comparison.lhs.mean,
-                "std_error": comparison.lhs.std_error,
-                "trials": comparison.lhs.trials,
-                "config": dict(comparison.lhs.config)},
-        "rhs": comparison.rhs,
-        "z_score": comparison.z_score,
-    }
-    _emit(args, payload)
+    _emit(args, dataclasses.asdict(comparison))
     z = comparison.z_score
     ok = math.isfinite(z) and abs(z) <= args.z_max
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -257,16 +237,16 @@ def _cmd_mvt_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     field = make_field(args.field)
     if args.kind == "thresholds":
-        report = thresholds(field, args.n, args.l, args.eps)
-        _emit(args, _bound_report_payload(report))
+        _emit(args, dataclasses.asdict(
+            thresholds(field, args.n, args.l, args.eps)))
         return EXIT_OK
     if args.det_degree is None:
         raise ValueError("--det-degree is required for --kind theorem")
-    E = (_load_bundle(args) if args.gram
+    E = (load_gram_file(args.gram) if args.gram
          else trivial_bundle(field, args.rank))
     report = main_inequality(E, args.n, args.det_degree,
                              {"cutoff": args.cutoff, "node_cap": args.node_cap})
-    _emit(args, _bound_report_payload(report))
+    _emit(args, dataclasses.asdict(report))
     if report.values["tail_uncertain"]:
         return EXIT_INDETERMINATE
     return (EXIT_OK if report.verdict.startswith("existence guaranteed")
@@ -274,7 +254,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    E = _load_bundle(args)
+    E = load_gram_file(args.gram)
     density = packing_density(E, node_cap=args.node_cap)
     bound = mh_bound(E.rank) if E.rank >= 2 else 1.0
     verdict = ("meets the guaranteed existence bound" if density >= bound
@@ -289,7 +269,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_search(args) -> int:
     field = make_field(args.field)
-    E = (_load_bundle(args) if args.gram
+    E = (load_gram_file(args.gram) if args.gram
          else trivial_bundle(field, args.rank))
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed,
                              field=E.field)
@@ -298,9 +278,7 @@ def _cmd_search(args) -> int:
                                            args.rate_trials, spec,
                                            node_cap=args.node_cap,
                                            allow_large=args.allow_large)
-        _emit(args, {"mean": estimate.mean, "std_error": estimate.std_error,
-                     "trials": estimate.trials,
-                     "config": dict(estimate.config)})
+        _emit(args, dataclasses.asdict(estimate))
         return EXIT_OK
     outcome = find_section_free(E, args.n, args.slope, args.trials, spec,
                                 eps=args.eps, node_cap=args.node_cap,

@@ -22,7 +22,6 @@ __all__ = [
     "format_gram_file",
     "load_gram_file",
     "parse_gram_text",
-    "write_gram_file",
 ]
 
 _REAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)(/\d+)?$")
@@ -149,8 +148,3 @@ def format_gram_file(bundle: ArakelovBundle) -> str:
         out.extend(" ".join(_format_complex(a, b) for a, b in zip(ra, ri))
                    for ra, ri in zip(re_m, im_m))
     return "\n".join(out) + "\n"
-
-
-def write_gram_file(path, bundle: ArakelovBundle) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_gram_file(bundle))

@@ -22,7 +22,6 @@ steps, which restricts those entry points to norm-Euclidean fields.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -36,7 +35,6 @@ __all__ = [
     "hnf",
     "hnf_with_transform",
     "inverse",
-    "is_positive_definite",
     "kernel_rows",
     "ok_divmod",
     "ok_gcd",
@@ -151,10 +149,10 @@ def saturation_rows(rows, ncols: int) -> Matrix:
 class QSurd:
     """Element a + b sqrt(delta) of Q(sqrt(delta)), delta not a nonzero square.
 
-    - *, a zero test, float(), complex() and an exact order, which for
-    delta < 0 covers only the rational elements.  With int parts it is an
-    element of Z[sqrt(delta)], and // is the exact quotient there.  Plain
-    ints and Fractions mix in with b = 0.
+    - *, a zero test, float() and an exact order, which for delta < 0
+    covers only the rational elements.  With int parts it is an element of
+    Z[sqrt(delta)], and // is the exact quotient there.  Plain ints and
+    Fractions mix in with b = 0.
     """
 
     __slots__ = ("a", "b", "delta")
@@ -169,9 +167,6 @@ class QSurd:
         if self.b == 0:
             return float(self.a)
         return float(self.a) + float(self.b) * math.sqrt(self.delta)
-
-    def __complex__(self) -> complex:
-        return float(self.a) + float(self.b) * cmath.sqrt(self.delta)
 
     def _sign(self) -> int:
         """Exact sign of a + b sqrt(delta)."""
@@ -371,12 +366,6 @@ def _definite_det(A: list[list]):
             for p in (M[k][k] for k in range(n))):
         return None
     return M[n - 1][n - 1]
-
-
-def is_positive_definite(M: list[list]) -> bool:
-    """Sylvester's criterion for a symmetric matrix of rationals or a
-    Hermitian matrix of QSurds, on M = c A with c > 0 (see _definite_det)."""
-    return _definite_det(_scaled(M)[0]) is not None
 
 
 def rat_det(rows) -> Fraction:

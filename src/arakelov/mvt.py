@@ -79,7 +79,10 @@ def summarize_trials(results: list, config: dict) -> MonteCarloEstimate:
 def _check_shape(n: int, l: int, radii) -> tuple[Fraction, ...]:
     if not 1 <= l < n:
         raise ValueError("tuple length must satisfy 1 <= l < n")
-    radii = tuple(Fraction(t) for t in radii)
+    try:
+        radii = tuple(Fraction(t) for t in radii)
+    except OverflowError:  # Fraction(inf); nan raises ValueError itself
+        raise ValueError("radii must be finite") from None
     if len(radii) != l:
         raise ValueError(f"expected {l} radii, got {len(radii)}")
     if any(t <= 0 for t in radii):

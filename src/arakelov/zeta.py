@@ -385,8 +385,10 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
     Divergence guard: terms are bucketed into unit-width degree shells; if
     the last three shell sums grow strictly, the series at this s shows no
     decay and ZetaDivergenceError is raised instead of returning a number.
-    A term or a sum that is not a finite float raises ValueError.
+    An s, a term or a sum that is not a finite float raises ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     _, pairs = _subbundle_rows(E, l, -T, node_cap)
     shells: dict[int, float] = {}
     total = []

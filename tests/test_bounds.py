@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from arakelov import bounds
 from arakelov.bounds import (
     main_inequality,
     mh_bound,
@@ -99,6 +100,19 @@ def test_main_inequality_verdicts():
     assert auto.verdict == "not guaranteed"
 
 
+@pytest.mark.parametrize("det_degree", [math.nan, -math.inf])
+def test_main_inequality_refuses_a_non_finite_det_degree(monkeypatch,
+                                                         det_degree):
+    # a nan value is not >= 1 and exp(-inf) is 0.0: either would read as
+    # "existence guaranteed"; the refusal comes before any enumeration
+    def never(*args, **kwargs):
+        raise AssertionError("zeta_partial ran")
+
+    monkeypatch.setattr(bounds, "zeta_partial", never)
+    with pytest.raises(ValueError, match="det_degree must be finite"):
+        main_inequality(trivial_bundle(Q, 1), 4, det_degree, {"cutoff": 2.0})
+
+
 def test_main_inequality_terms_per_subbundle_rank():
     E = trivial_bundle(Q, 2)
     report = main_inequality(E, 6, -1.0, zeta_params={"cutoff": 3.0})
@@ -152,6 +166,13 @@ def test_threshold_eps_shifts_converse_only():
     assert shifted.values["corollary"] == base.values["corollary"]
     assert shifted.values["converse"] - base.values["converse"] == \
         pytest.approx(0.05, abs=1e-12)  # d eps / 2 at d = 1
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_thresholds_refuse_a_non_finite_eps(eps):
+    # a nan converse threshold would never block a search
+    with pytest.raises(ValueError, match="eps must be finite"):
+        thresholds(Q, 5, 1, eps)
 
 
 def test_packing_density():

@@ -153,11 +153,13 @@ def test_zeta_partial(capsys, identity2):
     assert doc["report"]["partial_sum"] == pytest.approx(2.25, abs=1e-9)
     assert doc["report"]["terms"] == 4
     assert doc["run_config"]["node_cap"] == DEFAULT_NODE_CAP
+    validate(doc, "zeta_partial.schema.json")
     code, doc = run_json(capsys, "--node-cap", "1000", "zeta", "--gram",
                          identity2, "--l", "1", "--s", "6",
                          "--cutoff", str(math.log(2.0)))
     assert code == 0
     assert doc["run_config"]["node_cap"] == 1000
+    validate(doc, "zeta_partial.schema.json")
 
 
 def test_zeta_shells_csv(capsys, identity2):
@@ -256,6 +258,25 @@ def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
     assert doc["report"]["values"]["value"] < 1.0
     assert doc["report"]["verdict"] == "indeterminate (tail uncertain)"
     validate(doc, "bound_report.schema.json")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("bounds", "--kind", "theorem", "--field", "Q", "--rank", "1", "--n",
+      "4", "--det-degree", "nan", "--cutoff", "2"), "det_degree must be"),
+    (("bounds", "--kind", "theorem", "--field", "Q", "--rank", "1", "--n",
+      "4", "--det-degree=-inf", "--cutoff", "2"), "det_degree must be"),
+    (("zeta", "--gram", "GRAM", "--s", "nan", "--cutoff", "1"),
+     "s must be finite"),
+    (("search", "--n", "5", "--slope", "0.5", "--eps", "nan", "--trials",
+      "24"), "eps must be finite"),
+])
+def test_non_finite_inputs_are_usage_errors(capsys, identity2, argv, named):
+    # a nan det_degree would print "existence guaranteed", and a nan eps
+    # would let the search run to exhaustion
+    argv = [identity2 if a == "GRAM" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
 
 
 def test_bounds_theorem_omitted_full_rank_term(capsys, tmp_path):

@@ -11,7 +11,6 @@ from arakelov.gramfile import (
     format_gram_file,
     load_gram_file,
     parse_gram_text,
-    write_gram_file,
 )
 from arakelov.intlinalg import QSurd
 from arakelov.numberfield import make_field
@@ -132,7 +131,7 @@ def test_round_trip_gaussian_rational_hermitian(descriptor):
 def test_file_round_trip(tmp_path):
     E = make_bundle(make_field("Q"), random_pd_fraction_gram(random.Random(3), 3))
     path = tmp_path / "bundle.gram"
-    write_gram_file(path, E)
+    path.write_text(format_gram_file(E), encoding="utf-8")
     F = load_gram_file(path)
     assert F.gram_real == E.gram_real
 

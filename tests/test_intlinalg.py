@@ -12,11 +12,12 @@ from arakelov.errors import InvalidMetricError, UnsupportedFieldError
 from arakelov.intlinalg import (
     NORM_EUCLIDEAN_D,
     QSurd,
+    _definite_det,
+    _scaled,
     det,
     hnf,
     hnf_with_transform,
     inverse,
-    is_positive_definite,
     kernel_rows,
     ok_gcd,
     ok_kernel_rows,
@@ -222,7 +223,8 @@ def test_euclidean_gcd(descriptor):
         assert not K.is_zero(g)
         for z in (x, y):
             if not K.is_zero(z):
-                assert K.is_integral(K.divide(z, g))
+                q = K.divide(z, g)
+                assert q.a.denominator == q.b.denominator == 1
         # the norm of a common divisor divides both element norms
         ng = abs(K.norm(g))
         for z in (x, y):
@@ -322,6 +324,12 @@ def inverse_or_none(M):
         return None
 
 
+def definite(M):
+    """Sylvester's verdict as make_bundle reaches it: _definite_det on the
+    primitive integer A of M = c A."""
+    return _definite_det(_scaled(M)[0]) is not None
+
+
 def assert_matches_reference(M):
     """rank and, for a square M, det, inverse and (when M is symmetric or
     Hermitian) the Sylvester verdict agree with the Fraction elimination."""
@@ -334,7 +342,7 @@ def assert_matches_reference(M):
         parts_matrix(inverse_reference(M))
     if all(parts(M[i][j]) == adjoint(M[j][i])
            for i in range(n) for j in range(n)):
-        assert is_positive_definite(M) == positive_definite_reference(M)
+        assert definite(M) == positive_definite_reference(M)
 
 
 def adjoint(x):
@@ -367,7 +375,7 @@ def test_bareiss_matches_reference_on_float_read_grams():
         dens.append(max(Fraction(x).denominator for row in g for x in row))
         M = [list(row) for row in g]
         assert_matches_reference(M)
-        assert is_positive_definite(M)
+        assert definite(M)
         # rat_det reads floats exactly, as the reference does
         assert rat_det(g) == det_reference(g)
     assert sum(d > 2 ** 64 for d in dens) >= len(dens) // 2
@@ -381,7 +389,7 @@ def test_bareiss_matches_reference_on_hermitian_grams(descriptor):
         H = [[QSurd(a, b, -1) for a, b in zip(ra, rb)]
              for ra, rb in zip(*g)]
         assert_matches_reference(H)
-        assert is_positive_definite(H)
+        assert definite(H)
         d = det(H)
         assert d.b == 0 and d.a > 0  # a Hermitian determinant is real
         assert d.a == det_reference(H).a
@@ -428,7 +436,7 @@ def test_bareiss_boundary_inputs():
             for delta in (None, -1):
                 M = psd_singular(rng, n, k, delta)
                 assert_matches_reference(M)
-                assert not is_positive_definite(M)
+                assert not definite(M)
                 assert parts(det(M)) in (0, (0, 0))
                 assert rank(M, n) < n
     # indefinite: V D V^T with one negative entry in D
@@ -440,7 +448,7 @@ def test_bareiss_boundary_inputs():
         M = [[Fraction(sum(V[i][t] * D[t] * V[j][t] for t in range(n)), 4)
               for j in range(n)] for i in range(n)]
         assert_matches_reference(M)
-        assert not is_positive_definite(M)
+        assert not definite(M)
     # rectangular, with dependent rows, over Q, Q(sqrt 5) and Q(sqrt -3)
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)

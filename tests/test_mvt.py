@@ -48,6 +48,9 @@ def test_shape_validation():
         mvt_rhs(Q, 3, 2, [1])  # one radius per tuple slot
     with pytest.raises(ValueError):
         mvt_rhs(Q, 3, 1, [0])
+    for t in (math.inf, -math.inf, math.nan):  # Fraction(inf) overflows
+        with pytest.raises(ValueError):
+            mvt_rhs(Q, 3, 1, [t])
 
 
 def brute_count(gram, p, n, l, radii):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from arakelov.errors import InvalidDescriptorError
 from arakelov.numberfield import (
@@ -33,6 +34,8 @@ def test_allowlist_enforced():
         with pytest.raises(InvalidDescriptorError):
             make_field(f"Q(sqrt{{{D}}})")
     for D in IMAGINARY_CLASS_NUMBER_ONE + REAL_CLASS_NUMBER_ONE:
+        # squarefree, so the allowlist alone refuses D = 4 and D = 8
+        assert all(e == 1 for e in sympy.factorint(abs(D)).values())
         make_field(f"Q(sqrt{{{D}}})")
     with pytest.raises(InvalidDescriptorError):
         make_field("Q(sqrt{4})")  # not squarefree
@@ -86,7 +89,7 @@ def test_fundamental_units_against_table():
         expected = float(x) + float(y) * math.sqrt(D)
         assert abs(K.embed(eps, 0) - expected) < 1e-9, (D, eps)
         assert abs(K.norm(eps)) == 1
-        assert K.is_integral(eps)
+        assert eps.a.denominator == eps.b.denominator == 1
     with pytest.raises(ValueError):
         make_field("Q(sqrt{-1})").fundamental_unit()
 

@@ -560,6 +560,13 @@ def test_zeta_partial_outside_the_float_range():
     assert zp.terms == 4 and zp.partial_sum < math.inf
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_zeta_partial_refuses_a_non_finite_s(s):
+    # inf * 0 is nan on the degree-0 lines of O^2
+    with pytest.raises(ValueError, match="s must be finite"):
+        zeta_partial(trivial_bundle(Q, 2), 1, s, 1.0)
+
+
 def test_rank_one_zeta_is_single_term():
     E = make_bundle(Q, [[4]])
     zp = zeta_partial(E, 1, 2.0, 1.0)
