@@ -15,10 +15,9 @@ from functools import lru_cache
 
 from .bundle import ArakelovBundle
 from .errors import EnumerationCapError, UnsupportedFieldError
-from .lattice import DEFAULT_NODE_CAP, shortest_vector
+from .lattice import DEFAULT_NODE_CAP, MAX_EXPONENT, shortest_vector
 from .numberfield import NumberField, ball_volume
-from .zeta import (MAX_EXPONENT, ZetaPartial, check_subbundle_scope,
-                   zeta_partial)
+from .zeta import ZetaPartial, check_subbundle_scope, zeta_partial
 
 __all__ = [
     "BoundReport",
@@ -92,26 +91,20 @@ def _zeta_term(E: ArakelovBundle, l: int, s: float, cutoff: float | None,
     """Partial zeta sum plus a flag telling whether the fitted tail stayed
     below the relative tolerance; with no explicit cutoff the window grows
     until it does or the growth budget runs out."""
-    if cutoff is not None:
-        zp = zeta_partial(E, l, s, cutoff, node_cap)
-        ok = zp.tail_bound_estimate <= TAIL_RELATIVE_TOLERANCE * zp.partial_sum
-        return zp, ok
     # Work grows like exp(d rank T), so widen in unit steps and settle for
     # a flagged result once the enumeration budget pushes back.
-    T, zp, ok = 4.0, None, False
-    for _ in range(10):
+    windows = [cutoff] if cutoff is not None else [4.0 + k for k in range(10)]
+    zp = None
+    for T in windows:
         try:
-            cand = zeta_partial(E, l, s, T, node_cap)
+            zp = zeta_partial(E, l, s, T, node_cap)
         except EnumerationCapError:
             if zp is None:
                 raise
             break
-        zp = cand
-        ok = zp.tail_bound_estimate <= TAIL_RELATIVE_TOLERANCE * zp.partial_sum
-        if ok:
-            break
-        T += 1.0
-    return zp, ok
+        if zp.tail_bound_estimate <= TAIL_RELATIVE_TOLERANCE * zp.partial_sum:
+            return zp, True
+    return zp, False
 
 
 def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
@@ -178,11 +171,11 @@ def thresholds(field: NumberField, n: int, l: int = 1,
 
     Below the corollary threshold they exist; at the converse threshold and
     above they do not (for n large enough); the two differ by exactly
-    d log 2 at eps = 0, independent of n and l.  A non-finite eps raises
-    ValueError.
+    d log 2 at eps = 0, independent of n and l.  An eps that is negative
+    (the converse below the corollary) or not finite raises ValueError.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and at least 0, got {eps}")
     if n < 2:
         raise ValueError("n must be at least 2")
     if l < 1:

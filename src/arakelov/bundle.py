@@ -131,12 +131,6 @@ class ArakelovBundle:
                                  list(self.gram_complex))
         self.__dict__.update(_content=content, _dets=dets)
 
-    def degree(self) -> float:
-        return degree(self)
-
-    def slope(self) -> float:
-        return slope(self)
-
     def __getattr__(self, name):
         """The Gram fields of a bundle that _bundle built, read off its
         content form on first use; only reached when the instance holds no
@@ -269,16 +263,12 @@ def slope(bundle: ArakelovBundle) -> float:
     return degree(bundle) / bundle.rank
 
 
-def _check_same_field(a: ArakelovBundle, b: ArakelovBundle):
-    if a.field != b.field:
-        raise FieldMismatchError(
-            f"bundles live over {a.field.descriptor} and {b.field.descriptor}")
-
-
 def tensor(E: ArakelovBundle, F: ArakelovBundle) -> ArakelovBundle:
     """Tensor product: Kronecker product of the Grams at each place, which
     makes slope additive."""
-    _check_same_field(E, F)
+    if E.field != F.field:
+        raise FieldMismatchError(
+            f"bundles live over {E.field.descriptor} and {F.field.descriptor}")
     (cE, fE), (cF, fF) = E._content, F._content
     n, m = E.rank, F.rank
     forms = [_kron(a, b) for a, b in zip(fE, fF)]

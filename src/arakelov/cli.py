@@ -298,12 +298,17 @@ def _cmd_search(args) -> int:
 
 # ------------------------------------------------------------- arg parsing
 
-def _node_cap(text: str) -> int:
-    cap = int(text)
-    if cap <= 0:
-        raise argparse.ArgumentTypeError(
-            f"--node-cap must be positive, got {cap}")
-    return cap
+def _positive(kind, name: str):
+    """The argparse type of an option whose value, read by kind, must be
+    above 0 and finite; the same check reads a --config value."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it when kind refuses
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,10 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "key or a value outside the option's choices exits 2")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for stochastic runs")
-    parser.add_argument("--node-cap", type=_node_cap,
+    parser.add_argument("--node-cap", type=_positive(int, "--node-cap"),
                         default=DEFAULT_NODE_CAP,
                         help="enumeration node budget")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive(int, "--threads"),
+                        default=1,
                         help="worker processes for trial loops")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json",
@@ -363,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1", help="radii, comma-separated")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--p", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--z-max", type=float, default=3.0)
+    p.add_argument("--z-max", type=_positive(float, "--z-max"),
+                   default=3.0)
     p.set_defaults(func=_cmd_mvt_verify)
 
     p = sub.add_parser("bounds", help="thresholds and the averaged count")

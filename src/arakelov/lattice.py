@@ -12,25 +12,26 @@ Every search for short vectors in the library goes through one path,
 ReducedLattice: LLL once, then Fincke-Pohst enumeration on the reduced Gram
 at whatever radius the caller asks for, with each vector mapped back to the
 caller's coordinates, or, by its exact line filter, only the primitive ones,
-with their exact values.  The one exception is mvt._count_tuples, which
-calls enumerate_short_vectors on its Hecke Gram directly:
-hecke_integer_gram has already LLL-reduced it, and the counts need no map
-back.  Walks on one lattice run one after another, none inside another,
-and share its node counter.  DEFAULT_NODE_CAP is the one enumeration
-budget every module defaults to.
+with their exact values, which shortest_vector reads.  The one exception
+is mvt._count_tuples, which calls enumerate_short_vectors on its Hecke Gram
+directly: hecke_integer_gram has already LLL-reduced it, and the counts
+need no map back.  Walks on one lattice run one after another, none inside
+another, and share its node counter.  DEFAULT_NODE_CAP is the one
+enumeration budget every module defaults to.
 
 The Fincke-Pohst walk (Math. Comp. 44, 1985) is iterative: one loop over
 per-level arrays, with no generator frame per level.  A caller's node
 counter is raised by the walk's own nodes before each vector it yields and
-when the walk ends.
+when the walk ends.  as_float and MAX_EXPONENT, the largest x with exp(x)
+a finite float, mark the float range for every module.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from functools import partial
-from math import floor, gcd, isfinite, sqrt
-from operator import mul
+from math import floor, gcd, isfinite, log, sqrt
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidMetricError
@@ -53,6 +54,9 @@ DEFAULT_NODE_CAP = 100_000_000
 LLL_DELTA = Fraction(99, 100)
 
 OUT_OF_RANGE = "a Gram entry, scale or radius is outside the float range"
+
+# Largest x with exp(x) a finite float.
+MAX_EXPONENT = log(sys.float_info.max)
 
 
 def apply_transform(U: Sequence[Sequence[int]], gram: Sequence[Sequence]) -> list[list]:
@@ -347,11 +351,11 @@ def shortest_vector(gram: Sequence[Sequence],
                     node_cap: int = DEFAULT_NODE_CAP,
                     ) -> tuple[tuple[int, ...], Fraction]:
     """A shortest nonzero vector (coefficients in the given basis) and its
-    exact squared length, compared on the integer form A of gram = scale *
-    A, so the scale never passes through a float."""
+    exact squared length: the first of least value, a primitive one, that
+    the exact line filter yields on A, gram = scale * A, at the least value
+    of a reduced basis vector; the scale never passes through a float."""
     A, scale = _scaled(gram)
     lattice = ReducedLattice(A, node_cap)
-    value = partial(form_value, A)
-    best = tuple(min(lattice.U, key=value))
-    best = min(lattice.short_vectors(value(best)), key=value, default=best)
-    return best, value(best) * scale
+    least = min(row[i] for i, row in enumerate(lattice._R))
+    value, best = min(lattice.primitive_values(least), key=itemgetter(0))
+    return best, value * scale

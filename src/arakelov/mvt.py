@@ -173,6 +173,8 @@ def mvt_lhs_estimate(n: int, l: int, radii, trials: int,
         raise ValueError("spec rank disagrees with n")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    if threads < 1:
+        raise ValueError(f"need at least 1 thread, got {threads}")
 
     jobs = [(spec, l, radii, t, node_cap) for t in range(trials)]
     if threads > 1:

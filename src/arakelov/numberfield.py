@@ -134,9 +134,29 @@ class NumberField:
             return "split" if self.D % 8 == 1 else "inert"
         return "split" if sympy.legendre_symbol(disc, p) == 1 else "inert"
 
+    @lru_cache(maxsize=None, typed=True)
     def primes_above(self, p: int) -> tuple[dict, ...]:
-        """Primes above p as dicts with keys tag, e, f and (if split) root."""
-        return _primes_above(self, p)
+        """Primes above p as dicts with keys tag, e, f and (if split) root,
+        cached on (field, p); ValueError unless p is a prime int."""
+        if not sympy.isprime(p):
+            raise ValueError(f"{p} is not prime")
+        if self.is_rational():
+            return ({"tag": 0, "e": 1, "f": 1},)
+        kind = self.splitting(p)
+        if kind == "ramified":
+            return ({"tag": 0, "e": 2, "f": 1},)
+        if kind == "inert":
+            return ({"tag": 0, "e": 1, "f": 2},)
+        s, q = self.omega_minpoly()
+        if p == 2:
+            roots = [0, 1]  # t^2 - t + even splits as t(t-1) mod 2
+        else:
+            disc = (s * s - 4 * q) % p
+            r = sympy.ntheory.sqrt_mod(disc, p)
+            inv2 = pow(2, -1, p)
+            roots = sorted({(s + r) * inv2 % p, (s - r) * inv2 % p})
+        return tuple({"tag": i, "e": 1, "f": 1, "root": root}
+                     for i, root in enumerate(roots))
 
     # ------------------------------------------------------------------
     # elements
@@ -349,34 +369,6 @@ def make_field(descriptor: str) -> NumberField:
 # ----------------------------------------------------------------------
 # finite places
 # ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _primes_above_cached(descriptor: str, p: int) -> tuple[dict, ...]:
-    field = make_field(descriptor)
-    if field.is_rational():
-        return ({"tag": 0, "e": 1, "f": 1},)
-    kind = field.splitting(p)
-    if kind == "ramified":
-        return ({"tag": 0, "e": 2, "f": 1},)
-    if kind == "inert":
-        return ({"tag": 0, "e": 1, "f": 2},)
-    s, q = field.omega_minpoly()
-    if p == 2:
-        roots = [0, 1]  # t^2 - t + even splits as t(t-1) mod 2
-    else:
-        disc = (s * s - 4 * q) % p
-        r = sympy.ntheory.sqrt_mod(disc, p)
-        inv2 = pow(2, -1, p)
-        roots = sorted({(s + r) * inv2 % p, (s - r) * inv2 % p})
-    return tuple({"tag": i, "e": 1, "f": 1, "root": root}
-                 for i, root in enumerate(roots))
-
-
-def _primes_above(field: NumberField, p: int) -> tuple[dict, ...]:
-    if not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-    return _primes_above_cached(field.descriptor, p)
-
 
 def _lift_root(s: int, q: int, p: int, r0: int, K: int) -> int:
     """Hensel-lift a simple root of t^2 - s t + q from mod p to mod p**K."""

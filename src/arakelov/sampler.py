@@ -27,9 +27,8 @@ from .bundle import (ArakelovBundle, _restricted_bundle, degree, make_bundle,
                      scale, trivial_bundle)
 from .errors import InvalidCosetError, NoSplitPrimeError
 from .intlinalg import ok_gcd
-from .lattice import apply_transform, lll_transform
+from .lattice import MAX_EXPONENT, apply_transform, lll_transform
 from .numberfield import NumberField, QuadElement
-from .zeta import MAX_EXPONENT
 
 __all__ = [
     "DEFAULT_PRIME",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from numbers import Number
 from typing import Sequence
 
-from .bundle import ArakelovBundle, restrict_scalars
+from .bundle import ArakelovBundle, degree, restrict_scalars
 from .errors import EnumerationCapError
 from .intlinalg import QSurd
 from .lattice import DEFAULT_NODE_CAP, ReducedLattice
@@ -192,6 +192,6 @@ def minkowski_guarantee(E: ArakelovBundle) -> bool:
     field = E.field
     N = E.rank
     d = field.degree
-    lhs = E.degree() + math.log(adelic_ball_volume(field, N))
+    lhs = degree(E) + math.log(adelic_ball_volume(field, N))
     rhs = N * d * math.log(2.0) + 0.5 * N * math.log(field.discriminant)
     return lhs > rhs

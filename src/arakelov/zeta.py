@@ -25,8 +25,9 @@ pads it) and are tested, ordered and keyed exactly, on Python ints.  Over Q
 the walk's vectors are filtered in its reduced coordinates, by
 ReducedLattice.primitive_values, and only the kept ones are mapped back.
 
-A degree cap exp(-2 min_degree) is exact even where exp underflows, and its
-radius is then divided out exactly, so no cap rounds to 0.
+A degree cap exp(-2 min_degree) is exact even where exp underflows, so no
+cap rounds to 0, and its radius on an integer matrix is always the exact
+quotient of the cap by the scale (squared for planes), rounded once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .intlinalg import (
 # Bound here only for tools that patch rat_det under every name it is
 # imported by (perfbench/tracer.py); zeta computes no determinant.
 from .intlinalg import rat_det  # noqa: F401
-from .lattice import DEFAULT_NODE_CAP, ReducedLattice, as_float
+from .lattice import DEFAULT_NODE_CAP, MAX_EXPONENT, ReducedLattice, as_float
 
 __all__ = [
     "SemistabilityVerdict",
@@ -82,8 +83,6 @@ PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 # degree_shells groups degrees rounded to this many decimals.
 SHELL_DECIMALS = 9
 
-# Largest x with exp(x) a finite float.
-MAX_EXPONENT = math.log(sys.float_info.max)
 # Largest exponent of a degree cap: exp of it, padded by any factor below
 # e into a search radius, is still a finite float.
 MAX_CAP_EXPONENT = MAX_EXPONENT - 1.0
@@ -175,18 +174,17 @@ def _exp_cap(exponent: float) -> Fraction:
 
 def _cap_radius(form: PlaceForm, cap: Fraction, times: int) -> float:
     """The cap on values of form, or with times = 2 of its second compound,
-    as a radius on its integer matrix: cap over the scale `times` times.
-    The scale's parts must be floats; a cap below the normal floats is
-    divided exactly, and a radius below 1, where that matrix has no
-    nonzero value, is 0.0."""
-    radius = float(cap)
-    exact = radius < sys.float_info.min
-    for _ in range(times):  # a ValueError unless the scale's parts are floats
-        radius = form.gram_radius(radius)
-    if exact:
-        radius = cap / form.scale ** times
-        return as_float(radius) if radius >= 1 else 0.0
-    return radius
+    as a radius on its integer matrix: the exact quotient cap / scale^times,
+    rounded once, and 0.0 below 1, where that matrix has no nonzero value.
+
+    The scale's numerator and denominator must be floats, or ValueError.
+    Then every nonzero value of the form is at least 2^-1024, and of its
+    second compound 2^-2048, which is what makes _exp_cap's raising of a
+    cap to exp(MIN_CAP_EXPONENT) admit nothing more."""
+    for part in (form.scale.numerator, form.scale.denominator):
+        as_float(part)
+    radius = cap / form.scale ** times
+    return as_float(radius) if radius >= 1 else 0.0
 
 
 def _q_rows(form: PlaceForm, cap: Fraction, radius: float,
@@ -299,8 +297,7 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
         return view, [(deg_e + d, rows) for d, rows in lines]
     # a plane in rank 4 is a line P of Lambda^2 A, C[(i,j),(k,m)] = A_ik
     # A_jm - A_im A_jk, on the Pluecker quadric; its value c^2 C[P] is the
-    # plane's Gram determinant.  c^2 alone may have no float, so the radius
-    # divides it out one c at a time.
+    # plane's Gram determinant.
     form, cap = view.trace_form, _exp_cap(-2.0 * min_degree)
     A = form.A
     C = tuple(tuple(A[i][k] * A[j][m] - A[i][m] * A[j][k] for k, m in PAIRS)

@@ -168,9 +168,11 @@ def test_threshold_eps_shifts_converse_only():
         pytest.approx(0.05, abs=1e-12)  # d eps / 2 at d = 1
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -100.0,
+                                 -1e-12])
 def test_thresholds_refuse_a_non_finite_eps(eps):
-    # a nan converse threshold would never block a search
+    # a nan converse threshold would never block a search, and one below
+    # the corollary (eps < 0) would block findable slopes
     with pytest.raises(ValueError, match="eps must be finite"):
         thresholds(Q, 5, 1, eps)
 

@@ -269,14 +269,42 @@ def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
      "s must be finite"),
     (("search", "--n", "5", "--slope", "0.5", "--eps", "nan", "--trials",
       "24"), "eps must be finite"),
+    (("search", "--n", "5", "--slope", "-0.3", "--trials", "24",
+      "--eps=-100"), "eps must be finite and at least 0"),
+    (("bounds", "--n", "3", "--eps=-100"), "eps must be finite and at least 0"),
+    (("mvt-verify", "--n", "3", "--trials", "40", "--z-max", "nan"),
+     "--z-max must be positive and finite"),
+    (("mvt-verify", "--n", "3", "--trials", "40", "--z-max", "inf"),
+     "--z-max must be positive and finite"),
+    (("mvt-verify", "--n", "3", "--trials", "40", "--z-max=-1"),
+     "--z-max must be positive and finite"),
+    (("--threads", "0", "mvt-verify", "--n", "3", "--trials", "40"),
+     "--threads must be positive"),
+    (("--threads=-2", "mvt-verify", "--n", "3", "--trials", "40"),
+     "--threads must be positive"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, identity2, argv, named):
     # a nan det_degree would print "existence guaranteed", and a nan eps
-    # would let the search run to exhaustion
+    # would let the search run to exhaustion; a negative eps read a
+    # findable search as blocked by the converse, a nan --z-max failed
+    # every mean-value check and inf passed it, and a thread count below 1
+    # ran serially while run_config echoed it
     argv = [identity2 if a == "GRAM" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("key, value", [("z-max", "nan"), ("z_max", "-3"),
+                                        ("threads", "0")])
+def test_config_values_go_through_the_option_types(capsys, tmp_path, key,
+                                                   value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "mvt-verify",
+                             "--n", "3", "--trials", "40")
+    assert code == 2 and out == ""
+    assert "must be" in err
 
 
 def test_bounds_theorem_omitted_full_rank_term(capsys, tmp_path):

@@ -171,6 +171,9 @@ def test_estimate_validation():
         mvt_lhs_estimate(3, 1, [1], MIN_TRIALS - 1, spec)
     with pytest.raises(ValueError):
         mvt_lhs_estimate(4, 1, [1], 100, spec)
+    for threads in (0, -2):  # such counts ran serially
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            mvt_lhs_estimate(3, 1, [1], 40, spec, threads=threads)
     K = make_field("Q(sqrt{5})")
     qspec = RandomLatticeSpec(n=3, p=1009, seed=0, field=K)
     with pytest.raises(UnsupportedFieldError):

@@ -438,6 +438,37 @@ def test_caps_below_the_normal_floats():
                for r, p in zip(got, plain))
 
 
+def test_records_on_the_cap_survive_the_exact_radius():
+    # caps that are exactly a value: exp(log 2) = 2.0 on the lines of Z^2
+    # (e1, e2 of value 1, e1 +- e2 of value 2), exp(log 4) = 4.0 on the
+    # planes of the A4 root lattice (10 A2 planes of determinant 3, 15
+    # A1 x A1 planes of determinant 4)
+    lines = enumerate_subbundles(trivial_bundle(Q, 2), 1, -0.5 * math.log(2))
+    assert len(lines) == 4
+    assert sum(math.isclose(r.degree, -0.5 * math.log(2)) for r in lines) == 2
+    A4 = make_bundle(Q, [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
+                         [0, 0, 1, 2]])
+    planes = enumerate_subbundles(A4, 2, -0.5 * math.log(4))
+    assert len(planes) == 25
+    assert sum(math.isclose(r.degree, -0.5 * math.log(4))
+               for r in planes) == 15
+
+
+def test_a_scale_without_floats_is_refused():
+    # a content of 10^-1300 has no float; its values can fall below the
+    # raised cap exp(MIN_CAP_EXPONENT), so walking the radius of that cap
+    # would search a huge ball that should be empty: it is a ValueError
+    # before any enumeration, not a walk into the node cap; hyperplanes
+    # are lines of the dual, of content 10^1300, shifted by deg E
+    tiny = Fraction(1, 10 ** 1300)
+    for rank, l in ((2, 1), (3, 2), (4, 2)):
+        E = make_bundle(Q, [[tiny * (i == j) for j in range(rank)]
+                            for i in range(rank)])
+        shift = degree(E) if l == rank - 1 > 1 else 0.0
+        with pytest.raises(ValueError, match="outside the float range"):
+            enumerate_subbundles(E, l, 1500.0 + shift, node_cap=10 ** 5)
+
+
 def test_full_rank_record():
     E = trivial_bundle(Q, 3)
     (rec,) = enumerate_subbundles(E, 3, -0.5)
