@@ -21,14 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from .bundle import (ArakelovBundle, _restricted_bundle, degree, make_bundle,
                      scale, trivial_bundle)
 from .errors import InvalidCosetError, NoSplitPrimeError
 from .intlinalg import ok_gcd
 from .lattice import MAX_EXPONENT, apply_transform, lll_transform
-from .numberfield import NumberField, QuadElement
+from .numberfield import NumberField, QuadElement, _is_prime, _next_prime
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -56,7 +55,7 @@ class RandomLatticeSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("rank must be at least 2")
-        if not sympy.isprime(self.p):
+        if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
 
@@ -134,7 +133,7 @@ def _split_prime_generator(field: NumberField) -> tuple[int, QuadElement]:
                         field.sub(w, field.element(root)))
             if abs(field.norm(pi)) == q:
                 return q, pi
-        q = sympy.nextprime(q)
+        q = _next_prime(q)
     raise NoSplitPrimeError(
         f"no split prime generator below {SPLIT_PRIME_BOUND} "
         f"for {field.descriptor}")

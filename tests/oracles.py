@@ -72,6 +72,46 @@ FUNDAMENTAL_UNIT_XY = {
 }
 
 
+# composites that pass many Miller-Rabin rounds: each is a strong
+# pseudoprime to every prime base up to the one given (Jaeschke, Math. Comp.
+# 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+STRONG_PSEUDOPRIMES = {
+    3215031751: 7,
+    3825123056546413051: 23,
+    318665857834031151167461: 37,
+    3317044064679887385961981: 41,
+}
+
+# odd composites below 10^5 that pass the strong Lucas test with Selfridge's
+# parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                             25199, 40309, 58519, 75077, 97439)
+
+
+def prime_sieve(n: int) -> list[bool]:
+    """is_prime[k] for 0 <= k < n, by the sieve of Eratosthenes."""
+    is_prime = [k >= 2 for k in range(n)]
+    for k in range(2, math.isqrt(n - 1) + 1):
+        if is_prime[k]:
+            is_prime[k * k::k] = [False] * len(range(k * k, n, k))
+    return is_prime
+
+
+def primes_above_reference(field, p: int) -> tuple[dict, ...]:
+    """Primes above p read off the roots of t^2 - s t + q mod p, scanned one
+    residue at a time: one (double) root is ramified, none inert, two split."""
+    if field.is_rational():
+        return ({"tag": 0, "e": 1, "f": 1},)
+    s, q = field.omega_minpoly()
+    roots = [t for t in range(p) if (t * (t - s) + q) % p == 0]
+    if len(roots) == 1:
+        return ({"tag": 0, "e": 2, "f": 1},)
+    if not roots:
+        return ({"tag": 0, "e": 1, "f": 2},)
+    return tuple({"tag": i, "e": 1, "f": 1, "root": r}
+                 for i, r in enumerate(roots))
+
+
 def e8_gram() -> list[list[int]]:
     """Gram matrix of the E8 root lattice (determinant one, minimum two)."""
     edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]

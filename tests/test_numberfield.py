@@ -1,13 +1,25 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-import sympy
+
+import arakelov
 
 from arakelov.errors import InvalidDescriptorError
 from arakelov.numberfield import (
     IMAGINARY_CLASS_NUMBER_ONE,
     REAL_CLASS_NUMBER_ONE,
+    _is_prime,
+    _next_prime,
+    _prime_support,
+    _sqrt_mod,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     absolute_value,
     adelic_ball_volume,
     ball_volume,
@@ -15,7 +27,27 @@ from arakelov.numberfield import (
     make_field,
 )
 
-from tests.oracles import BALL_VOLUME_TABLE, FUNDAMENTAL_UNIT_XY
+from tests.oracles import (
+    BALL_VOLUME_TABLE,
+    FUNDAMENTAL_UNIT_XY,
+    STRONG_LUCAS_PSEUDOPRIMES,
+    STRONG_PSEUDOPRIMES,
+    prime_sieve,
+    primes_above_reference,
+)
+
+ALL_FIELDS = ("Q",) + tuple(f"Q(sqrt{{{D}}})" for D in
+                            IMAGINARY_CLASS_NUMBER_ONE + REAL_CLASS_NUMBER_ONE)
+
+# is_prime's corpus beyond the sieve: Carmichael numbers, the strong
+# pseudoprimes, two Mersenne primes above the Miller-Rabin range, and
+# composites there
+PRIME_CORPUS = {
+    561: False, 41041: False,
+    **{n: False for n in STRONG_PSEUDOPRIMES},
+    2 ** 89 - 1: True, 2 ** 127 - 1: True,
+    (2 ** 61 - 1) * (2 ** 89 - 1): False, (2 ** 89 - 1) ** 2: False,
+}
 
 
 def test_descriptor_parsing():
@@ -35,7 +67,7 @@ def test_allowlist_enforced():
             make_field(f"Q(sqrt{{{D}}})")
     for D in IMAGINARY_CLASS_NUMBER_ONE + REAL_CLASS_NUMBER_ONE:
         # squarefree, so the allowlist alone refuses D = 4 and D = 8
-        assert all(e == 1 for e in sympy.factorint(abs(D)).values())
+        assert all(D % (k * k) for k in range(2, math.isqrt(abs(D)) + 1))
         make_field(f"Q(sqrt{{{D}}})")
     with pytest.raises(InvalidDescriptorError):
         make_field("Q(sqrt{4})")  # not squarefree
@@ -105,6 +137,98 @@ def test_splitting_and_primes_above():
     assert K5.splitting(11) == "split"
     assert K5.splitting(2) == "inert"
     assert K5.splitting(5) == "ramified"
+
+
+def test_splitting_refuses_what_is_not_a_prime_int():
+    for desc in ("Q", "Q(sqrt{-1})", "Q(sqrt{5})"):
+        K = make_field(desc)
+        for bad in (0, 1, 4, 9, -3, 5.0, True):
+            with pytest.raises(ValueError):
+                K.splitting(bad)
+            with pytest.raises(ValueError):
+                K.primes_above(bad)
+
+
+def test_primes_above_match_a_root_scan():
+    primes = [p for p, prime in enumerate(prime_sieve(2000)) if prime]
+    for desc in ALL_FIELDS:
+        K = make_field(desc)
+        for p in primes:
+            assert K.primes_above(p) == primes_above_reference(K, p), (desc, p)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = prime_sieve(10 ** 5)
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if sieve[n]]
+    assert not any(_is_prime(n) for n in range(-5, 0))
+    assert [_next_prime(n) for n in range(-2, 10 ** 4)] == \
+        [next(p for p in range(n + 1, 10 ** 5) if sieve[p])
+         for n in range(-2, 10 ** 4)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    for n, base in STRONG_PSEUDOPRIMES.items():
+        # each passes every Miller-Rabin round up to its base
+        assert all(_strong_probable_prime(n, a)
+                   for a in range(2, base + 1) if _is_prime(a)), n
+    for n, prime in PRIME_CORPUS.items():
+        assert _is_prime(n) is prime, n
+    for bad in (True, False, 5.0, "5", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            _is_prime(bad)
+
+
+def test_strong_lucas_test_matches_the_pseudoprime_list():
+    # odd n with no prime factor below 43, the test's domain
+    sieve = prime_sieve(10 ** 5)
+    passed = [n for n in range(43, 10 ** 5, 2)
+              if all(n % p for p in range(3, 42, 2) if sieve[p])
+              and _strong_lucas_probable_prime(n)]
+    assert [n for n in passed if not sieve[n]] == list(STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    corpus = list(PRIME_CORPUS) + [rng.randrange(10 ** rng.randint(2, 40))
+                                   for _ in range(500)]
+    for n in corpus:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_sqrt_mod_matches_a_root_scan():
+    for p in range(3, 2000, 2):
+        if not _is_prime(p):
+            continue
+        roots = {}
+        for r in range(1, p):
+            roots.setdefault(r * r % p, set()).add(r)
+        for a, rs in roots.items():
+            assert _sqrt_mod(a, p) in rs, (a, p)
+            assert _sqrt_mod(a + 3 * p, p) in rs, (a, p)
+
+
+def test_prime_support_matches_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    corpus = [rng.randrange(1, 10 ** 24) for _ in range(40)]
+    corpus += [100000000003 * 999999999989, 1000003 ** 2 * 1000033 ** 3,
+               -2 ** 10 * 3 * 43 ** 2, 1]
+    for n in corpus:
+        assert _prime_support(n) == set(sympy.factorint(abs(n))), n
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    src = str(Path(arakelov.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, arakelov; "
+            "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_product_formula():
