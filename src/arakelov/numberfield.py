@@ -405,11 +405,17 @@ def _as_int(n) -> int:
     raise ValueError(f"{n} is not an integer")
 
 
+def _split_twos(m: int) -> tuple[int, int]:
+    """(s, d) with m = 2^s d and d odd, for m > 0."""
+    s = (m & -m).bit_length() - 1
+    return s, m >> s
+
+
 def _strong_probable_prime(n: int, a: int) -> bool:
     """Miller-Rabin round: is the odd n > 2 a strong probable prime to
     base a?"""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    x = pow(a, (n - 1) >> s, n)
+    s, d = _split_twos(n - 1)
+    x = pow(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(s - 1):
@@ -451,8 +457,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     def half(x):
         return (x + n if x & 1 else x) // 2 % n
 
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    d = (n + 1) >> s
+    s, d = _split_twos(n + 1)
     # U_k, V_k and Q^k mod n, from k = 1 along the bits of d
     U, V, Qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
@@ -497,8 +502,7 @@ def _next_prime(n: int) -> int:
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of a modulo the odd prime p, for a quadratic residue a
     prime to p (Tonelli-Shanks)."""
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
+    s, q = _split_twos(p - 1)
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
