@@ -5,9 +5,11 @@ verdict, 1 negative verdict (|z| too large, search exhausted or blocked,
 existence not guaranteed), 2 usage errors including malformed Gram files,
 3 indeterminate results (enumeration budget hit, truncated reports, too
 many discarded trials).  Every report echoes its run configuration, with
-the global settings only where the subcommand reads them; all floats are
-serialized to 12 significant digits, and identical configurations produce
-identical bytes.
+the global settings only where the subcommand reads them, and identical
+configurations produce identical bytes.  Subcommands hand the library's
+values, its report dataclasses included, to ``_jsonable``, the one place a
+value becomes JSON: floats to 12 significant digits, Fractions as "p/q",
+field elements as "a+b*w", dataclasses by field.
 
 The argument parser is the one table of options and defaults.  A
 ``--config`` file of ``key = value`` lines supplies defaults: any long
@@ -30,14 +32,14 @@ from fractions import Fraction
 
 from . import __version__
 from .bundle import degree, determinant, slope, trivial_bundle
-from .bounds import (main_inequality, mh_bound, packing_density,
-                     riemann_zeta_int, thresholds)
+from .bounds import (BoundReport, main_inequality, mh_bound, packing_density,
+                     thresholds)
 from .errors import (ArakelovError, EnumerationCapError, GramFileError,
                      MonteCarloDiscardError, ZetaDivergenceError)
 from .gramfile import format_gram_file, load_gram_file
 from .lattice import DEFAULT_NODE_CAP
 from .mvt import mvt_compare
-from .numberfield import NumberField, make_field
+from .numberfield import QuadElement, make_field
 from .sampler import DEFAULT_PRIME, RandomLatticeSpec
 from .sections import (SectionReport, count_in_region, global_sections,
                        minkowski_guarantee)
@@ -51,9 +53,7 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-def _format_element(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
+def _format_element(x: QuadElement) -> str:
     a, b = x.a, x.b
     if b == 0:
         return str(a)
@@ -75,6 +75,11 @@ def _jsonable(obj):
         return _round12(obj)
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, QuadElement):
+        return _format_element(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,7 +87,7 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report) -> None:
     """Print the report together with the run's configuration."""
     document = _jsonable({"run_config": _run_config(args), "report": report})
     if args.format == "json":
@@ -128,14 +133,7 @@ def _run_config(args) -> dict:
 
 
 def _section_report_payload(report: SectionReport) -> dict:
-    return {
-        "nonzero_sections": [[_format_element(x) for x in vec]
-                             for vec in report.nonzero_sections],
-        "count": len(report.nonzero_sections),
-        "truncated": report.truncated,
-        "nodes_visited": report.nodes_visited,
-        "certificate": report.certificate,
-    }
+    return {**_jsonable(report), "count": len(report.nonzero_sections)}
 
 
 def _parse_radii(text: str) -> list[Fraction]:
@@ -152,12 +150,11 @@ def _cmd_field_info(args) -> int:
         "real_places": field.real_places,
         "complex_places": field.complex_places,
         "discriminant": field.discriminant,
-        "integral_basis": [_format_element(field.coerce(x))
-                           for x in field.integral_basis()],
+        "integral_basis": field.integral_basis(),
         "torsion_units": len(field.torsion_units()),
     }
     if field.real_places == 2:
-        payload["fundamental_unit"] = _format_element(field.fundamental_unit())
+        payload["fundamental_unit"] = field.fundamental_unit()
     _emit(args, payload)
     return EXIT_OK
 
@@ -195,12 +192,7 @@ def _cmd_zeta(args) -> int:
         verdict = semistability_verdict(E, args.node_cap)
         payload = {"status": verdict.status}
         if verdict.witness is not None:
-            payload["witness"] = {
-                "rank": verdict.witness.rank,
-                "degree": verdict.witness.degree,
-                "basis": [[_format_element(x) for x in vec]
-                          for vec in verdict.witness.basis],
-            }
+            payload["witness"] = verdict.witness
         _emit(args, payload)
         return (EXIT_INDETERMINATE if verdict.status == "inconclusive"
                 else EXIT_OK)
@@ -215,8 +207,7 @@ def _cmd_zeta(args) -> int:
         else:
             _emit(args, {"shells": [[deg, mult] for deg, mult in shells]})
         return EXIT_OK
-    _emit(args, dataclasses.asdict(
-        zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap)))
+    _emit(args, zeta_partial(E, args.l, args.s, args.cutoff, args.node_cap))
     return EXIT_OK
 
 
@@ -228,7 +219,7 @@ def _cmd_mvt_verify(args) -> int:
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed, field=field)
     comparison = mvt_compare(args.n, args.l, radii, args.trials, spec,
                              threads=args.threads, node_cap=args.node_cap)
-    _emit(args, dataclasses.asdict(comparison))
+    _emit(args, comparison)
     z = comparison.z_score
     ok = math.isfinite(z) and abs(z) <= args.z_max
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -237,8 +228,7 @@ def _cmd_mvt_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     field = make_field(args.field)
     if args.kind == "thresholds":
-        _emit(args, dataclasses.asdict(
-            thresholds(field, args.n, args.l, args.eps)))
+        _emit(args, thresholds(field, args.n, args.l, args.eps))
         return EXIT_OK
     if args.det_degree is None:
         raise ValueError("--det-degree is required for --kind theorem")
@@ -246,7 +236,7 @@ def _cmd_bounds(args) -> int:
          else trivial_bundle(field, args.rank))
     report = main_inequality(E, args.n, args.det_degree,
                              {"cutoff": args.cutoff, "node_cap": args.node_cap})
-    _emit(args, dataclasses.asdict(report))
+    _emit(args, report)
     if report.values["tail_uncertain"]:
         return EXIT_INDETERMINATE
     return (EXIT_OK if report.verdict.startswith("existence guaranteed")
@@ -259,11 +249,10 @@ def _cmd_density(args) -> int:
     bound = mh_bound(E.rank) if E.rank >= 2 else 1.0
     verdict = ("meets the guaranteed existence bound" if density >= bound
                else "below the guaranteed existence bound")
-    payload = {"kind": "density",
-               "inputs": {"gram": args.gram, "rank": E.rank},
-               "values": {"density": density, "mh_bound": bound},
-               "verdict": verdict}
-    _emit(args, payload)
+    _emit(args, BoundReport(kind="density",
+                            inputs={"gram": args.gram, "rank": E.rank},
+                            values={"density": density, "mh_bound": bound},
+                            verdict=verdict))
     return EXIT_OK
 
 
@@ -278,7 +267,7 @@ def _cmd_search(args) -> int:
                                            args.rate_trials, spec,
                                            node_cap=args.node_cap,
                                            allow_large=args.allow_large)
-        _emit(args, dataclasses.asdict(estimate))
+        _emit(args, estimate)
         return EXIT_OK
     outcome = find_section_free(E, args.n, args.slope, args.trials, spec,
                                 eps=args.eps, node_cap=args.node_cap,

@@ -2,10 +2,14 @@
 
 Layout: line 1 holds the field descriptor, line 2 the rank, then one matrix
 block per infinite place (real places first), one matrix row per line,
-row-major.  Entries are decimals or rationals "p/q"; at complex places an
-entry may carry an imaginary part, written like "3/2+1/4i" or "-0.5i".
-Blank lines and lines starting with "#" are ignored.  Every parse problem
-raises GramFileError carrying the offending line number.
+row-major.  Every entry is built from one number, an unsigned decimal
+("2", "0.5", ".5", "5.") or rational "p/q": a real entry is a number with
+an optional sign, and at complex places an entry may also be "[a]+-[b]i",
+where the real part a and an imaginary coefficient b of 1 may be left out
+("i", "-0.5i", "1+i", "3/2+1/4i").  Nothing else is an entry: no
+exponents, underscores, mixed "1.5/2" or doubled signs.  Blank lines and
+lines starting with "#" are ignored.  Every parse problem raises
+GramFileError carrying the offending line number.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from .bundle import ArakelovBundle, make_bundle
 from .errors import ArakelovError, GramFileError
 from .intlinalg import QSurd
-from .numberfield import NumberField, make_field
+from .numberfield import make_field
 
 __all__ = [
     "format_gram_file",
@@ -24,42 +28,26 @@ __all__ = [
     "parse_gram_text",
 ]
 
-_REAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)(/\d+)?$")
+# An unsigned decimal or rational p/q: the one number of every entry.
+_NUMBER = r"(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)"
+_REAL_RE = re.compile(rf"[+-]?{_NUMBER}")
+# [a]+-[b]i, where the real part and an imaginary coefficient of 1 may be
+# left out: "i", "-0.5i", "1+i", "3/2+1/4i".
+_COMPLEX_RE = re.compile(
+    rf"(?:(?P<re>[+-]?{_NUMBER})(?=[+-]))?(?P<sign>[+-]?)(?P<im>{_NUMBER})?i")
 
 
-def _parse_real(token: str, lineno: int) -> Fraction:
-    if not _REAL_RE.match(token):
+def _parse_entry(token: str, lineno: int) -> QSurd | Fraction:
+    real = _REAL_RE.fullmatch(token)
+    parts = None if real else _COMPLEX_RE.fullmatch(token)
+    if not (real or parts):
         raise GramFileError(lineno, f"bad matrix entry {token!r}")
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise GramFileError(lineno, f"bad matrix entry {token!r}") from None
-
-
-def _parse_complex(token: str, lineno: int) -> QSurd | Fraction:
-    if not token.endswith("i"):
-        return _parse_real(token, lineno)
-    body = token[:-1]
-    # split off the imaginary coefficient: the last top-level + or -
-    cut = None
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/.eE":
-            cut = k
-            break
-    if cut is None:
-        re_part, im_part = "0", body or "1"
-    else:
-        re_part, im_part = body[:cut], body[cut:]
-    if im_part in ("", "+"):
-        im_part = "1"
-    elif im_part == "-":
-        im_part = "-1"
-    elif im_part.startswith("+"):
-        im_part = im_part[1:]
-    try:
-        re_val = Fraction(re_part)
-        im_val = Fraction(im_part)
-    except (ValueError, ZeroDivisionError):
+        if real:
+            return Fraction(token)
+        re_val = Fraction(parts["re"] or 0)
+        im_val = Fraction(parts["sign"] + (parts["im"] or "1"))
+    except ZeroDivisionError:
         raise GramFileError(lineno, f"bad matrix entry {token!r}") from None
     return QSurd(re_val, im_val, -1) if im_val else re_val
 
@@ -101,14 +89,9 @@ def parse_gram_text(text: str) -> ArakelovBundle:
             if len(tokens) != rank:
                 raise GramFileError(
                     lineno, f"expected {rank} entries, got {len(tokens)}")
-            if is_complex:
-                rows.append([_parse_complex(t, lineno) for t in tokens])
-            else:
-                for t in tokens:
-                    if t.endswith("i"):
-                        raise GramFileError(
-                            lineno, "complex entry at a real place")
-                rows.append([_parse_real(t, lineno) for t in tokens])
+            if not is_complex and any(t.endswith("i") for t in tokens):
+                raise GramFileError(lineno, "complex entry at a real place")
+            rows.append([_parse_entry(t, lineno) for t in tokens])
         mats.append(rows)
 
     if pos != len(content):
@@ -124,26 +107,18 @@ def load_gram_file(path) -> ArakelovBundle:
         return parse_gram_text(fh.read())
 
 
-def _format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _format_complex(re_val: Fraction, im_val: Fraction) -> str:
     if im_val == 0:
-        return _format_fraction(re_val)
-    im = _format_fraction(abs(im_val))
-    sign = "+" if im_val > 0 else "-"
+        return str(re_val)
     if re_val == 0:
-        return f"{'-' if im_val < 0 else ''}{im}i"
-    return f"{_format_fraction(re_val)}{sign}{im}i"
+        return f"{im_val}i"
+    return f"{re_val}{'+' if im_val > 0 else '-'}{abs(im_val)}i"
 
 
 def format_gram_file(bundle: ArakelovBundle) -> str:
     out = [bundle.field.descriptor, str(bundle.rank)]
     for g in bundle.gram_real:
-        out.extend(" ".join(_format_fraction(x) for x in row) for row in g)
+        out.extend(" ".join(str(x) for x in row) for row in g)
     for re_m, im_m in bundle.gram_complex:
         out.extend(" ".join(_format_complex(a, b) for a, b in zip(ra, ri))
                    for ra, ri in zip(re_m, im_m))

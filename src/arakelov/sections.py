@@ -9,11 +9,14 @@ float step, and sweeps only when no basis vector is a section.
 The search runs over the restriction of scalars: candidates come from a
 branch-and-bound sweep of the trace-form ellipsoid (norm caps t_v^2 summed
 with weight 2 at complex places), then an exact rational filter keeps the
-vectors inside the product of per-place balls.  The trace form and its
-reduction are exact (see ReducedLattice).  The sweep, padded only inside
-enumerate_short_vectors, is slightly generous near the boundary; the filter
-is exact, so boundary vectors are kept if and only if they truly satisfy
-the closed condition.
+vectors inside the product of per-place balls.  The sweep is lazy, one
+generator of hits: global_sections collects them, has_nonzero_section
+takes the first, and count_in_region counts them without storing any, so
+memory stays flat until the node cap ends a long walk.  The trace form
+and its reduction are exact (see ReducedLattice).  The sweep, padded only
+inside enumerate_short_vectors, is slightly generous near the boundary;
+the filter is exact, so boundary vectors are kept if and only if they
+truly satisfy the closed condition.
 """
 
 from __future__ import annotations
@@ -83,27 +86,20 @@ def _norm_caps(E: ArakelovBundle, radii) -> list[Fraction]:
     return caps
 
 
-def _scan(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int,
-          first: bool = False):
-    """Exact region scan: the view, the representatives found (one per
-    +-pair; with first set, at most one), whether the node cap cut the
-    sweep short, the nodes visited, and the trace-form envelope radius."""
+def _sweep(E: ArakelovBundle, caps: Sequence[Fraction], node_cap: int):
+    """Lazy exact region sweep: the view, the reduced lattice (whose
+    ``nodes`` counts the nodes visited so far), the trace-form envelope
+    radius, and a generator of the representatives found, one per +-pair,
+    which raises EnumerationCapError when the node cap cuts the walk."""
     view = restrict_scalars(E)
     weights = [1 if p.kind == "real" else 2
                for p in E.field.infinite_places()]
     envelope = math.fsum(w * float(c) for w, c in zip(weights, caps))
     radius = view.trace_form.gram_radius(envelope)
     lattice = ReducedLattice(view.trace_form.gram, node_cap)
-    reps, truncated = [], False
-    try:
-        for z in lattice.short_vectors(radius):
-            if view.values_leq(z, caps):
-                reps.append(z)
-                if first:
-                    break
-    except EnumerationCapError:
-        truncated = True
-    return view, reps, truncated, lattice.nodes, envelope
+    hits = (z for z in lattice.short_vectors(radius)
+            if view.values_leq(z, caps))
+    return view, lattice, envelope, hits
 
 
 def global_sections(E: ArakelovBundle,
@@ -114,11 +110,17 @@ def global_sections(E: ArakelovBundle,
     report is marked truncated rather than silently incomplete.
     """
     caps = [Fraction(1)] * len(E.field.infinite_places())
-    view, reps, truncated, nodes, envelope = _scan(E, caps, node_cap)
+    view, lattice, envelope, hits = _sweep(E, caps, node_cap)
+    reps, truncated = [], False
+    try:
+        for z in hits:
+            reps.append(z)
+    except EnumerationCapError:
+        truncated = True
     listed = tuple(view.coords_to_module(y) for z in sorted(reps)
                    for y in (z, tuple(-c for c in z)))
     return SectionReport(nonzero_sections=listed, truncated=truncated,
-                         nodes_visited=nodes, certificate=envelope)
+                         nodes_visited=lattice.nodes, certificate=envelope)
 
 
 def _basis_section(E: ArakelovBundle) -> bool:
@@ -145,14 +147,15 @@ def _empty_report(E: ArakelovBundle, node_cap: int) -> SectionReport | None:
     if _basis_section(E):
         return None
     caps = [Fraction(1)] * len(E.field.infinite_places())
-    _, reps, truncated, nodes, envelope = _scan(E, caps, node_cap, first=True)
-    if reps:
-        return None
-    if truncated:
+    _, lattice, envelope, hits = _sweep(E, caps, node_cap)
+    try:
+        if next(hits, None) is not None:
+            return None
+    except EnumerationCapError:
         raise EnumerationCapError(
             f"node cap {node_cap} hit before any section was found",
-            nodes=nodes)
-    return SectionReport((), False, nodes, envelope)
+            nodes=lattice.nodes) from None
+    return SectionReport((), False, lattice.nodes, envelope)
 
 
 def has_nonzero_section(E: ArakelovBundle,
@@ -173,12 +176,16 @@ def count_in_region(E: ArakelovBundle, radii,
     """Number of nonzero module vectors with ||e||_v <= t_v everywhere;
     radii is one scaling per infinite place, or a single common one."""
     caps = _norm_caps(E, radii)
-    _, reps, truncated, nodes, _ = _scan(E, caps, node_cap)
-    if truncated:
+    _, lattice, _, hits = _sweep(E, caps, node_cap)
+    found = 0
+    try:
+        for _ in hits:
+            found += 1
+    except EnumerationCapError:
         raise EnumerationCapError(
-            f"node cap {node_cap} hit after {2 * len(reps)} vectors",
-            nodes=nodes)
-    return 2 * len(reps)
+            f"node cap {node_cap} hit after {2 * found} vectors",
+            nodes=lattice.nodes) from None
+    return 2 * found
 
 
 def minkowski_guarantee(E: ArakelovBundle) -> bool:

@@ -194,6 +194,44 @@ def test_zeta_semistable(capsys, identity2, tmp_path):
     assert doc["report"]["status"] == "inconclusive"
 
 
+def test_field_elements_print_as_a_plus_b_w(capsys, tmp_path):
+    # the expected reports were printed before field elements and
+    # dataclasses reached text through one serializer; they pin it
+    eisenstein = tmp_path / "eisenstein.gram"
+    eisenstein.write_text("Q(sqrt{-3})\n1\n1\n")  # the six units
+    code, doc = run_json(capsys, "sections", "--gram", str(eisenstein))
+    assert code == 0
+    assert doc["report"] == {
+        "certificate": 2.0, "count": 6, "nodes_visited": 7,
+        "nonzero_sections": [["-1+w"], ["1-w"], ["w"], ["-w"], ["1"], ["-1"]],
+        "truncated": False}
+    validate(doc, "section_report.schema.json")
+    # U* diag(1/9, 9) U for U = [[1, 0], [w, 1]] over Z[w], w = sqrt(-1):
+    # the destabilizing line is spanned by U^-1 e1 = (1, -w) ~ (w, 1)
+    gaussian = tmp_path / "gaussian.gram"
+    gaussian.write_text("Q(sqrt{-1})\n2\n82/9 -9i\n9i 9\n")
+    code, doc = run_json(capsys, "zeta", "--gram", str(gaussian),
+                         "--mode", "semistable")
+    assert code == 0
+    assert doc["report"] == {
+        "status": "unstable",
+        "witness": {"basis": [["w", "1"]], "degree": 2.19722457734,
+                    "rank": 1}}
+    code, out, err = run_cli(capsys, "--format", "text", "zeta", "--gram",
+                             str(gaussian), "--mode", "semistable")
+    assert code == 0 and err == ""
+    assert [line for line in out.splitlines()
+            if line.startswith("report.")] == [
+        'report.status = "unstable"',
+        'report.witness.basis = [["w", "1"]]',
+        'report.witness.degree = 2.19722457734',
+        'report.witness.rank = 1']
+    code, doc = run_json(capsys, "field-info", "--field", "Q(sqrt{7})")
+    assert code == 0
+    assert doc["report"]["integral_basis"] == ["1", "w"]
+    assert doc["report"]["fundamental_unit"] == "8+3*w"
+
+
 def test_zeta_divergence_exit(capsys, identity2):
     code, out, err = run_cli(capsys, "zeta", "--gram", identity2,
                              "--s", "0.5", "--cutoff", "4")

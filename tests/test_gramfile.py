@@ -66,6 +66,28 @@ def test_parse_complex_token_shapes():
     re4, im4 = parse_gram_text(text4).gram_complex[0]
     assert re4[0][1] == Fraction(1, 3) and im4[0][1] == Fraction(1, 7)
     assert re4[1][0] == Fraction(1, 3) and im4[1][0] == Fraction(-1, 7)
+    # every shape of the one grammar, with its conjugate below it
+    for token, conjugate, value in [
+            ("i", "-i", (0, 1)),
+            ("-i", "i", (0, -1)),
+            ("1+i", "1-i", (1, 1)),
+            ("2i", "-2i", (0, 2)),
+            ("+2i", "-2i", (0, 2)),
+            (".5-.5i", ".5+.5i", (Fraction(1, 2), Fraction(-1, 2))),
+            ("3/2+1/4i", "3/2-1/4i", (Fraction(3, 2), Fraction(1, 4))),
+            ("5.+1.i", "5.-1.i", (5, 1))]:  # "5." is a number, as real
+        re_m, im_m = parse_gram_text(
+            f"Q(sqrt{{-1}})\n2\n9 {token}\n{conjugate} 9\n").gram_complex[0]
+        assert (re_m[0][1], im_m[0][1]) == value
+    # tokens outside it are refused, as "1e-3" is at a real place; each
+    # row pair would be a valid Gram if the token were read as a number
+    for token, conjugate in [("1e-3+2i", "1/1000-2i"), ("2e+5i", "-200000i"),
+                             ("1_0+1i", "10-i"), ("+-1i", "i"),
+                             ("1+-2i", "1+2i")]:
+        text = f"Q(sqrt{{-1}})\n2\n1000000 {token}\n{conjugate} 1000000\n"
+        with pytest.raises(GramFileError, match="bad matrix entry") as exc:
+            parse_gram_text(text)
+        assert exc.value.line == 3
 
 
 def test_two_place_field_needs_two_blocks():

@@ -413,7 +413,7 @@ def test_node_counter_after_early_break_and_nested_walks(monkeypatch):
     rng = random.Random(61)
     G = [[Fraction(x) for x in row] for row in e8_gram()]
     # a counter read after a break holds the nodes up to the vector taken,
-    # as _scan(first=True) reads it
+    # as _empty_report reads it after taking the first hit
     for stop in (1, 2, 17, 100):
         counts = []
         for fn in (enumerate_short_vectors, enumerate_short_vectors_reference):

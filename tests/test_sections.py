@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -110,6 +111,27 @@ def test_real_quadratic_unit_needs_wider_region():
         count_in_region(E, [1])  # needs one radius per place
     with pytest.raises(ValueError):
         count_in_region(E, -1)
+
+
+def test_count_in_region_stores_no_vectors():
+    # a radius far past every vector: the walk ends at the node cap, after
+    # some 10^5 hits; counting them keeps none, where a list of the hits
+    # held about 5 MB at this cap
+    Q = make_field("Q")
+    E = random_bundle(Q, 3, 0.0, RandomLatticeSpec(3, 100003, 0, Q),
+                      trial_rng(0, 0))
+    cap = 5 * 10 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError,
+                           match=f"node cap {cap} hit after 99994 vectors"
+                           ) as exc:
+            count_in_region(E, 1e100, node_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.nodes == cap + 1
+    assert peak < 2 ** 20
 
 
 def test_radius_beyond_float_range_is_refused():
