@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle import ArakelovBundle
-from .errors import EnumerationCapError, UnsupportedFieldError
+from .bundle import ArakelovBundle, degree
+from .errors import UnsupportedFieldError
 from .lattice import DEFAULT_NODE_CAP, MAX_EXPONENT, shortest_vector
 from .numberfield import NumberField, ball_volume
-from .zeta import ZetaPartial, check_subbundle_scope, zeta_partial
+from .zeta import (DEFAULT_CUTOFF, ZetaPartial, check_subbundle_scope,
+                   zeta_partial)
 
 __all__ = [
     "BoundReport",
@@ -28,8 +29,6 @@ __all__ = [
     "riemann_zeta_int",
     "thresholds",
 ]
-
-TAIL_RELATIVE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,14 @@ def quotient_volume(field: NumberField, N: int, mode: str = "exact") -> float:
 
 
 def _zeta_term(E: ArakelovBundle, l: int, s: float, cutoff: float | None,
-               node_cap: int) -> tuple[ZetaPartial, bool]:
-    """Partial zeta sum plus a flag telling whether the fitted tail stayed
-    below the relative tolerance; with no explicit cutoff the window grows
-    until it does or the growth budget runs out."""
-    # Work grows like exp(d rank T), so widen in unit steps and settle for
-    # a flagged result once the enumeration budget pushes back.
-    windows = [cutoff] if cutoff is not None else [4.0 + k for k in range(10)]
-    zp = None
-    for T in windows:
-        try:
-            zp = zeta_partial(E, l, s, T, node_cap)
-        except EnumerationCapError:
-            if zp is None:
-                raise
-            break
-        if zp.tail_bound_estimate <= TAIL_RELATIVE_TOLERANCE * zp.partial_sum:
-            return zp, True
-    return zp, False
+               node_cap: int) -> ZetaPartial:
+    """The rank-l partial sum in one window: the given cutoff, or with
+    none, DEFAULT_CUTOFF below full rank and, at full rank, the one exact
+    term read whole at T = max(DEFAULT_CUTOFF, -deg E)."""
+    if cutoff is None:
+        cutoff = (DEFAULT_CUTOFF if l < E.rank
+                  else max(DEFAULT_CUTOFF, -degree(E)))
+    return zeta_partial(E, l, s, cutoff, node_cap)
 
 
 def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
@@ -119,6 +108,9 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     in, which can only weaken (never wrongly assert) the guarantee.  A
     det_degree that is not finite, or whose exp(...) factor is not a finite
     float, raises ValueError before any enumeration.
+    Each zeta sum, at s = n > rank, is read in one window (_zeta_term).
+    A tail is uncertain when its bound is above 0, as every tail below
+    full rank is: there a value below one is no certificate.
     """
     if n <= E.rank:
         raise ValueError("twist rank must exceed the rank of E")
@@ -143,8 +135,8 @@ def main_inequality(E: ArakelovBundle, n: int, det_degree: float,
     terms = []
     tail_uncertain = False
     for l, exponent in enumerate(exponents, 1):
-        zp, ok = _zeta_term(E, l, float(n), cutoff, node_cap)
-        tail_uncertain = tail_uncertain or not ok
+        zp = _zeta_term(E, l, float(n), cutoff, node_cap)
+        tail_uncertain = tail_uncertain or zp.tail_bound > 0
         qv = quotient_volume(field, n * l,
                              "exact" if exact_q else "upper_bound")
         terms.append(math.exp(exponent) * qv * zp.partial_sum)

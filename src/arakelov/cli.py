@@ -44,8 +44,8 @@ from .sampler import DEFAULT_PRIME, RandomLatticeSpec
 from .sections import (SectionReport, count_in_region, global_sections,
                        minkowski_guarantee)
 from .search import CONVERSE_EPS, find_section_free, success_rate_experiment
-from .zeta import (degree_shells, enumerate_subbundles, semistability_verdict,
-                   zeta_partial)
+from .zeta import (DEFAULT_CUTOFF, degree_shells, enumerate_subbundles,
+                   semistability_verdict, zeta_partial)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -188,6 +188,8 @@ def _cmd_sections(args) -> int:
 
 def _cmd_zeta(args) -> int:
     E = load_gram_file(args.gram)
+    if args.s is None:  # run_config echoes the s that took effect
+        args.s = float(E.rank + 1)
     if args.mode == "semistable":
         verdict = semistability_verdict(E, args.node_cap)
         payload = {"status": verdict.status}
@@ -346,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("partial", "shells", "semistable"),
                    default="partial")
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--cutoff", type=float, default=4.0)
+    p.add_argument("--s", type=float, default=None,
+                   help="exponent (default rank + 1: every rank converges)")
+    p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("mvt-verify",
@@ -373,7 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=1,
                    help="rank of the trivial bundle when no Gram is given")
     p.add_argument("--det-degree", type=float, default=None)
-    p.add_argument("--cutoff", type=float, default=None)
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="theorem's window -T <= degree (default "
+                        f"{DEFAULT_CUTOFF:g} below full rank; the full-rank "
+                        "term is read whole)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("density", help="sphere packing density of a Gram file")

@@ -38,7 +38,8 @@ class EnumerationCapError(ArakelovError):
 
 
 class ZetaDivergenceError(ArakelovError):
-    """Degree-shell sums grow instead of decaying: the exponent is too small."""
+    """The zeta series diverges at this exponent: below full rank it
+    converges only for s > rank."""
 
 
 class InvalidCosetError(ArakelovError):

@@ -51,8 +51,9 @@ class SearchOutcome:
 def expected_section_count(E: ArakelovBundle, n: int, mu: float,
                            node_cap: int = DEFAULT_NODE_CAP) -> float:
     """Mean number of section classes of a random rank-n twist of E at
-    slope mu; a value below one lower-bounds the per-draw success chance
-    by one minus the value.  The count's determinant degree is n * mu."""
+    slope mu, determinant degree n * mu.  For a rank-1 E one minus it is a
+    floor on the per-draw success chance; for rank >= 2 it is a partial
+    sum, each rank below the full one read at zeta.DEFAULT_CUTOFF."""
     return main_inequality(E, n, n * mu,
                            {"node_cap": node_cap}).values["value"]
 

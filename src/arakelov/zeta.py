@@ -3,7 +3,8 @@ partial zeta sums, and a semistability verdict.
 
 Builders yield unsorted (degree, rows) pairs, rows integer vectors in
 restrict_scalars coordinates (over Q, module coordinates).  Records are
-built once, in enumerate_subbundles; zeta_partial and mu_max read degrees.
+built once, in enumerate_subbundles, the one consumer that lists and sorts
+the pairs; zeta_partial and mu_max read degrees as they stream by.
 
 Rank-1 subbundles correspond to primitive module vectors up to units; their
 degrees come from exact place values, so the min_degree filter is a rational
@@ -28,15 +29,20 @@ ReducedLattice.primitive_values, and only the kept ones are mapped back.
 A degree cap exp(-2 min_degree) is exact even where exp underflows, so no
 cap rounds to 0, and its radius on an integer matrix is always the exact
 quotient of the cap by the scale (squared for planes), rounded once.
+
+For 1 <= l < rank, rank-l subbundles of degree >= -T grow like exp(rank T)
+(Schmidt, Duke Math. J. 35, 1968; Thunder 1993 over number fields), so
+their zeta series converges if and only if s > rank.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bundle import (
     ArakelovBundle,
@@ -77,6 +83,10 @@ __all__ = [
     "zeta_partial",
 ]
 
+# The window -T <= degree that main_inequality reads each sum below full
+# rank in when no cutoff is given, and the CLI's zeta --cutoff default.
+DEFAULT_CUTOFF = 4.0
+
 # the coordinates (i, j), i < j, of Lambda^2 in rank 4, in _plucker's order
 PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
@@ -108,11 +118,10 @@ class SubbundleRecord:
 class ZetaPartial:
     """Partial sum of exp(s deg E') over subbundles with deg >= -cutoff.
 
-    ``tail_bound_estimate`` extrapolates the geometric decay of the last two
-    degree shells; it is informational and never added to partial_sum.
-    Below full rank, records filling fewer than two unit-width shells give
-    no decay to extrapolate, and the estimate is inf.  At full rank it is
-    exact: 0.0, or the one term exp(s deg E) when the cutoff leaves it out.
+    ``tail_bound`` bounds the omitted terms; it is never added to
+    partial_sum.  At full rank it is exact: 0.0, or the one term
+    exp(s deg E) when the cutoff leaves it out.  Below full rank no bound
+    is known here, and it is inf.
     """
 
     s: float
@@ -120,7 +129,7 @@ class ZetaPartial:
     cutoff: float
     partial_sum: float
     terms: int
-    tail_bound_estimate: float
+    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -188,22 +197,20 @@ def _cap_radius(form: PlaceForm, cap: Fraction, times: int) -> float:
 
 
 def _q_rows(form: PlaceForm, cap: Fraction, radius: float,
-            node_cap: int) -> list[tuple[float, tuple]]:
+            node_cap: int) -> Iterator[tuple[float, tuple]]:
     """The Q line filter: (-1/2 log form[z], (z,)) for each primitive z, one
     per +-z, in the ball of the given radius on form.A with form[z] <= cap.
     primitive_values tests primitivity and forms A[z] on the walk's
     reduced coordinates, so only kept z reach the caller's basis."""
     p, q = form.scale.numerator, form.scale.denominator
     top, bottom = cap.numerator * q, cap.denominator
-    kept = []
     for value, z in ReducedLattice(form.A, node_cap).primitive_values(radius):
         # the value of z is p A[z] / q, compared on ints
         a = p * value
         if a * bottom > top:
             continue
         g = math.gcd(a, q)  # the log's bits match log_fraction
-        kept.append((-0.5 * (math.log(a // g) - math.log(q // g)), (z,)))
-    return kept
+        yield -0.5 * (math.log(a // g) - math.log(q // g)), (z,)
 
 
 def _log_surd(x: QSurd) -> float:
@@ -218,7 +225,7 @@ def _log_surd(x: QSurd) -> float:
 
 
 def _line_rows(view: ZLatticeView, min_degree: float,
-               node_cap: int) -> list[tuple[float, tuple]]:
+               node_cap: int) -> Iterable[tuple[float, tuple]]:
     field = view.bundle.field
     form = view.trace_form
     if field.is_rational():
@@ -246,7 +253,7 @@ def _line_rows(view: ZLatticeView, min_degree: float,
             continue
         seen[key] = (-power * (log_fraction(value.a) if value.b == 0
                                else _log_surd(value)), (z,))
-    return list(seen.values())
+    return seen.values()
 
 
 def _plane_span(P: Sequence[int]) -> list[list[int]]:
@@ -272,9 +279,9 @@ def check_subbundle_scope(E: ArakelovBundle, l: int) -> None:
 
 
 def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
-                    node_cap: int) -> tuple[ZLatticeView, list]:
-    """restrict_scalars(E) and the unsorted (degree, rows) pairs of the
-    rank-l subbundles with degree >= min_degree, rows in its coordinates.
+                    node_cap: int) -> tuple[ZLatticeView, Iterable]:
+    """restrict_scalars(E) and an iterable of the unsorted (degree, rows)
+    pairs of rank-l subbundles of degree >= min_degree, rows in its basis.
     A hyperplane over Q comes as the row w of its dual line, and a plane
     in rank 4 as its Lambda^2 vector P; only enumerate_subbundles, which
     reads rows, maps them to w-perp and to the span of P."""
@@ -294,7 +301,7 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
         deg_e = bundle_degree(E)
         lines = _line_rows(restrict_scalars(dual(E)), min_degree - deg_e,
                            node_cap)
-        return view, [(deg_e + d, rows) for d, rows in lines]
+        return view, ((deg_e + d, rows) for d, rows in lines)
     # a plane in rank 4 is a line P of Lambda^2 A, C[(i,j),(k,m)] = A_ik
     # A_jm - A_im A_jk, on the Pluecker quadric; its value c^2 C[P] is the
     # plane's Gram determinant.
@@ -304,8 +311,8 @@ def _subbundle_rows(E: ArakelovBundle, l: int, min_degree: float,
               for i, j in PAIRS)
     lines = _q_rows(PlaceForm("real", C, None, form.scale ** 2, 0), cap,
                     _cap_radius(form, cap, 2), node_cap)
-    return view, [(d, (P,)) for d, (P,) in lines
-                  if P[0] * P[5] - P[1] * P[4] + P[2] * P[3] == 0]
+    return view, ((d, (P,)) for d, (P,) in lines
+                  if P[0] * P[5] - P[1] * P[4] + P[2] * P[3] == 0)
 
 
 def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
@@ -330,13 +337,13 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
         pairs = [(deg, saturation_rows(_plane_span(P), n))
                  for deg, (P,) in pairs]
     if not E.field.is_rational():
-        built = [(deg, tuple(map(view.coords_to_module, rows)))
-                 for deg, rows in pairs]
-        built.sort(key=lambda t: (-t[0], str(t[1])))
+        built = sorted(((deg, tuple(map(view.coords_to_module, rows)))
+                        for deg, rows in pairs),
+                       key=lambda t: (-t[0], str(t[1])))
         return [SubbundleRecord(l, deg, basis) for deg, basis in built]
     # over Q the rows are the tie key; each distinct coordinate becomes a
     # Fraction once, and the records share it
-    pairs.sort(key=lambda t: (-t[0], t[1]))
+    pairs = sorted(pairs, key=lambda t: (-t[0], t[1]))
     ints = tuple({x for _, rows in pairs for row in rows for x in row})
     module = dict(zip(ints, view.coords_to_module(ints))).__getitem__
     return [SubbundleRecord(l, deg, tuple(tuple(map(module, row))
@@ -353,8 +360,8 @@ def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,
     An empty result returns (-inf, False): the maximum sits below the floor.
     """
     _, pairs = _subbundle_rows(E, l, min_degree_floor, node_cap)
-    return ((max(deg for deg, _ in pairs) / l, True) if pairs
-            else (-math.inf, False))
+    top = max((deg for deg, _ in pairs), default=None)
+    return (top / l, True) if top is not None else (-math.inf, False)
 
 
 def degree_shells(records: Sequence[SubbundleRecord],
@@ -379,43 +386,34 @@ def zeta_partial(E: ArakelovBundle, l: int, s: float, T: float,
                  node_cap: int = DEFAULT_NODE_CAP) -> ZetaPartial:
     """Sum exp(s deg E') over saturated rank-l subbundles with deg >= -T.
 
-    Divergence guard: terms are bucketed into unit-width degree shells; if
-    the last three shell sums grow strictly, the series at this s shows no
-    decay and ZetaDivergenceError is raised instead of returning a number.
-    An s, a term or a sum that is not a finite float raises ValueError.
+    An s that is not finite raises ValueError; then, for 1 <= l < rank, an
+    s <= rank, where the series diverges, raises ZetaDivergenceError before
+    any enumeration.  The terms stream into math.fsum, exactly rounded in
+    any order; a term or a sum that is not a finite float raises ValueError.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    _, pairs = _subbundle_rows(E, l, -T, node_cap)
-    shells: dict[int, float] = {}
-    total = []
-    for deg in sorted((deg for deg, _ in pairs), reverse=True):
-        term = _term(s, deg)
-        total.append(term)
-        shells[math.floor(-deg)] = shells.get(math.floor(-deg), 0.0) + term
-    ordered = [shells[k] for k in sorted(shells)]
-    if len(ordered) >= 3 and ordered[-3] < ordered[-2] < ordered[-1]:
+    if 1 <= l < E.rank and s <= E.rank:
         raise ZetaDivergenceError(
-            f"shell sums keep growing at s={s}: "
-            f"{ordered[-3]:.3g} < {ordered[-2]:.3g} < {ordered[-1]:.3g}")
-    if len(ordered) >= 2 and ordered[-1] > 0:
-        ratio = ordered[-1] / ordered[-2]
-        tail = (ordered[-1] * ratio / (1.0 - ratio) if ratio < 1.0
-                else math.inf)
-    elif l == E.rank:
-        # the one term: exact, and omitted only below the cutoff
-        tail = 0.0 if total else _term(s, bundle_degree(E))
-    else:
-        # one shell shows no decay
-        tail = 0.0 if len(ordered) >= 2 else math.inf
+            f"the sum over rank-{l} subbundles diverges at s = {s:g}: below "
+            f"full rank it converges only for s > rank = {E.rank}")
+    _, pairs = _subbundle_rows(E, l, -T, node_cap)
+    # zip stops on pairs before it draws from counter: next(counter) counts
+    counter = itertools.count()
     try:
-        partial_sum = math.fsum(total)
+        partial_sum = math.fsum(_term(s, deg)
+                                for (deg, _), _ in zip(pairs, counter))
     except OverflowError:
         raise ValueError(f"the partial sum at s = {s:g} is not a finite "
                          f"float") from None
-    return ZetaPartial(s=s, l=l, cutoff=T,
-                       partial_sum=partial_sum, terms=len(total),
-                       tail_bound_estimate=tail)
+    terms = next(counter)
+    if l < E.rank:
+        tail = math.inf
+    else:
+        # the one term: exact, and omitted only below the cutoff
+        tail = 0.0 if terms else _term(s, bundle_degree(E))
+    return ZetaPartial(s=s, l=l, cutoff=T, partial_sum=partial_sum,
+                       terms=terms, tail_bound=tail)
 
 
 def semistability_verdict(E: ArakelovBundle,

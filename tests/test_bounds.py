@@ -80,8 +80,8 @@ def test_main_inequality_verdicts():
     F = trivial_bundle(K, 1)
     report = main_inequality(F, 6, -8.0)
     assert report.verdict == "existence guaranteed (via upper bound)"
-    # one degree shell at cutoff 0.5 leaves the tail unknown: a value of
-    # 0.95 is no certificate
+    # below full rank no tail bound is known: a value of 0.95 at cutoff
+    # 0.5 is no certificate
     unsure = main_inequality(trivial_bundle(Q, 2), 3, -1.696542,
                              {"cutoff": 0.5})
     assert unsure.values["tail_uncertain"]
@@ -98,6 +98,21 @@ def test_main_inequality_verdicts():
     assert not auto.values["tail_uncertain"]
     assert auto.values["value"] == pytest.approx(50214.32, rel=1e-6)
     assert auto.verdict == "not guaranteed"
+
+
+def test_main_inequality_reads_one_window_per_term():
+    # with no cutoff the lines of O^2 are read in one window, T = 4, and
+    # the one plane whole, so the run returns at once; no tail bound is
+    # known below full rank, so a value below one is no certificate
+    E = trivial_bundle(Q, 2)
+    start = time.perf_counter()
+    report = main_inequality(E, 3, -3.0)
+    assert time.perf_counter() - start < 10.0
+    assert report.values["tail_uncertain"]
+    assert report.values["value"] == pytest.approx(0.32922, abs=1e-5)
+    assert report.verdict == "indeterminate (tail uncertain)"
+    assert report.values["terms"] == main_inequality(
+        E, 3, -3.0, {"cutoff": 4.0}).values["terms"]
 
 
 @pytest.mark.parametrize("det_degree", [math.nan, -math.inf])

@@ -232,6 +232,20 @@ def test_field_elements_print_as_a_plus_b_w(capsys, tmp_path):
     assert doc["report"]["fundamental_unit"] == "8+3*w"
 
 
+def test_zeta_s_defaults_to_rank_plus_one(capsys, identity2):
+    # rank + 1 is the least integer s at which the sums of every rank
+    # converge; run_config echoes the s that took effect
+    code, doc = run_json(capsys, "zeta", "--gram", identity2, "--cutoff", "1")
+    assert code == 0
+    assert doc["run_config"]["s"] == 3.0
+    assert doc["report"]["s"] == 3.0
+    assert doc["report"]["tail_bound"] == "inf"
+    validate(doc, "zeta_partial.schema.json")
+    code, doc = run_json(capsys, "zeta", "--gram", identity2, "--l", "2")
+    assert code == 0
+    assert doc["report"]["tail_bound"] == 0.0
+
+
 def test_zeta_divergence_exit(capsys, identity2):
     code, out, err = run_cli(capsys, "zeta", "--gram", identity2,
                              "--s", "0.5", "--cutoff", "4")
@@ -285,17 +299,20 @@ def test_bounds_theorem_exits(capsys):
 
 
 def test_bounds_theorem_one_shell_is_not_a_certificate(capsys):
-    # at cutoff 0.5 the rank-1 records of O^2 fill one degree shell, which
-    # shows no decay; the value 0.95 is below 1, but the count passes 1 at
-    # larger cutoffs, so the run must not certify existence
-    code, doc = run_json(capsys, "bounds", "--kind", "theorem", "--field",
-                         "Q", "--rank", "2", "--n", "3", "--det-degree",
-                         "-1.696542", "--cutoff", "0.5")
-    assert code == 3
-    assert doc["report"]["values"]["tail_uncertain"] is True
-    assert doc["report"]["values"]["value"] < 1.0
-    assert doc["report"]["verdict"] == "indeterminate (tail uncertain)"
-    validate(doc, "bound_report.schema.json")
+    # the lines of O^2 have no tail bound: at cutoff 0.5 the value 0.95 is
+    # below 1, but the count passes 1 at larger cutoffs, so the run must
+    # not certify existence; with no cutoff the lines are read at T = 4,
+    # one window, and the run returns at once, uncertain as well
+    base = ["bounds", "--kind", "theorem", "--field", "Q", "--rank", "2",
+            "--n", "3"]
+    for args in (("--det-degree", "-1.696542", "--cutoff", "0.5"),
+                 ("--det-degree", "-3")):
+        code, doc = run_json(capsys, *base, *args)
+        assert code == 3
+        assert doc["report"]["values"]["tail_uncertain"] is True
+        assert doc["report"]["values"]["value"] < 1.0
+        assert doc["report"]["verdict"] == "indeterminate (tail uncertain)"
+        validate(doc, "bound_report.schema.json")
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -113,6 +113,17 @@ def test_exhausted_when_sections_always_appear():
         assert outcome.witness is None
 
 
+def test_search_over_a_rank_two_gram_returns():
+    # the expected count made before the first draw reads one zeta window
+    # per rank, so a search over a rank-2 Gram gets to its draws
+    E = make_bundle(Q, [[2, 1], [1, 2]])
+    outcome = find_section_free(E, 3, -1.0, 5,
+                                RandomLatticeSpec(3, DEFAULT_PRIME, 0, Q))
+    assert outcome.status == "found"
+    assert outcome.certificate.nonzero_sections == ()
+    assert 0 < outcome.expected_count < math.inf
+
+
 def test_success_rate_experiment():
     E = trivial_bundle(Q, 1)
     mu = -math.log(3.0) / 5.0

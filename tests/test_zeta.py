@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from arakelov.bundle import degree, dual, make_bundle, trivial_bundle
 from arakelov.errors import (
     BudgetExceededError,
+    EnumerationCapError,
     UnsupportedFieldError,
     ZetaDivergenceError,
 )
@@ -367,7 +369,8 @@ def test_plane_records_match_the_reduced_pair_reference():
     # planes in rank 4 as the primitive decomposable lines of Lambda^2,
     # against the walk for b2 nested in the walk for b1: sampler draws,
     # skewed U U^T of Z^4, and A4 scaled by 10^+-100 and 10^-160; mu_max
-    # and zeta_partial read the records' degrees
+    # and zeta_partial read the records' degrees, and at s = 1.5 <= rank the
+    # sum is refused as divergent before it is summed
     rng = random.Random(113)
     cases = []
     for seed in range(3):
@@ -385,14 +388,18 @@ def test_plane_records_match_the_reduced_pair_reference():
         return make_bundle(Q, [[f * x for x in row] for row in A4])
 
     for e in (100, -100, -160):
-        # the planes of det 3 and 4 (times 10^2e), at s = 1.5 so that
-        # exp(s * degree) stays a finite float
+        # the planes of det 3 and 4 (times 10^2e), at s = 1.5, where
+        # exp(s * degree) would stay a finite float
         cases.append((scaled(e), -e * math.log(10) - 0.8, 1.5))
     for E, min_degree, s in cases:
         records = enumerate_subbundles(E, 2, min_degree)
         assert records
         assert records == subbundle_records_reference(E, 2, min_degree)
         assert mu_max(E, 2, min_degree) == (records[0].degree / 2, True)
+        if s <= E.rank:
+            with pytest.raises(ZetaDivergenceError):
+                zeta_partial(E, 2, s, -min_degree)
+            continue
         zp = zeta_partial(E, 2, s, -min_degree)
         assert zp.terms == len(records)
         assert zp.partial_sum == math.fsum(math.exp(s * r.degree)
@@ -578,6 +585,51 @@ def test_divergence_guard():
         zeta_partial(E, 1, 0.5, 4.0)
 
 
+def rank3_draw(seed):
+    spec = RandomLatticeSpec(3, 100003, seed, Q)
+    return random_bundle(Q, 3, 0.0, spec, trial_rng(seed, 9))
+
+
+@pytest.mark.parametrize("seed, l", [(4, 1), (1, 2)])
+def test_convergent_just_above_the_rank(seed, l):
+    # rank-3 draws whose last degree shells at T = 3 grow or wobble at
+    # s = 3.02, where the series converges (Schmidt): a sum, not an error
+    zp = zeta_partial(rank3_draw(seed), l, 3.02, 3.0)
+    assert zp.terms > 0 and math.isfinite(zp.partial_sum)
+    assert zp.tail_bound == math.inf
+
+
+def test_divergent_at_the_rank():
+    # at s = rank every sum below full rank diverges; the rule refuses it
+    # before any enumeration, so not even a node cap of 1 is reached
+    for seed in range(6):
+        E = rank3_draw(seed)
+        for l in (1, 2):
+            with pytest.raises(ZetaDivergenceError, match="s > rank = 3"):
+                zeta_partial(E, l, 3.0, 3.0, node_cap=1)
+            with pytest.raises(EnumerationCapError):
+                zeta_partial(E, l, 3.02, 3.0, node_cap=1)
+        # the one full-rank term converges at every s
+        assert zeta_partial(E, 3, 3.0, 3.0).tail_bound == 0.0
+
+
+def test_zeta_partial_streams_its_terms():
+    # the terms are summed as they come: 21032 lines of Z^2 at T = 5 keep
+    # no list of degrees (one costs about 4.8 MiB), and the exactly rounded
+    # sum is the same float in any order
+    E = trivial_bundle(Q, 2)
+    zeta_partial(E, 1, 3.0, 1.0)  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        zp = zeta_partial(E, 1, 3.0, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zp.terms == 21032
+    assert zp.partial_sum == 3.7446995503856018
+    assert peak < 2 ** 20
+
+
 def test_zeta_partial_outside_the_float_range():
     # the four lines of degree >= 4 have degrees log(100) (twice) and
     # log(100) - log(2) / 2: exp(154 log(100)) is finite but two such
@@ -603,11 +655,11 @@ def test_rank_one_zeta_is_single_term():
     zp = zeta_partial(E, 1, 2.0, 1.0)
     assert zp.terms == 1
     assert zp.partial_sum == pytest.approx(0.25, abs=1e-12)
-    assert zp.tail_bound_estimate == 0.0
+    assert zp.tail_bound == 0.0
     # below the cutoff the one term is omitted, and it is the tail
     zp = zeta_partial(E, 1, 2.0, 0.5)
     assert zp.terms == 0 and zp.partial_sum == 0.0
-    assert zp.tail_bound_estimate == math.exp(2.0 * degree(E))
+    assert zp.tail_bound == math.exp(2.0 * degree(E))
 
 
 def test_enumerate_validation():
@@ -651,9 +703,15 @@ def test_semistability_verdicts():
         "inconclusive"
 
 
-@pytest.mark.parametrize("n, slope_window", [(2, (1.0, 3.0)), (3, (2.0, 4.0))])
-def test_counting_function_growth(n, slope_window):
-    E = trivial_bundle(Q, n)
+# the number of lines of degree >= -T grows like exp(rank T) (Schmidt; Thunder
+# over number fields), the rate behind zeta_partial's convergence rule
+@pytest.mark.parametrize("desc, n, slope_window", [
+    ("Q", 2, (1.0, 3.0)), ("Q", 3, (2.0, 4.0)),
+    ("Q(sqrt{-1})", 2, (1.0, 3.0)), ("Q(sqrt{5})", 2, (1.0, 3.0))],
+    ids=["2-slope_window0", "3-slope_window1", "Q(sqrt{-1})-2",
+         "Q(sqrt{5})-2"])
+def test_counting_function_growth(desc, n, slope_window):
+    E = trivial_bundle(make_field(desc), n)
     ts = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     counts = [len(enumerate_subbundles(E, 1, -t)) for t in ts]
     assert counts == sorted(counts)  # N(T) monotone
