@@ -31,7 +31,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bundle import degree, determinant, slope, trivial_bundle
+from .bundle import (ArakelovBundle, degree, determinant, slope,
+                     trivial_bundle)
 from .bounds import (BoundReport, main_inequality, mh_bound, packing_density,
                      thresholds)
 from .errors import (ArakelovError, EnumerationCapError, GramFileError,
@@ -136,6 +137,28 @@ def _section_report_payload(report: SectionReport) -> dict:
     return {**_jsonable(report), "count": len(report.nonzero_sections)}
 
 
+def _fixed_factor(args) -> ArakelovBundle | None:
+    """E of search and bounds: the --gram file, which a --field or --rank
+    set by flag or --config must match, or else the trivial bundle of rank
+    --rank (default 1) over --field (default Q); None for bounds --kind
+    thresholds.  args takes the field and rank in effect, for run_config."""
+    thresholds_only = getattr(args, "kind", None) == "thresholds"
+    if args.gram is None or thresholds_only:
+        args.field = "Q" if args.field is None else args.field
+        args.rank = 1 if args.rank is None else args.rank
+        return None if thresholds_only else trivial_bundle(
+            make_field(args.field), args.rank)
+    E = load_gram_file(args.gram)
+    if args.field is not None and make_field(args.field) != E.field:
+        raise ValueError(f"--field {args.field} disagrees with "
+                         f"{args.gram}, over {E.field.descriptor}")
+    if args.rank is not None and args.rank != E.rank:
+        raise ValueError(f"--rank {args.rank} disagrees with {args.gram}, "
+                         f"of rank {E.rank}")
+    args.field, args.rank = E.field.descriptor, E.rank
+    return E
+
+
 def _parse_radii(text: str) -> list[Fraction]:
     return [Fraction(part.strip()) for part in text.split(",")]
 
@@ -228,14 +251,13 @@ def _cmd_mvt_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    field = make_field(args.field)
+    E = _fixed_factor(args)
     if args.kind == "thresholds":
-        _emit(args, thresholds(field, args.n, args.l, args.eps))
+        _emit(args, thresholds(make_field(args.field), args.n, args.l,
+                               args.eps))
         return EXIT_OK
     if args.det_degree is None:
         raise ValueError("--det-degree is required for --kind theorem")
-    E = (load_gram_file(args.gram) if args.gram
-         else trivial_bundle(field, args.rank))
     report = main_inequality(E, args.n, args.det_degree,
                              {"cutoff": args.cutoff, "node_cap": args.node_cap})
     _emit(args, report)
@@ -259,9 +281,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    field = make_field(args.field)
-    E = (load_gram_file(args.gram) if args.gram
-         else trivial_bundle(field, args.rank))
+    E = _fixed_factor(args)
     spec = RandomLatticeSpec(n=args.n, p=args.p, seed=args.seed,
                              field=E.field)
     if args.rate_trials is not None:
@@ -366,15 +386,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mvt_verify)
 
     p = sub.add_parser("bounds", help="thresholds and the averaged count")
-    p.add_argument("--field", default="Q")
+    p.add_argument("--field", help="default the Gram file's, else Q")
     p.add_argument("--kind", choices=("thresholds", "theorem"),
                    default="thresholds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--gram", default=None)
-    p.add_argument("--rank", type=int, default=1,
-                   help="rank of the trivial bundle when no Gram is given")
+    p.add_argument("--rank", type=int,
+                   help="default the Gram file's, else 1")
     p.add_argument("--det-degree", type=float, default=None)
     p.add_argument("--cutoff", type=float, default=None,
                    help="theorem's window -T <= degree (default "
@@ -387,10 +407,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("search", help="find a section-free twist")
-    p.add_argument("--field", default="Q")
+    p.add_argument("--field", help="default the Gram file's, else Q")
     p.add_argument("--gram", default=None,
                    help="Gram file for the fixed factor (default trivial)")
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=int,
+                   help="default the Gram file's, else 1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--slope", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)

@@ -6,6 +6,9 @@ witness quickly; the witness ships with a complete (untruncated) empty
 section report as its certificate.  Slopes at or above the converse
 threshold are hopeless and short-circuit, though for small ranks that
 threshold is only advisory, so one sampled bundle double-checks it.
+The converse check compares mu + zeta.mu_max(E, l), which reads one
+window, with the converse threshold at (n, l) for each rank l of E; a rank
+out of the enumeration's scope or past the node cap is skipped.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bundle import ArakelovBundle, slope, tensor
+from .bundle import ArakelovBundle, tensor
 from .bounds import main_inequality, thresholds
 from .errors import (BudgetExceededError, EnumerationCapError,
                      UnsupportedFieldError)
@@ -80,28 +83,15 @@ def _check_search_shape(E: ArakelovBundle, n: int, mu: float,
             f"{DIMENSION_BUDGET}; pass allow_large to override")
 
 
-def _max_subbundle_slope(E: ArakelovBundle, l: int,
-                         node_cap: int) -> float | None:
-    """Best slope among rank-l subbundles, or None when it cannot be
-    certified within budget; None just disables the l-th converse test."""
-    floor = l * (slope(E) - 2.0) - 1.0
-    for _ in range(3):
-        try:
-            value, exact = mu_max(E, l, floor, node_cap)
-        except (BudgetExceededError, UnsupportedFieldError,
-                EnumerationCapError):
-            return None
-        if exact:
-            return value
-        floor -= 2.0 * l
-    return None
-
-
 def _converse_blocked(E: ArakelovBundle, n: int, mu: float, eps: float,
                       node_cap: int) -> bool:
+    """Whether mu plus the largest slope of a rank-l subbundle of E reaches
+    the converse threshold for some l it can read."""
     for l in range(1, E.rank + 1):
-        best = _max_subbundle_slope(E, l, node_cap)
-        if best is None:
+        try:
+            best = mu_max(E, l, node_cap)
+        except (BudgetExceededError, UnsupportedFieldError,
+                EnumerationCapError):
             continue
         bound = thresholds(E.field, n, l, eps).values["converse"]
         if mu + best >= bound:

@@ -26,6 +26,11 @@ pads it) and are tested, ordered and keyed exactly, on Python ints.  Over Q
 the walk's vectors are filtered in its reduced coordinates, by
 ReducedLattice.primitive_values, and only the kept ones are mapped back.
 
+mu_max needs no floor: below full rank it reads one window, degree >=
+w - m, under a witness of exactly known degree w, the span of the first l
+rows of the trace form's LLL transform; m = 1e-9 (1 + |w|) is a hundred
+times the float error between w and the window's exact cap.
+
 A degree cap exp(-2 min_degree) is exact even where exp underflows, so no
 cap rounds to 0, and its radius on an integer matrix is always the exact
 quotient of the cap by the scale (squared for planes), rounded once.
@@ -63,13 +68,12 @@ from .errors import (
 from .intlinalg import (
     QSurd,
     hnf,
+    rat_det,
     right_kernel_rows,
     saturation_rows,
 )
-# Bound here only for tools that patch rat_det under every name it is
-# imported by (perfbench/tracer.py); zeta computes no determinant.
-from .intlinalg import rat_det  # noqa: F401
-from .lattice import DEFAULT_NODE_CAP, MAX_EXPONENT, ReducedLattice, as_float
+from .lattice import (DEFAULT_NODE_CAP, MAX_EXPONENT, ReducedLattice,
+                      apply_transform, as_float)
 
 __all__ = [
     "SemistabilityVerdict",
@@ -224,6 +228,20 @@ def _log_surd(x: QSurd) -> float:
     return math.log(float(x * Fraction(2) ** k)) - k * LOG_2
 
 
+def _line_degree(view: ZLatticeView, z: Sequence[int],
+                 value_cap: Fraction | None = None) -> float | None:
+    """deg(O_K z) = -p log value over a quadratic field, value z's form at
+    the complex place (p = 1) or its product over both real ones (p = 1/2);
+    None when value is above value_cap."""
+    values = view.place_values(z)
+    real = view.bundle.field.D > 0
+    value = values[0] * values[1] if real else values[0]
+    if value_cap is not None and not value <= value_cap:
+        return None
+    return -(0.5 if real else 1.0) * (log_fraction(value.a) if value.b == 0
+                                      else _log_surd(value))
+
+
 def _line_rows(view: ZLatticeView, min_degree: float,
                node_cap: int) -> Iterable[tuple[float, tuple]]:
     field = view.bundle.field
@@ -232,11 +250,11 @@ def _line_rows(view: ZLatticeView, min_degree: float,
         cap = _exp_cap(-2.0 * min_degree)
         return _q_rows(form, cap, _cap_radius(form, cap, 1), node_cap)
     if field.D < 0:
-        power, value_cap = 1.0, _exp_cap(-min_degree)
+        value_cap = _exp_cap(-min_degree)
         radius = 2.0 * float(value_cap)
     else:
         eps = field.embed(field.fundamental_unit(), 0)
-        power, value_cap = 0.5, _exp_cap(-2.0 * min_degree)  # on q0*q1
+        value_cap = _exp_cap(-2.0 * min_degree)  # on q0*q1
         radius = (eps + 1.0 / eps) * math.exp(-min_degree)
     # the trace-form ball, on the trace form over its scale
     candidates = ReducedLattice(form.gram, node_cap).short_vectors(
@@ -247,12 +265,9 @@ def _line_rows(view: ZLatticeView, min_degree: float,
         g, key = _plucker(z, _omega_times(z, s, q))
         if g != 1 or key in seen:
             continue  # v is not primitive, or its line is already kept
-        values = view.place_values(z)
-        value = values[0] if field.D < 0 else values[0] * values[1]
-        if not value <= value_cap:
-            continue
-        seen[key] = (-power * (log_fraction(value.a) if value.b == 0
-                               else _log_surd(value)), (z,))
+        deg = _line_degree(view, z, value_cap)
+        if deg is not None:
+            seen[key] = (deg, (z,))
     return seen.values()
 
 
@@ -351,17 +366,32 @@ def enumerate_subbundles(E: ArakelovBundle, l: int, min_degree: float,
             for deg, rows in pairs]
 
 
-def mu_max(E: ArakelovBundle, l: int, min_degree_floor: float,
-           node_cap: int = DEFAULT_NODE_CAP) -> tuple[float, bool]:
-    """Largest slope among rank-l subbundles of degree >= min_degree_floor.
+def mu_max(E: ArakelovBundle, l: int,
+           node_cap: int = DEFAULT_NODE_CAP) -> float:
+    """Largest slope among saturated rank-l subbundles of E.
 
-    The flag reports exactness: when the complete enumeration finds at least
-    one subbundle, the maximizer itself lies above the floor and is covered.
-    An empty result returns (-inf, False): the maximum sits below the floor.
+    At full rank it is the slope of E.  Below it one window, degree >=
+    w - m, is read below a witness of exactly known degree w: the span of
+    the first l rows of the trace form's unimodular LLL transform U,
+    saturated, of degree -1/2 log(scale^l det) of the leading block of
+    U A U^T; over a quadratic field (l = 1) the line through U[0], whose
+    saturation has degree _line_degree(U[0]) or more.  m = 1e-9 (1 + |w|)
+    covers the float error between w and the window's exact cap: a few
+    roundings of logs of the scale and of reduced Gram entries and minors,
+    which the walk needs as floats, so each log is below 10^4 and the error
+    below 1e-11.
     """
-    _, pairs = _subbundle_rows(E, l, min_degree_floor, node_cap)
-    top = max((deg for deg, _ in pairs), default=None)
-    return (top / l, True) if top is not None else (-math.inf, False)
+    check_subbundle_scope(E, l)
+    if l == E.rank:
+        return bundle_degree(E) / l
+    view = restrict_scalars(E)
+    form = view.trace_form
+    U = ReducedLattice(form.gram, node_cap).U
+    w = (-0.5 * log_fraction(form.scale ** l
+                             * rat_det(apply_transform(U[:l], form.A)))
+         if E.field.is_rational() else _line_degree(view, U[0]))
+    _, pairs = _subbundle_rows(E, l, w - 1e-9 * (1.0 + abs(w)), node_cap)
+    return max(deg for deg, _ in pairs) / l
 
 
 def degree_shells(records: Sequence[SubbundleRecord],

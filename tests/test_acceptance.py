@@ -213,8 +213,7 @@ def test_criterion_8_line_zeta_oracle():
     ok = ok and zp.terms == 4
     ok = ok and abs(zp.partial_sum - 2.25) <= 1e-12
 
-    top, exact = mu_max(E, 1, -4.0)
-    assert exact
+    top = mu_max(E, 1)
     parts = {s: zeta_partial(E, 1, s, 4.0).partial_sum for s in (8, 12, 16)}
     C = max(p / math.exp(s * top) for s, p in parts.items())
     bounded = all(p <= C * math.exp(s * top) * (1 + 1e-12)

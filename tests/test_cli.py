@@ -505,6 +505,48 @@ def test_run_config_echoes_only_settings_read(capsys, identity2, argv,
     assert cfg["subcommand"] == argv[0] and cfg["format"] == "json"
 
 
+def test_gram_file_sets_field_and_rank(capsys, tmp_path, identity2):
+    # with --gram, search and bounds --kind theorem run over the file's
+    # field and rank, and run_config echoes those; a --field or --rank set
+    # by a flag or by --config must agree with the file, or exit 2
+    line = tmp_path / "line.gram"
+    line.write_text("Q\n1\n1\n")
+    search = ["search", "--gram", str(line), "--n", "4", "--slope", "-2",
+              "--trials", "2"]
+    theorem = ["bounds", "--kind", "theorem", "--gram", identity2, "--n",
+               "4", "--det-degree", "-2", "--cutoff", "1"]
+    for argv, field, rank in ((search, "Q", 1), (theorem, "Q", 2)):
+        code, doc = run_json(capsys, *argv)
+        assert code in (0, 1, 3)
+        assert (doc["run_config"]["field"], doc["run_config"]["rank"]) == (
+            field, rank)
+        code, agreed = run_json(capsys, *argv, "--field", field, "--rank",
+                                str(rank))
+        assert agreed == doc
+    for argv, named in [
+            ((*search, "--field", "Q(sqrt{-1})"), "--field Q(sqrt{-1})"),
+            ((*search, "--rank", "2"), "--rank 2"),
+            ((*theorem, "--field", "Q(sqrt{5})"), "--field Q(sqrt{5})"),
+            ((*theorem, "--rank", "1"), "--rank 1")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert named in err and "disagrees" in err
+    cfg = tmp_path / "run.cfg"
+    for key, value in (("field", "Q(sqrt{-3})"), ("rank", "3")):
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in (search, theorem):
+            code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+            assert code == 2 and out == "", (key, argv)
+            assert f"--{key} {value} disagrees" in err
+    # without a file they still default to Q and 1, and are echoed as given
+    code, doc = run_json(capsys, "bounds", "--n", "8")
+    assert (doc["run_config"]["field"], doc["run_config"]["rank"]) == ("Q", 1)
+    code, doc = run_json(capsys, "search", "--field", "Q(sqrt{-1})", "--n",
+                         "4", "--slope", "-2", "--trials", "2")
+    assert (doc["run_config"]["field"], doc["run_config"]["rank"]) == (
+        "Q(sqrt{-1})", 1)
+
+
 def test_config_file_fills_defaults(capsys, tmp_path, identity2):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\np = 101\ntrials = 40\nz-max = 1000000\n")

@@ -9,13 +9,15 @@ from arakelov.bounds import quotient_volume, thresholds
 from arakelov.bundle import make_bundle, tensor, trivial_bundle
 from arakelov.errors import BudgetExceededError, EnumerationCapError
 from arakelov.numberfield import make_field
-from arakelov.sampler import DEFAULT_PRIME, RandomLatticeSpec
+from arakelov.sampler import (DEFAULT_PRIME, RandomLatticeSpec,
+                              random_bundle, trial_rng)
 from arakelov.search import (
     expected_section_count,
     find_section_free,
     success_rate_experiment,
 )
-from arakelov.sections import global_sections
+from arakelov.sections import SectionReport, global_sections
+from arakelov.zeta import mu_max
 
 Q = make_field("Q")
 
@@ -122,6 +124,38 @@ def test_search_over_a_rank_two_gram_returns():
     assert outcome.status == "found"
     assert outcome.certificate.nonzero_sections == ()
     assert 0 < outcome.expected_count < math.inf
+
+
+def test_search_over_a_rank_three_gram_keeps_its_outcome():
+    # the converse check used to stream 5.7 M hyperplanes of this Gram at
+    # l = 2 to take one maximum; mu_max reads one window, and the outcome
+    # is the one the stream gave
+    E = make_bundle(Q, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    outcome = find_section_free(E, 4, -1.0, 3, line_spec(4, 0))
+    assert (outcome.status, outcome.attempts) == ("found", 1)
+    assert outcome.certificate == SectionReport(
+        nonzero_sections=(), truncated=False, nodes_visited=12,
+        certificate=1.0)
+
+
+def test_converse_check_reads_every_rank_of_a_rank_four_bundle(monkeypatch):
+    # at l = 2 and 3 a floor below the maximum used to walk past the node
+    # cap, and those ranks went unchecked; at 10^4 nodes each is read now
+    E = random_bundle(Q, 4, 0.0, RandomLatticeSpec(4, 100003, 0, Q),
+                      trial_rng(0, 7))
+    read = []
+
+    def spy(E, l, node_cap):
+        value = mu_max(E, l, node_cap)
+        read.append(l)
+        return value
+
+    monkeypatch.setattr(search, "mu_max", spy)
+    gap = thresholds(Q, 5, 1, eps=0.05).values["converse"] - mu_max(E, 1)
+    assert search._converse_blocked(E, 5, gap + 0.1, 0.05, 10 ** 4)
+    assert read == [1]
+    assert not search._converse_blocked(E, 5, gap - 0.1, 0.05, 10 ** 4)
+    assert read == [1, 1, 2, 3, 4]
 
 
 def test_success_rate_experiment():

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov.bundle import degree, dual, make_bundle, trivial_bundle
+from arakelov.bundle import (degree, dual, make_bundle, restrict_scalars,
+                             trivial_bundle)
 from arakelov.errors import (
     BudgetExceededError,
     EnumerationCapError,
@@ -17,6 +18,7 @@ from arakelov.errors import (
     ZetaDivergenceError,
 )
 from arakelov.intlinalg import hnf, rat_det, rat_inverse, saturation_rows
+from arakelov.lattice import apply_transform
 from arakelov.numberfield import make_field
 from arakelov.sampler import RandomLatticeSpec, random_bundle, trial_rng
 from arakelov.zeta import (
@@ -32,9 +34,11 @@ from arakelov.zeta import (
 from tests.oracles import (
     box_bound,
     gaussian_gcd,
+    lll_reference,
     ok_is_primitive_vector,
     primitive_plane_vectors,
     random_pd_fraction_gram,
+    sampler_bundles,
     skewed_unimodular,
     subbundle_records_reference,
 )
@@ -395,7 +399,7 @@ def test_plane_records_match_the_reduced_pair_reference():
         records = enumerate_subbundles(E, 2, min_degree)
         assert records
         assert records == subbundle_records_reference(E, 2, min_degree)
-        assert mu_max(E, 2, min_degree) == (records[0].degree / 2, True)
+        assert mu_max(E, 2) == records[0].degree / 2
         if s <= E.rank:
             with pytest.raises(ZetaDivergenceError):
                 zeta_partial(E, 2, s, -min_degree)
@@ -429,10 +433,9 @@ def test_caps_below_the_normal_floats():
                                 rel_tol=1e-12)
                    for r, p in zip(got, plain))
     assert len(enumerate_subbundles(E, 2, shift - 1.0)) == 266
-    assert mu_max(E, 2, shift - 1.0) == pytest.approx((shift / 2, True))
+    assert mu_max(E, 2) == pytest.approx(shift / 2)
     # far above every degree the cap is raised, not built, and finds nothing
     assert enumerate_subbundles(Z4, 2, 1e300) == []
-    assert mu_max(E, 1, 1e300) == (-math.inf, False)
     K = make_field("Q(sqrt{5})")
     grams = [[[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 5), 3]],
              [[Fraction(3, 4), Fraction(-1, 3)], [Fraction(-1, 3), 2]]]
@@ -532,16 +535,86 @@ def test_degree_path_matches_records(desc, rank, ls, T):
             assert zp.terms == len(records)
             assert zp.partial_sum == math.fsum(math.exp(s * r.degree)
                                                for r in records)
-            assert mu_max(E, l, -T) == (records[0].degree / l, True)
+            assert mu_max(E, l) == records[0].degree / l
             assert records[0].degree == max(r.degree for r in records)
 
 
 def test_mu_max():
     E = trivial_bundle(Q, 2)
-    top, exact = mu_max(E, 1, -1.0)
-    assert exact and abs(top) <= 1e-12
-    below, flag = mu_max(E, 1, 0.5)
-    assert below == -math.inf and not flag
+    assert abs(mu_max(E, 1)) <= 1e-12
+
+
+def reference_mu_max(E, l):
+    """The top slope of subbundle_records_reference in a window just below
+    a witness found without mu_max: E at full rank, else the first l rows
+    of lll_reference's transform of the trace form (read in floats), whose
+    degree comes from an exact determinant over Q and from the place values
+    of a line over a quadratic field."""
+    if l == E.rank:
+        w = degree(E)
+    else:
+        view = restrict_scalars(E)
+        U = lll_reference([[float(x) for x in row]
+                           for row in view.trace_form.gram])
+        if E.field.is_rational():
+            d = rat_det(apply_transform(U[:l], E.gram_real[0]))
+            w = -0.5 * (math.log(d.numerator) - math.log(d.denominator))
+        else:
+            values = [float(x) for x in view.place_values(U[0])]
+            w = (-math.log(values[0]) if E.field.D < 0
+                 else -0.5 * (math.log(values[0]) + math.log(values[1])))
+    records = subbundle_records_reference(E, l, w - 1e-6 * (1 + abs(w)))
+    assert records
+    return records[0].degree / l
+
+
+def mu_max_cases():
+    """Sampler bundles over Q of ranks 2-4 and over Q(sqrt{-1}),
+    Q(sqrt{-3}) and Q(sqrt{5}) of ranks 2-3, skewed U U^T of Z^4, A4 times
+    10^100, 10^-100 and 10^-160, and Z^4 over 10^200."""
+    yield from sampler_bundles(Q, (2, 3, 4), 24, 131)
+    for desc, seed in (("Q(sqrt{-1})", 137), ("Q(sqrt{-3})", 139),
+                       ("Q(sqrt{5})", 149)):
+        yield from sampler_bundles(make_field(desc), (2, 3), 10, seed)
+    rng = random.Random(151)
+    for shear in (3, 6):
+        U = skewed_unimodular(rng, 4, shear)
+        yield make_bundle(Q, [[sum(a * b for a, b in zip(u, v)) for v in U]
+                              for u in U])
+    A4 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    for e in (100, -100, -160):
+        f = Fraction(10) ** e
+        yield make_bundle(Q, [[f * x for x in row] for row in A4])
+    tiny = Fraction(1, 10 ** 200)
+    yield make_bundle(Q, [[tiny * (i == j) for j in range(4)]
+                          for i in range(4)])
+
+
+def test_mu_max_is_the_top_of_the_reference_records():
+    # mu_max reads one window below its own LLL witness; the reference
+    # reads the complete records below an independent one
+    checked = 0
+    for E in mu_max_cases():
+        ls = (range(1, E.rank + 1) if E.field.is_rational()
+              else (1, E.rank))
+        for l in ls:
+            assert mu_max(E, l) == reference_mu_max(E, l), (E.field, l)
+            checked += 1
+    assert checked > 150
+
+
+def test_mu_max_returns_where_the_old_floor_hit_the_cap():
+    # the floor l (mu(E) - 2) - 1 that search used to pass walks past 10^4
+    # nodes on the rank-3 Gram 2 1 0 / 1 3 1 / 0 1 4 at l = 2 and on a
+    # rank-4 draw at l = 2 and 3; mu_max's window does not
+    found = make_bundle(Q, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    spec = RandomLatticeSpec(4, 100003, 0, Q)
+    E4 = random_bundle(Q, 4, 0.0, spec, trial_rng(0, 7))
+    for E, l in ((found, 2), (E4, 2), (E4, 3)):
+        floor = l * (degree(E) / E.rank - 2.0) - 1.0
+        with pytest.raises(EnumerationCapError):
+            enumerate_subbundles(E, l, floor, node_cap=10 ** 4)
+        assert mu_max(E, l, node_cap=10 ** 4) == reference_mu_max(E, l)
 
 
 def test_duality_consistency():
@@ -726,8 +799,7 @@ def test_counting_function_growth(desc, n, slope_window):
 
 def test_tail_bound_single_constant():
     E = trivial_bundle(Q, 2)
-    top, exact = mu_max(E, 1, -4.0)
-    assert exact
+    top = mu_max(E, 1)
     parts = {s: zeta_partial(E, 1, s, 4.0).partial_sum for s in (8, 12, 16)}
     C = max(p / math.exp(s * top) for s, p in parts.items())
     assert C < 2.5
