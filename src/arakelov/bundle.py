@@ -64,7 +64,7 @@ from .intlinalg import (
     rank,
 )
 from .lattice import apply_transform, as_float, form_value
-from .numberfield import NumberField, QuadElement
+from .numberfield import NumberField
 
 __all__ = [
     "ArakelovBundle",
@@ -322,13 +322,8 @@ class SaturatedSubbundle:
 def _clear_vector(field: NumberField, v) -> list:
     """Scale a module vector to integral coordinates (same K-span)."""
     elems = [field.coerce(x) for x in v]
-    den = math.lcm(*(c.denominator for x in elems for c in _coords(x)))
+    den = math.lcm(*(c.denominator for x in elems for c in field.coords(x)))
     return [field.mul(den, x) for x in elems]
-
-
-def _coords(x) -> tuple[Fraction, ...]:
-    """Coordinates of a field element over the integral basis."""
-    return (x.a, x.b) if isinstance(x, QuadElement) else (x,)
 
 
 def saturate_subbundle(E: ArakelovBundle, generators) -> SaturatedSubbundle:
@@ -342,7 +337,7 @@ def saturate_subbundle(E: ArakelovBundle, generators) -> SaturatedSubbundle:
         raise ValueError(f"generators must have {E.rank} coordinates")
     # k vectors are K-independent when their multiples by the integral
     # basis have Q-rank d k
-    rows = [[c for x in v for c in _coords(field.mul(w, x))]
+    rows = [[c for x in v for c in field.coords(field.mul(w, x))]
             for v in gens for w in field.integral_basis()]
     if rank(rows, field.degree * E.rank) != field.degree * len(gens):
         raise DependentGeneratorsError("generators are K-linearly dependent")

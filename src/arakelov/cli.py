@@ -106,8 +106,8 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix[:-1]} = {json.dumps(obj)}"
 
 
-# The global settings each subcommand reads; bounds reads node_cap only
-# for --kind theorem.
+# The global settings each subcommand reads, and the options of bounds that
+# each kind leaves unread.
 _SETTINGS_READ = {
     "field-info": (),
     "bundle-info": (),
@@ -118,15 +118,20 @@ _SETTINGS_READ = {
     "density": ("node_cap",),
     "search": ("seed", "node_cap"),
 }
+_BOUNDS_UNREAD = {
+    "thresholds": {"node_cap", "gram", "rank", "det_degree", "cutoff"},
+    "theorem": {"l", "eps"},
+}
 
 
 def _run_config(args) -> dict:
-    """Every parsed option of the run that took effect; the subcommand under
-    "subcommand".  A global setting the subcommand never reads is left out."""
-    read = _SETTINGS_READ[args.command]
-    if args.command == "bounds" and args.kind == "thresholds":
-        read = ()
-    unread = {"seed", "node_cap", "threads"}.difference(read)
+    """Every parsed option of the run that took effect, and the subcommand
+    under "subcommand"; what the subcommand or bounds' kind never reads is
+    left out."""
+    unread = {"seed", "node_cap", "threads"}.difference(
+        _SETTINGS_READ[args.command])
+    if args.command == "bounds":
+        unread |= _BOUNDS_UNREAD[args.kind]
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("command", "func") and k not in unread}
     cfg["subcommand"] = args.command

@@ -11,6 +11,12 @@ real places carry the usual absolute value, and the complex place carries the
 values use floats (except where the value happens to be rational, e.g. the
 complex place, where ``|x|_v`` equals the field norm of ``x``).
 
+Q is the degree-1 case of the quadratic formulas, a + b*w with b = 0 and
+w^2 = s*w - q for (s, q) = (0, 0): the arithmetic and the finite places
+read one formula for every field, and elements over Q stay ``Fraction``s.
+The one exception kept is ``ZLatticeView.coords_to_module``, whose Q branch
+makes no field elements on zeta's record path.
+
 No workload or CLI command reads the divisors (``absolute_value``,
 ``divisor``, ``AdelicDivisor``).  They stay as the paper's arithmetic curve
 X, the places of K at which bundles are metrized, and the acceptance suite
@@ -161,12 +167,10 @@ class NumberField:
         """Primes above p as dicts with keys tag, e, f and (if split) root,
         cached on (field, p); ValueError unless p is a prime int."""
         kind = self.splitting(p)
-        if self.is_rational():
-            return ({"tag": 0, "e": 1, "f": 1},)
         if kind == "ramified":
             return ({"tag": 0, "e": 2, "f": 1},)
-        if kind == "inert":
-            return ({"tag": 0, "e": 1, "f": 2},)
+        if kind == "inert":  # every prime over Q
+            return ({"tag": 0, "e": 1, "f": self.degree},)
         s, q = self.omega_minpoly()
         if p == 2:
             roots = [0, 1]  # t^2 - t + even splits as t(t-1) mod 2
@@ -197,80 +201,72 @@ class NumberField:
             return x
         return self.element(Fraction(x))
 
-    def is_zero(self, x) -> bool:
+    def coords(self, x) -> tuple[Fraction, ...]:
+        """Coordinates of x over the integral basis: (a,) over Q, (a, b)
+        otherwise."""
+        return self._ab(x)[:self.degree]
+
+    def _ab(self, x) -> tuple[Fraction, Fraction]:
+        """(a, b) with x = a + b*w; b = 0 over Q."""
         x = self.coerce(x)
-        if isinstance(x, QuadElement):
-            return x.a == 0 and x.b == 0
-        return x == 0
+        return (x, 0) if self.is_rational() else (x.a, x.b)
 
     def omega_minpoly(self) -> tuple[int, int]:
-        """Coefficients (s, q) with w**2 = s*w - q."""
+        """Coefficients (s, q) with w**2 = s*w - q; (0, 0) over Q."""
         if self.is_rational():
-            raise ValueError("the rational field has no quadratic generator")
+            return 0, 0
         if self.omega_is_half:
             return 1, (1 - self.D) // 4
         return 0, -self.D
 
+    def is_zero(self, x) -> bool:
+        return not any(self.coords(x))
+
     def add(self, x, y) -> FieldElement:
-        x, y = self.coerce(x), self.coerce(y)
-        if isinstance(x, QuadElement):
-            return QuadElement(x.a + y.a, x.b + y.b)
-        return x + y
+        (a, b), (c, e) = self._ab(x), self._ab(y)
+        return self.element(a + c, b + e)
 
     def sub(self, x, y) -> FieldElement:
-        x, y = self.coerce(x), self.coerce(y)
-        if isinstance(x, QuadElement):
-            return QuadElement(x.a - y.a, x.b - y.b)
-        return x - y
+        (a, b), (c, e) = self._ab(x), self._ab(y)
+        return self.element(a - c, b - e)
 
     def mul(self, x, y) -> FieldElement:
-        x, y = self.coerce(x), self.coerce(y)
-        if isinstance(x, QuadElement):
-            s, q = self.omega_minpoly()
-            # (a1 + b1 w)(a2 + b2 w) with w^2 = s w - q
-            a = x.a * y.a - q * x.b * y.b
-            b = x.a * y.b + x.b * y.a + s * x.b * y.b
-            return QuadElement(a, b)
-        return x * y
+        (a, b), (c, e) = self._ab(x), self._ab(y)
+        s, q = self.omega_minpoly()
+        # (a + b w)(c + e w) with w^2 = s w - q
+        return self.element(a * c - q * b * e, a * e + b * c + s * b * e)
 
     def conj(self, x) -> FieldElement:
-        """The nontrivial field automorphism (identity over Q)."""
-        x = self.coerce(x)
-        if isinstance(x, QuadElement):
-            s, _ = self.omega_minpoly()
-            # conj(w) = s - w
-            return QuadElement(x.a + s * x.b, -x.b)
-        return x
+        """The nontrivial automorphism w -> s - w (identity over Q)."""
+        a, b = self._ab(x)
+        s, _ = self.omega_minpoly()
+        return self.element(a + s * b, -b)
 
     def norm(self, x) -> Fraction:
-        x = self.coerce(x)
-        if isinstance(x, QuadElement):
-            s, q = self.omega_minpoly()
-            return x.a * x.a + s * x.a * x.b + q * x.b * x.b
-        return x * x
+        """x conj(x), so a^2 over Q."""
+        a, b = self._ab(x)
+        s, q = self.omega_minpoly()
+        return a * a + s * a * b + q * b * b
 
     def trace(self, x) -> Fraction:
-        x = self.coerce(x)
-        if isinstance(x, QuadElement):
-            s, _ = self.omega_minpoly()
-            return 2 * x.a + s * x.b
-        return 2 * x
+        """x + conj(x), so 2a over Q."""
+        a, b = self._ab(x)
+        s, _ = self.omega_minpoly()
+        return 2 * a + s * b
 
     def divide(self, x, y) -> FieldElement:
-        """Exact field division x / y."""
-        x, y = self.coerce(x), self.coerce(y)
-        if isinstance(x, QuadElement):
-            n = self.norm(y)
-            if n == 0:
-                raise ZeroDivisionError("division by zero field element")
-            z = self.mul(x, self.conj(y))
-            return QuadElement(z.a / n, z.b / n)
-        return x / y
+        """Exact field division x / y = x conj(y) / norm(y)."""
+        n = self.norm(y)
+        if n == 0:
+            raise ZeroDivisionError("division by zero field element")
+        a, b = self._ab(self.mul(x, self.conj(y)))
+        return self.element(a / n, b / n)
 
     def omega_embeddings(self) -> tuple[complex, ...]:
-        """Image of w at each infinite place, aligned with infinite_places()."""
+        """Image of w at each infinite place, aligned with infinite_places();
+        0 over Q, the root of w^2 = 0."""
         if self.is_rational():
-            raise ValueError("the rational field has no quadratic generator")
+            return (0.0,)
         root = math.sqrt(abs(self.D))
         if self.D > 0:
             if self.omega_is_half:
@@ -282,17 +278,12 @@ class NumberField:
 
     def embed(self, x, place_index: int = 0):
         """Embed a field element at the given infinite place (by index)."""
-        x = self.coerce(x)
-        if isinstance(x, QuadElement):
-            w = self.omega_embeddings()[place_index]
-            return float(x.a) + float(x.b) * w
-        return float(x)
+        a, b = self._ab(x)
+        return float(a) + float(b) * self.omega_embeddings()[place_index]
 
     def integral_basis(self) -> tuple[FieldElement, ...]:
         """Module basis of the ring of integers: (1,) or (1, w)."""
-        if self.is_rational():
-            return (Fraction(1),)
-        return (self.element(1), self.element(0, 1))
+        return tuple(self.element(*e) for e in ((1, 0), (0, 1))[:self.degree])
 
     def fundamental_unit(self) -> FieldElement:
         """Fundamental unit of a real quadratic ring, normalized > 1.
@@ -301,7 +292,7 @@ class NumberField:
         coefficient of w grows strictly with the power, so the first b > 0
         admitting integral a with a^2 + s*a*b + q*b^2 = +-1 is fundamental.
         """
-        if self.is_rational() or self.D < 0:
+        if self.real_places != 2:
             raise ValueError("only real quadratic rings have one")
         s, q = self.omega_minpoly()
         b = 0
@@ -326,20 +317,13 @@ class NumberField:
                 return min(found, key=lambda u: self.embed(u, 0))
 
     def torsion_units(self) -> tuple[FieldElement, ...]:
-        """Roots of unity in the ring of integers."""
-        if self.is_rational():
-            return (Fraction(1), Fraction(-1))
-        if self.D > 0:
+        """Roots of unity in the ring of integers: +-1 in a field with a
+        real place, Q included."""
+        if self.real_places:
             return (self.element(1), self.element(-1))
-        units = []
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                if a == b == 0:
-                    continue
-                x = self.element(a, b)
-                if self.norm(x) == 1:
-                    units.append(x)
-        return tuple(units)
+        small = (self.element(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                 if a or b)
+        return tuple(x for x in small if self.norm(x) == 1)
 
 
 # ----------------------------------------------------------------------
@@ -595,10 +579,10 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _ord_integral(field: NumberField, p: int, tag: int, c: int, e: int) -> int:
-    """ord at the tagged prime above p of the integral element c + e*w."""
-    data = field.primes_above(p)[tag]
-    norm = int(field.norm(field.element(c, e)))
+def _ord_integral(field: NumberField, p: int, data: dict, ints) -> int:
+    """ord at the prime above p that data (from primes_above) describes, of
+    the integral element with coordinates ints."""
+    norm = int(field.norm(field.element(*ints)))
     if norm == 0:
         raise ZeroElementError("zero element has no valuation")
     cap = _int_valuation(abs(norm), p)
@@ -606,11 +590,10 @@ def _ord_integral(field: NumberField, p: int, tag: int, c: int, e: int) -> int:
         return 0
     if data["e"] == 2:  # ramified
         return cap
-    if data["f"] == 2:  # inert
-        vc = cap if c == 0 else _int_valuation(c, p)
-        ve = cap if e == 0 else _int_valuation(e, p)
-        return min(vc, ve)
+    if "root" not in data:  # inert, and every prime over Q
+        return min(cap if t == 0 else _int_valuation(t, p) for t in ints)
     # split
+    c, e = ints
     s, q = field.omega_minpoly()
     K = cap + 1
     r = _lift_root(s, q, p, data["root"], K)
@@ -620,24 +603,21 @@ def _ord_integral(field: NumberField, p: int, tag: int, c: int, e: int) -> int:
     return min(_int_valuation(val, p), cap)
 
 
-def _clear_denominators(field: NumberField, x: FieldElement) -> tuple[int, int, int]:
-    """Write x = (c + e*w)/m with integers c, e, m > 0."""
-    if isinstance(x, QuadElement):
-        m = math.lcm(x.a.denominator, x.b.denominator)
-        return int(x.a * m), int(x.b * m), m
-    m = x.denominator
-    return int(x * m), 0, m
+def _clear_denominators(field: NumberField,
+                        x: FieldElement) -> tuple[tuple[int, ...], int]:
+    """Write x = (c + e*w)/m, or c/m over Q: the integer coordinates and
+    the integer m > 0."""
+    coords = field.coords(x)
+    m = math.lcm(*(t.denominator for t in coords))
+    return tuple(int(t * m) for t in coords), m
 
 
 def _finite_abs(field: NumberField, place: Place, x: FieldElement) -> Fraction:
-    p, tag = place.p, place.tag
-    c, e, m = _clear_denominators(field, x)
-    vm = _int_valuation(m, p) if m % p == 0 else 0
-    if field.is_rational():
-        vc = _int_valuation(c, p) if c % p == 0 else 0
-        return Fraction(p) ** (vm - vc)
-    data = field.primes_above(p)[tag]
-    ord_total = _ord_integral(field, p, tag, c, e) - data["e"] * vm
+    p = place.p
+    data = field.primes_above(p)[place.tag]
+    ints, m = _clear_denominators(field, x)
+    ord_total = (_ord_integral(field, p, data, ints)
+                 - data["e"] * _int_valuation(m, p))
     return Fraction(p) ** (-data["f"] * ord_total)
 
 
@@ -666,35 +646,26 @@ def absolute_value(field: NumberField, place: Place, element) -> Union[Fraction,
 
 
 def divisor(field: NumberField, element) -> "AdelicDivisor":
-    """Adelic divisor of a nonzero field element: its absolute values at the
-    finitely many places where they differ from 1."""
+    """Adelic divisor of a nonzero field element: its absolute values at
+    the finitely many places where they differ from 1.
+
+    Write x = g (c + e*w) / m with gcd(c, e) = 1: the finite places lie
+    over the primes of g, m and N(c + e*w).  Over Q, c + e*w = +-1, so only
+    g and m are factored."""
     x = field.coerce(element)
     if field.is_zero(x):
         raise ZeroElementError("the zero element has no divisor")
-    entries = {}
-    c, e, m = _clear_denominators(field, x)
-    if field.is_rational():
-        support = _prime_support(c) | _prime_support(m)
-        for p in support:
-            place = Place("finite", p, 0)
-            v = _finite_abs(field, place, x)
-            if v != 1:
-                entries[place] = v
-    else:
-        norm_num = abs(int(field.norm(field.element(c, e))))
-        support = _prime_support(norm_num) | _prime_support(m)
-        for p in sorted(support):
-            for data in field.primes_above(p):
-                place = Place("finite", p, data["tag"])
-                v = _finite_abs(field, place, x)
-                if v != 1:
-                    entries[place] = v
-    for place in field.infinite_places():
-        v = absolute_value(field, place, x)
-        if v != 1:
-            entries[place] = v
-    items = tuple(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
-    return AdelicDivisor(entries=items)
+    ints, m = _clear_denominators(field, x)
+    g = math.gcd(*ints)
+    norm = int(field.norm(field.element(*(t // g for t in ints))))
+    # in Place.sort_key order
+    finite = tuple(Place("finite", p, data["tag"])
+                   for p in sorted(_prime_support(g) | _prime_support(norm)
+                                   | _prime_support(m))
+                   for data in field.primes_above(p))
+    values = ((place, absolute_value(field, place, x))
+              for place in finite + field.infinite_places())
+    return AdelicDivisor(entries=tuple(kv for kv in values if kv[1] != 1))
 
 
 @dataclass(frozen=True)

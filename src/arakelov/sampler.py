@@ -11,6 +11,10 @@ parallel runs agree bit for bit.
 Over a quadratic field the bundle is the trivial metric restricted to a
 congruence submodule of O_K^n of index q, for a split prime q, then scaled
 to the target slope.
+
+Both take their basis rows from ``_congruence_rows``: int rows with p e_j
+over Q, and rows of field elements with pi e_j over K, pi a generator of a
+prime above q.
 """
 
 from __future__ import annotations
@@ -66,32 +70,33 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _congruence_rows(n: int, coset, modulus: int) -> tuple[int, list]:
-    """Row basis of {x : sum coset_i x_i = 0 mod modulus} as multiplier data:
-    returns (pivot index j, multipliers c_i) so the rows are m*e_j and
-    e_i - c_i e_j."""
+def _congruence_rows(n: int, coset, modulus: int, generator,
+                     element) -> list[list]:
+    """Basis rows of {x in R^n : sum coset_i x_i = 0 mod generator}, for R
+    = Z (generator = modulus, a prime) or O_K (generator of a prime above
+    modulus): with j the first index where coset_j != 0 mod modulus and
+    c_i = coset_i / coset_j mod modulus, in [0, modulus), row j is
+    generator * e_j and row i is e_i - c_i e_j.  element makes an entry of R
+    from an int."""
     coset = [int(x) % modulus for x in coset]
     pivot = next((i for i, x in enumerate(coset) if x), None)
     if pivot is None:
         raise InvalidCosetError("coset vector is zero mod the prime")
     inv = pow(coset[pivot], -1, modulus)
-    mults = [(coset[i] * inv) % modulus for i in range(n)]
-    return pivot, mults
+    one, zero = element(1), element(0)
+    rows = []
+    for i, x in enumerate(coset):
+        row = [one if j == i else zero for j in range(n)]
+        row[pivot] = generator if i == pivot else element(-(x * inv % modulus))
+        rows.append(row)
+    return rows
 
 
 def hecke_integer_gram(spec: RandomLatticeSpec, a) -> list[list[int]]:
     """Reduced integer Gram of the index-p congruence sublattice of Z^n,
     rows sorted by decreasing squared length; covolume is exactly p."""
     n = spec.n
-    pivot, mults = _congruence_rows(n, a, spec.p)
-    rows = []
-    for i in range(n):
-        if i == pivot:
-            rows.append([spec.p if j == pivot else 0 for j in range(n)])
-        else:
-            r = [1 if j == i else 0 for j in range(n)]
-            r[pivot] = -mults[i]
-            rows.append(r)
+    rows = _congruence_rows(n, a, spec.p, spec.p, int)
     gram = [[sum(u[k] * v[k] for k in range(n)) for v in rows] for u in rows]
     U = lll_transform(gram)
     red = apply_transform(U, gram)
@@ -142,14 +147,7 @@ def _split_prime_generator(field: NumberField) -> tuple[int, QuadElement]:
 def _quadratic_congruence_bundle(field: NumberField, n: int,
                                  rng: np.random.Generator) -> ArakelovBundle:
     q, pi = _split_prime_generator(field)
-    a = _draw_coset(rng, n, q)
-    pivot, mults = _congruence_rows(n, a, q)
-    one, zero = field.element(1), field.element(0)
-    rows = []
-    for i in range(n):
-        row = [one if j == i else zero for j in range(n)]
-        row[pivot] = pi if i == pivot else field.element(-mults[i])
-        rows.append(row)
+    rows = _congruence_rows(n, _draw_coset(rng, n, q), q, pi, field.element)
     return _restricted_bundle(trivial_bundle(field, n), rows)
 
 
@@ -173,7 +171,7 @@ def random_bundle(field: NumberField, n: int, target_slope: float,
         base = _quadratic_congruence_bundle(field, n, rng)
     d = field.degree
     exponent = (degree(base) - n * target_slope) / (n * d)
-    if abs(exponent) > MAX_EXPONENT:
+    if not abs(exponent) <= MAX_EXPONENT:  # nan too
         raise ValueError(f"slope {target_slope:g} is out of range: the scale "
                          f"factor exp({exponent:.6g}) is not a positive "
                          f"finite float")

@@ -505,6 +505,27 @@ def test_run_config_echoes_only_settings_read(capsys, identity2, argv,
     assert cfg["subcommand"] == argv[0] and cfg["format"] == "json"
 
 
+@pytest.mark.parametrize("argv, echoed", [
+    (["bounds", "--kind", "thresholds", "--n", "8", "--det-degree", "3",
+      "--cutoff", "2", "--rank", "3", "--gram", "GRAM"],
+     {"field", "kind", "n", "l", "eps"}),
+    (["bounds", "--kind", "theorem", "--n", "8", "--det-degree", "-2",
+      "--cutoff", "2", "--l", "2", "--eps", "0.5"],
+     {"field", "kind", "n", "gram", "rank", "det_degree", "cutoff",
+      "node_cap"}),
+])
+def test_bounds_echoes_only_the_options_its_kind_reads(capsys, identity2,
+                                                       argv, echoed):
+    # thresholds read the field, n, l and eps; the theorem reads its fixed
+    # factor, det_degree, cutoff and node_cap, and neither l nor eps
+    argv = [identity2 if a == "GRAM" else a for a in argv]
+    code, doc = run_json(capsys, *argv)
+    assert code in (0, 1, 3)
+    assert set(doc["run_config"]) == echoed | {"subcommand", "format",
+                                                "config"}
+    validate(doc, "bound_report.schema.json")
+
+
 def test_gram_file_sets_field_and_rank(capsys, tmp_path, identity2):
     # with --gram, search and bounds --kind theorem run over the file's
     # field and rank, and run_config echoes those; a --field or --rank set
@@ -539,7 +560,8 @@ def test_gram_file_sets_field_and_rank(capsys, tmp_path, identity2):
             assert code == 2 and out == "", (key, argv)
             assert f"--{key} {value} disagrees" in err
     # without a file they still default to Q and 1, and are echoed as given
-    code, doc = run_json(capsys, "bounds", "--n", "8")
+    code, doc = run_json(capsys, "bounds", "--kind", "theorem", "--n", "8",
+                         "--det-degree", "-2")
     assert (doc["run_config"]["field"], doc["run_config"]["rank"]) == ("Q", 1)
     code, doc = run_json(capsys, "search", "--field", "Q(sqrt{-1})", "--n",
                          "4", "--slope", "-2", "--trials", "2")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from arakelov.errors import InvalidDescriptorError
 from arakelov.numberfield import (
     IMAGINARY_CLASS_NUMBER_ONE,
     REAL_CLASS_NUMBER_ONE,
+    Place,
     _is_prime,
     _next_prime,
     _prime_support,
@@ -96,6 +98,45 @@ def test_element_arithmetic_and_norm():
     assert K.mul(x, K.divide(y, x)) == y
     with pytest.raises(ZeroDivisionError):
         K.divide(y, K.element(0))
+
+
+ARITHMETIC_FIELDS = ("Q", "Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{2})",
+                     "Q(sqrt{5})", "Q(sqrt{46})")
+
+
+def random_element(K, rng):
+    coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+              for _ in range(K.degree)]
+    return K.element(*coords)
+
+
+@pytest.mark.parametrize("desc", ARITHMETIC_FIELDS)
+def test_one_formula_arithmetic(desc):
+    # integral bases {1, sqrt D} and {1, (1 + sqrt D)/2}, both signs of D,
+    # and Q as the case b = 0
+    K = make_field(desc)
+    rng = random.Random(41)
+    places = range(len(K.infinite_places()))
+    for _ in range(200):
+        x, y = random_element(K, rng), random_element(K, rng)
+        if K.is_zero(y):
+            continue
+        if K.is_rational():
+            plain = [(K.add(x, y), x + y), (K.sub(x, y), x - y),
+                     (K.mul(x, y), x * y), (K.conj(x), x),
+                     (K.norm(x), x * x), (K.trace(x), 2 * x),
+                     (K.divide(x, y), x / y)]
+            for got, want in plain:
+                assert type(got) is Fraction and got == want, (x, y)
+        conj = K.conj(x)
+        assert K.coords(K.mul(x, conj)) == (K.norm(x), 0)[:K.degree]
+        assert K.coords(K.add(x, conj)) == (K.trace(x), 0)[:K.degree]
+        assert K.conj(conj) == x
+        assert K.divide(K.mul(x, y), y) == x
+        for i in places:
+            want = K.embed(x, i) * K.embed(y, i)
+            assert abs(K.embed(K.mul(x, y), i) - want) <= 1e-9 * max(
+                1.0, abs(want)), (desc, x, y, i)
 
 
 def test_embeddings_match_minpoly():
@@ -241,6 +282,80 @@ def test_product_formula():
             for place in div.support():
                 prod *= float(absolute_value(K, place, x))
             assert abs(prod - 1.0) < 1e-9, (desc, x)
+
+
+def p_exponent(value, p):
+    """k with value = p^k, for a Fraction that is a power of p."""
+    n, d, k = value.numerator, value.denominator, 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    while d % p == 0:
+        d, k = d // p, k - 1
+    assert n == d == 1, (value, p)
+    return k
+
+
+def test_rational_divisor_matches_factorint():
+    sympy = pytest.importorskip("sympy")
+    Q = make_field("Q")
+    rng = random.Random(19)
+    corpus = [Fraction(rng.randint(-10 ** 9, 10 ** 9) or 1,
+                       rng.randint(1, 10 ** 6)) for _ in range(60)]
+    corpus += [Fraction(2 ** 40, 3 ** 7), Fraction(-1), Fraction(1, 1024)]
+    for x in corpus:
+        want = {}
+        for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+            for p, v in sympy.factorint(abs(n)).items():
+                want[Place("finite", p, 0)] = Fraction(p) ** (-sign * v)
+        div = divisor(Q, x)
+        assert {place: v for place, v in div.entries
+                if place.kind == "finite"} == want, x
+        assert div.value(Place("real")) == abs(x)
+
+
+def test_quadratic_divisor_sums_to_the_norm_valuation():
+    # at each rational p, sum over the primes above p of f ord equals
+    # v_p(N(x)): split, inert and ramified primes, and p = 2, all occur
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for desc in ("Q(sqrt{-1})", "Q(sqrt{-3})", "Q(sqrt{2})", "Q(sqrt{5})"):
+        K = make_field(desc)
+        kinds, primes = set(), set()
+        corpus = [K.element(p) for p in (2, 3, 5, 7, 11, 13)]
+        corpus += [K.element(Fraction(rng.randint(-300, 300),
+                                      rng.randint(1, 40)),
+                             rng.randint(1, 300)) for _ in range(60)]
+        for x in corpus:
+            N = abs(K.norm(x))
+            want = dict(sympy.factorint(N.numerator))
+            for p, v in sympy.factorint(N.denominator).items():
+                want[p] = want.get(p, 0) - v
+            div = divisor(K, x)
+            assert list(div.support()) == sorted(div.support(),
+                                                 key=Place.sort_key)
+            got = {}
+            for place, value in div.entries:
+                if place.kind == "finite":
+                    # |x|_P = p^(-f ord_P x)
+                    got[place.p] = got.get(place.p, 0) - p_exponent(value,
+                                                                    place.p)
+            assert got == {p: v for p, v in want.items() if v}, (desc, x)
+            kinds |= {K.splitting(p) for p in got}
+            primes |= set(got)
+        assert kinds == {"split", "inert", "ramified"} and 2 in primes, desc
+
+
+def test_divisor_of_a_large_rational_prime_is_quick():
+    # Pollard's rho splits p^2 slowly; the divisor factors the content p of
+    # the numerator apart from the norm of the rest, which is 1 over Q
+    p = 100000000003
+    Q, Qi = make_field("Q"), make_field("Q(sqrt{-1})")
+    for K, x in ((Q, Fraction(p, 7)), (Qi, Fraction(p, 7)),
+                 (Qi, Qi.element(p * 10 ** 12, p))):
+        start = time.perf_counter()
+        div = divisor(K, x)
+        assert time.perf_counter() - start < 0.1, (K, x)
+        assert p in {place.p for place in div.support()}
 
 
 def test_ball_volumes():

@@ -52,6 +52,10 @@ def test_congruence_gram_determinant_and_membership():
         a = [rng.randrange(p) for _ in range(n)]
         if not any(a):
             a[0] = 1
+        rows = _congruence_rows(n, a, p, p, int)
+        assert all(sum(x * y for x, y in zip(a, row)) % p == 0
+                   for row in rows)
+        assert rat_det(rows) == p
         gram = hecke_integer_gram(spec, a)
         assert rat_det(gram) == p * p  # covolume exactly p
         # rows sorted by decreasing squared length
@@ -123,22 +127,22 @@ def test_quadratic_sampler_covolume_identity():
 
 def test_sampler_refuses_slopes_beyond_the_float_range():
     spec = RandomLatticeSpec(n=3, p=100003, seed=42, field=Q)
-    for target in (-1000.0, 1000.0):
+    for target in (-1000.0, 1000.0, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"slope {target:g} is out"):
             random_bundle(Q, 3, target, spec)
 
 
 def congruence_basis(field, n, rng):
-    """The sampler's congruence submodule basis for one draw from rng:
-    pi e_j for the pivot j, e_i - c_i e_j for the others."""
+    """The sampler's congruence submodule basis for one draw a from rng,
+    rebuilt from a: pi e_j for the first j with a_j != 0 mod q, and
+    e_i - (a_i / a_j mod q) e_j for the others."""
     q, pi = _split_prime_generator(field)
-    pivot, mults = _congruence_rows(n, _draw_coset(rng, n, q), q)
-    one, zero = field.element(1), field.element(0)
-    rows = []
+    a = [x % q for x in _draw_coset(rng, n, q)]
+    j = next(i for i, x in enumerate(a) if x)
+    rows = [[field.element(int(i == k)) for k in range(n)] for i in range(n)]
     for i in range(n):
-        row = [one if j == i else zero for j in range(n)]
-        row[pivot] = pi if i == pivot else field.element(-mults[i])
-        rows.append(row)
+        rows[i][j] = (pi if i == j else
+                      field.element(-(a[i] * pow(a[j], -1, q) % q)))
     return rows
 
 
